@@ -19,7 +19,7 @@ from enum import Enum
 import requests
 
 from .actions import ActionCommand, extract_first_json_object, format_action
-from .prompts import PromptDocument
+from .prompts import PromptDocument, gui_tree_text
 from .widgets import PossibleAction, parse_tree, possible_actions
 
 
@@ -133,8 +133,6 @@ class ScriptedAgent(Agent):
         return self._next >= len(self._lines)
 
 
-GUI_SECTION_MARKER = "The current state of the GUI:\n"
-
 _WRITE_POOL = (
     "test",
     "1.0",
@@ -160,12 +158,15 @@ class RandomAgent(Agent):
     def respond(self, request: AgentRequest) -> str:
         if request.role != "controller":
             raise AgentError("the random agent only supports the controller role")
-        prompt_text = request.prompt.text()
-        tree = self._extract_tree(prompt_text)
-        candidates = [pa for pa in possible_actions(tree) if self._satisfiable(pa)]
+        try:
+            tree_text = gui_tree_text(request.prompt)
+        except KeyError:
+            raise AgentError("prompt carries no GUI section") from None
+        candidates = [pa for pa in possible_actions(parse_tree(tree_text))
+                      if self._satisfiable(pa)]
         if not candidates:
             raise AgentError("no possible actions encoded in the prompt")
-        digest = hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(request.prompt.text().encode("utf-8")).hexdigest()
         rng = random.Random(f"{self.seed}:{digest}")
         chosen = rng.choice(candidates)
         arg: str | None = None
@@ -178,20 +179,8 @@ class RandomAgent(Agent):
         return json.dumps({"action": command, "explanation": explanation})
 
     @staticmethod
-    def _extract_tree(prompt_text: str):
-        start = prompt_text.find(GUI_SECTION_MARKER)
-        if start == -1:
-            raise AgentError("prompt carries no GUI section")
-        return parse_tree(_first_json_text(prompt_text[start + len(GUI_SECTION_MARKER):]))
-
-    @staticmethod
     def _satisfiable(pa: PossibleAction) -> bool:
         return not (pa.arg.kind == "one_of" and not pa.arg.choices)
-
-
-def _first_json_text(text: str) -> str:
-    obj = extract_first_json_object(text)
-    return json.dumps(obj)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="execute a test campaign")
     run_p.add_argument("--config", type=Path, help="JSON config file")
     run_p.add_argument("--runs", type=int, default=1, help="number of isolated runs")
-    run_p.add_argument("--backend", choices=["sim", "live"], default="sim")
+    run_p.add_argument("--backend", choices=["sim"], default="sim")
     run_p.add_argument("--controller", choices=["scripted", "random", "remote"],
                        default="scripted")
     run_p.add_argument("--evaluator", choices=["scripted", "oracle", "remote"],
@@ -129,10 +129,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise CliUsageError("--runs must be at least 1")
     cfg = _load_config_file(args.config)
-    needs_credential = args.backend == "live" or "remote" in (args.controller, args.evaluator)
     remote_controller = _remote_config(cfg, "controller")
     remote_evaluator = _remote_config(cfg, "evaluator")
-    if needs_credential:
+    if "remote" in (args.controller, args.evaluator):
         if remote_controller is None and remote_evaluator is None:
             raise CliUsageError("remote agents need a \"remote\" section in the config file")
         env_name = (remote_controller or remote_evaluator).api_key_env
@@ -143,7 +142,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             task=cfg.get("task", DEFAULT_TASK),
             max_iterations=(args.max_iterations if args.max_iterations is not None
                             else cfg.get("max_iterations", 100)),
-            backend=args.backend,
             controller=args.controller,
             evaluator=args.evaluator,
             seed=args.seed,
@@ -196,13 +194,20 @@ def _load_run_dirs(runs_dir: Path) -> list:
     return records
 
 
+def _load_labels(path: Path) -> LabelFile:
+    try:
+        return LabelFile.load(path)
+    except (OSError, ValueError) as exc:
+        raise CliUsageError(f"unreadable label file {path}: {exc}") from exc
+
+
 def cmd_label(args: argparse.Namespace) -> int:
     try:
         records = _load_run_dirs(args.runs)
     except RecordLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    existing = LabelFile.load(args.labels) if Path(args.labels).is_file() else None
+    existing = _load_labels(args.labels) if Path(args.labels).is_file() else None
     labels = prefill_labels(collect_positives(records), existing)
     labels.save(args.labels)
     unlabeled = sum(1 for label in labels.entries.values() if label.value == "unknown")
@@ -218,7 +223,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     labels = LabelFile()
     if args.labels is not None and Path(args.labels).is_file():
-        labels = LabelFile.load(args.labels)
+        labels = _load_labels(args.labels)
     try:
         report = build_report(records, labels,
                               assume_unlabeled_false=args.assume_unlabeled_false)

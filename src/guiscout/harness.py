@@ -39,7 +39,7 @@ from .agents import (
     verdict_to_json,
 )
 from .prompts import DEFAULT_DOC_BUDGET, DocCorpus, ImageRef, build_controller_prompt, \
-    build_evaluator_prompt
+    build_evaluator_prompt, gui_tree_text
 from .simulator import (
     FaultSpec,
     SimScreenshot,
@@ -48,7 +48,7 @@ from .simulator import (
     full_traversal_script,
     new_wizard,
 )
-from .widgets import possible_actions, serialize_tree
+from .widgets import possible_actions
 
 DEFAULT_TASK = (
     "Act as a GUI-Tester for the software RCE.\n"
@@ -94,7 +94,6 @@ class CampaignError(Exception):
 class RunConfig:
     task: str = DEFAULT_TASK
     max_iterations: int = 100
-    backend: str = "sim"  # "sim" | "live"
     controller: str = "scripted"  # scripted | random | remote
     evaluator: str = "oracle"  # scripted | oracle | remote
     seed: int = 0
@@ -110,10 +109,6 @@ class RunConfig:
     remote_evaluator: RemoteAgentConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.backend == "simulated":
-            self.backend = "sim"
-        if self.backend not in ("sim", "live"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
         if self.controller not in ("scripted", "random", "remote"):
@@ -124,16 +119,13 @@ class RunConfig:
             raise ConfigError("a remote controller needs a remote agent config")
         if self.evaluator == "remote" and self.remote_evaluator is None:
             raise ConfigError("a remote evaluator needs a remote agent config")
-        if self.backend == "live" and (self.remote_controller is None
-                                       and self.remote_evaluator is None):
-            raise ConfigError("the live backend requires a remote agent config")
 
     def echo(self) -> dict:
         """Config as persisted in run headers. Never contains credentials."""
         return {
             "task": self.task,
             "max_iterations": self.max_iterations,
-            "backend": self.backend,
+            "backend": "sim",
             "controller": self.controller,
             "evaluator": self.evaluator,
             "seed": self.seed,
@@ -269,11 +261,8 @@ class RunSession:
     """One sequential run: owns the simulator, the agents, and the log."""
 
     def __init__(self, config: RunConfig, docs: DocCorpus | None = None):
-        if config.backend != "sim":
-            raise ConfigError("the live backend is not available in this build; "
-                              "only the simulated backend ships")
         self.config = config
-        self.sim: SimWizard = new_wizard(config.faults, config.seed, config.wizard_config)
+        self.sim: SimWizard = new_wizard(config.faults, config.wizard_config)
         self.controller = _build_controller(config)
         self.evaluator = _build_evaluator(config)
         self.docs = docs if docs is not None else default_doc_corpus()
@@ -291,19 +280,19 @@ class RunSession:
     def run_iteration(self, index: int) -> IterationRecord:
         """Execute one full controller/executor/evaluator iteration."""
         started = time.time()
-        tree = self.sim.snapshot()
         before = self.prev_shot
-        rec = IterationRecord(
-            index=index,
-            page_key=before.page_key,
-            tree_digest=_sha256(serialize_tree(tree)),
-            before_digest=before.digest,
-            started_at=started,
-        )
+        tree = before.tree
         attachment = _screenshot_ref(before) if self.config.attach_screenshot else None
         controller_prompt = build_controller_prompt(
             self.config.task, self.docs, tree, self.log,
             screenshot=attachment, doc_budget=self.config.doc_budget)
+        rec = IterationRecord(
+            index=index,
+            page_key=before.page_key,
+            tree_digest=_sha256(gui_tree_text(controller_prompt)),
+            before_digest=before.digest,
+            started_at=started,
+        )
         prompt_text = controller_prompt.text()
         rec.controller_prompt_digest = (self.writer.write_prompt(prompt_text)
                                         if self.writer else _sha256(prompt_text))
@@ -433,6 +422,8 @@ def load_record(run_dir: Path) -> RunRecord:
         header = json.loads((run_dir / "header.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise RecordLoadError(f"unreadable header in {run_dir}: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
+        raise RecordLoadError(f"header in {run_dir} is not an object with an object config")
     record = RunRecord(run_id=header.get("run_id", run_dir.name),
                        config=header.get("config", {}))
     iterations_path = run_dir / "iterations.jsonl"
@@ -456,7 +447,6 @@ def config_from_echo(echo: dict) -> RunConfig:
     return RunConfig(
         task=echo.get("task", DEFAULT_TASK),
         max_iterations=echo.get("max_iterations", 100),
-        backend=echo.get("backend", "sim"),
         controller="scripted",
         evaluator="scripted",
         seed=echo.get("seed", 0),

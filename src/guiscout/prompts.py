@@ -117,6 +117,8 @@ example 2:
     "explanation": "write a display name into the text field to make the key human-readable"
 }"""
 
+GUI_HEADER = "The current state of the GUI:\n"
+
 CONTROLLER_CLOSING = (
     "What action do you want to take to do the next step for achieving the given task?"
 )
@@ -187,13 +189,18 @@ def build_controller_prompt(
         ("Role", CONTROLLER_ROLE),
         ("Task", "Your task:\n" + task),
         ("Documentation", "Documentation:\n" + select_documentation(docs, tree, doc_budget)),
-        ("GUI", "The current state of the GUI:\n" + serialize_tree(tree)),
+        ("GUI", GUI_HEADER + serialize_tree(tree)),
         ("Action", CONTROLLER_ACTION),
         ("ActionLog", "The previous actions:\n" + format_log(log)),
         ("Closing", CONTROLLER_CLOSING),
     )
     attachments = (screenshot,) if screenshot is not None else ()
     return PromptDocument(sections=sections, attachments=attachments)
+
+
+def gui_tree_text(prompt: PromptDocument) -> str:
+    """The serialized tree in a controller prompt's GUI section; KeyError if it has none."""
+    return prompt.section("GUI").removeprefix(GUI_HEADER)
 
 
 def build_evaluator_prompt(

@@ -3,15 +3,15 @@
 The wizard is a small state machine with top-to-bottom form validation, one
 modal dialog level, and injectable UI defects. Snapshots are widget trees,
 screenshots are fixed-size text renders, and both are pure functions of the
-wizard state, so every run is exactly reproducible from (seed, faults, action
-sequence).
+wizard state, so every run is exactly reproducible from the fault set and the
+action sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .actions import ActionCommand, format_action
@@ -120,11 +120,15 @@ class ModalSpec:
 
 @dataclass(frozen=True)
 class SimScreenshot:
-    """One rendered view of the wizard: a fixed 120x40 character canvas."""
+    """One rendered view of the wizard: a fixed 120x40 character canvas, plus
+    the widget tree it was drawn from and the indices of the faults visible in
+    it; those two take no part in equality."""
 
     page_key: str
     rendered: str
     digest: str
+    tree: WidgetNode = dc_field(compare=False)
+    visible_faults: frozenset[int] = dc_field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -378,11 +382,10 @@ class SimWizard:
     """Mutable wizard state, owned by a single run. Snapshots are immutable."""
 
     def __init__(self, pages: tuple[PageSpec, ...], modals: dict[str, ModalSpec],
-                 faults: list[FaultSpec], rng_seed: int, title: str = WIZARD_TITLE):
+                 faults: list[FaultSpec], title: str = WIZARD_TITLE):
         self.pages = pages
         self.modals = modals
         self.faults = list(faults)
-        self.rng_seed = rng_seed
         self.title = title
 
         self.current_page = 0
@@ -404,7 +407,6 @@ class SimWizard:
         self._build_slots()
         self._reset_values()
 
-        self._observability: dict[str, frozenset[int]] = {}
         self._reported: set[int] = set()
         self._validate_faults()
 
@@ -960,9 +962,9 @@ class SimWizard:
             self._draw_node(canvas, child)
         rendered = "\n".join("".join(row) for row in canvas)
         digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-        page_key = self.pages[self.current_page].key
-        self._observability[digest] = self._observable_fault_indices()
-        return SimScreenshot(page_key=page_key, rendered=rendered, digest=digest)
+        return SimScreenshot(page_key=self.pages[self.current_page].key, rendered=rendered,
+                             digest=digest, tree=tree,
+                             visible_faults=self._observable_fault_indices())
 
     # -- the deterministic evaluator stand-in -------------------------------
 
@@ -992,8 +994,7 @@ class SimWizard:
                         cmd: ActionCommand | None = None) -> Verdict:
         """Ground-truth evaluator: reports each active fault exactly once, at
         the first evaluation in which its effect is visible."""
-        visible = (self._observability.get(before.digest, frozenset())
-                   | self._observability.get(after.digest, frozenset()))
+        visible = before.visible_faults | after.visible_faults
         pending = sorted(index for index in visible if index not in self._reported)
         if pending:
             index = pending[0]
@@ -1002,7 +1003,7 @@ class SimWizard:
         return Verdict(VerdictState.OKAY)
 
 
-def build_wizard(config: dict, faults: list[FaultSpec], seed: int) -> SimWizard:
+def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
     pages = []
     for page_obj in config["pages"]:
         fields = tuple(_parse_field(f) for f in page_obj["fields"])
@@ -1014,20 +1015,20 @@ def build_wizard(config: dict, faults: list[FaultSpec], seed: int) -> SimWizard:
     for key, modal_obj in config.get("modals", {}).items():
         modals[key] = ModalSpec(key=key, title=modal_obj["title"],
                                 fields=tuple(_parse_field(f) for f in modal_obj["fields"]))
-    return SimWizard(pages=tuple(pages), modals=modals, faults=faults, rng_seed=seed,
+    return SimWizard(pages=tuple(pages), modals=modals, faults=faults,
                      title=config.get("title", WIZARD_TITLE))
 
 
-def new_wizard(faults: list[FaultSpec] | None = None, seed: int = 0,
+def new_wizard(faults: list[FaultSpec] | None = None,
                config: dict | None = None) -> SimWizard:
     """Fresh wizard at page 0 with deterministic control-id assignment."""
-    return build_wizard(config or default_wizard_config(), list(faults or []), seed)
+    return build_wizard(config or default_wizard_config(), list(faults or []))
 
 
 def full_traversal_script(config: dict | None = None) -> list[str]:
     """Controller responses that walk all six pages of the default fixture and
     touch every interactive widget. Authored against stable control ids."""
-    sim = new_wizard([], 0, config)
+    sim = new_wizard([], config)
 
     def cid(label: str, page: str) -> int:
         return sim.control_id_of(label, page=page)

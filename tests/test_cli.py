@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from guiscout.cli import main
 from conftest import write_funnel_dirs
 
@@ -24,10 +26,17 @@ def test_run_live_without_credential_names_the_variable(tmp_path, capsys, monkey
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"remote": {"endpoint": "http://127.0.0.1:9/x",
                                              "model": "m"}}), encoding="utf-8")
-    code = main(["run", "--backend", "live", "--config", str(config),
+    code = main(["run", "--controller", "remote", "--config", str(config),
                  "--out", str(tmp_path / "runs")])
     assert code == 1
     assert "GUISCOUT_API_KEY" in capsys.readouterr().err
+
+
+def test_run_backend_live_is_a_usage_error(tmp_path, capsys):
+    code = main(["run", "--backend", "live", "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert "--backend" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_flag_is_a_usage_error(capsys):
@@ -50,6 +59,15 @@ def test_replay_corrupt_record_exits_one(tmp_path, capsys):
     text = iterations.read_text("utf-8")
     iterations.write_text(text[: len(text) // 2], encoding="utf-8")
     assert main(["replay", "--record", str(out / "run-000")]) == 1
+
+
+@pytest.mark.parametrize("header", [[], {"run_id": "run-000", "config": []}])
+def test_replay_non_object_header_exits_one(tmp_path, capsys, header):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1"]) == 0
+    (out / "run-000" / "header.json").write_text(json.dumps(header), encoding="utf-8")
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    assert "not an object" in capsys.readouterr().err
 
 
 def test_replay_with_altered_faults_exits_four(tmp_path, capsys):
@@ -80,6 +98,26 @@ def test_label_creates_prefilled_file(tmp_path, capsys):
     content = labels.read_text("utf-8")
     assert "unknown" in content
     assert "1 unlabeled" in capsys.readouterr().out
+
+
+MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive"]
+
+
+@pytest.mark.parametrize("line", MALFORMED_LABEL_LINES)
+def test_label_malformed_label_file_exits_one(tmp_path, capsys, line):
+    runs_dir, labels_path = write_funnel_dirs(tmp_path)
+    labels_path.write_text(line + "\n", encoding="utf-8")
+    assert main(["label", "--runs", str(runs_dir), "--labels", str(labels_path)]) == 1
+    assert "error: unreadable label file" in capsys.readouterr().err
+    assert labels_path.read_text("utf-8") == line + "\n"
+
+
+@pytest.mark.parametrize("line", MALFORMED_LABEL_LINES)
+def test_report_malformed_label_file_exits_one(tmp_path, capsys, line):
+    runs_dir, labels_path = write_funnel_dirs(tmp_path)
+    labels_path.write_text(line + "\n", encoding="utf-8")
+    assert main(["report", "--runs", str(runs_dir), "--labels", str(labels_path)]) == 1
+    assert "error: unreadable label file" in capsys.readouterr().err
 
 
 def test_report_unlabeled_exits_three_naming_findings(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guiscout.actions import ActionCommand, format_action
 from guiscout.harness import (
@@ -18,6 +21,7 @@ from guiscout.harness import (
 from guiscout.simulator import FaultKind, FaultSpec, default_fault_set, \
     full_traversal_script, new_wizard
 from guiscout.widgets import ActionVerb
+from test_record_fingerprints import OTHER_FAULTS
 
 
 def scripted_config(**overrides) -> RunConfig:
@@ -147,11 +151,6 @@ def test_evaluator_script_exhaustion_is_recorded_and_run_continues():
     assert "script exhausted" in record.iterations[1].verdict_error
 
 
-def test_live_backend_is_not_available():
-    with pytest.raises(ConfigError, match="live backend"):
-        RunConfig(backend="live")
-
-
 # --- persistence -----------------------------------------------------------
 
 def test_record_persists_incrementally_and_loads_back(tmp_path):
@@ -187,6 +186,14 @@ def test_truncated_iterations_file_fails_to_load(tmp_path):
     path.write_text(text[: len(text) // 2], encoding="utf-8")
     with pytest.raises(RecordLoadError, match="corrupt iteration"):
         load_record(tmp_path / "run-c")
+
+
+@pytest.mark.parametrize("header", [[], {"run_id": "run-h", "config": []}])
+def test_non_object_header_fails_to_load(tmp_path, header):
+    run(scripted_config(out_dir=tmp_path, run_id="run-h"))
+    (tmp_path / "run-h" / "header.json").write_text(json.dumps(header), encoding="utf-8")
+    with pytest.raises(RecordLoadError, match="not an object"):
+        load_record(tmp_path / "run-h")
 
 
 # --- run_many --------------------------------------------------------------
@@ -297,3 +304,34 @@ def test_failure_statuses_also_replay():
     assert statuses == ["executed", "executed", "executed", "failed", "rejected"]
     replayed = replay(record)
     assert [it.status for it in replayed.iterations] == statuses
+
+
+# --- oracle contract -------------------------------------------------------
+
+FAULT_UNIVERSE = default_fault_set() + OTHER_FAULTS
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       active=st.lists(st.booleans(), min_size=len(FAULT_UNIVERSE),
+                       max_size=len(FAULT_UNIVERSE)),
+       length=st.integers(1, 60))
+def test_oracle_flags_each_active_fault_at_most_once_on_its_page(seed, active, length):
+    faults = [replace(fault, active=on) for fault, on in zip(FAULT_UNIVERSE, active)]
+    sim = new_wizard(faults)
+    fault_by_reason = {sim.fault_reason(fault): fault for fault in faults}
+    record = run(RunConfig(controller="random", evaluator="oracle", seed=seed,
+                           max_iterations=length, faults=faults))
+    flagged = []
+    before_page = "tool_description"
+    for it in record.iterations:
+        if it.verdict["state"] == "problem":
+            fault = fault_by_reason[it.verdict["reason"]]
+            assert fault.active
+            assert fault.page in (before_page, it.page_key)
+            flagged.append(it.verdict["reason"])
+        before_page = it.page_key
+    assert len(flagged) == len(set(flagged))
+    replayed = replay(record)
+    assert [it.fingerprint() for it in replayed.iterations] == \
+        [it.fingerprint() for it in record.iterations]

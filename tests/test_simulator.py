@@ -32,7 +32,7 @@ def goto_launch_settings(sim):
 # --- construction ----------------------------------------------------------
 
 def test_fresh_wizard_has_the_dialog_root_title():
-    sim = new_wizard(seed=0)
+    sim = new_wizard()
     tree = sim.snapshot()
     assert tree.kind is WidgetKind.DIALOG
     assert tree.text == "Integrate a Tool as a Workflow Component"
@@ -40,8 +40,8 @@ def test_fresh_wizard_has_the_dialog_root_title():
 
 
 def test_same_arguments_twice_give_identical_snapshots_and_digests():
-    a = new_wizard(default_fault_set(), seed=3)
-    b = new_wizard(default_fault_set(), seed=3)
+    a = new_wizard(default_fault_set())
+    b = new_wizard(default_fault_set())
     assert a.snapshot() == b.snapshot()
     assert a.render().digest == b.render().digest
 
