@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .widgets import ActionVerb, ArgSpec, PossibleAction
 
@@ -88,14 +90,23 @@ class ActionLogEntry:
     def to_json_obj(self) -> dict[str, str]:
         return {"action": self.action, "explanation": self.explanation, "status": self.status}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ActionLogEntry":
-        return cls(action=obj["action"], explanation=obj["explanation"], status=obj["status"])
+    @cached_property
+    def log_fragment(self) -> str:
+        """This entry as an element of ``json.dumps(log, indent=2)``, rendered once.
+
+        ``json.dumps(str)`` escapes as the indenting encoder does (``ensure_ascii``).
+        """
+        return ('  {\n    "action": ' + json.dumps(self.action)
+                + ',\n    "explanation": ' + json.dumps(self.explanation)
+                + ',\n    "status": ' + json.dumps(self.status) + "\n  }")
 
 
 def format_log(entries: list[ActionLogEntry]) -> str:
-    """Render the action log as the JSON array embedded in controller prompts."""
-    return json.dumps([entry.to_json_obj() for entry in entries], indent=2)
+    """Render the action log as the JSON array embedded in controller prompts:
+    the bytes of ``json.dumps(..., indent=2)``, joined from cached entries."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entry.log_fragment for entry in entries) + "\n]"
 
 
 _HEAD_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\(")
@@ -215,7 +226,7 @@ def parse_controller_output(raw: str) -> ControllerOutput:
     return ControllerOutput(action=cmd, explanation=explanation)
 
 
-def validate_action(cmd: ActionCommand, allowed: list[PossibleAction]) -> ValidationResult:
+def validate_action(cmd: ActionCommand, allowed: Sequence[PossibleAction]) -> ValidationResult:
     """Decide whether a command is one of the currently possible actions."""
     if not allowed:
         return ValidationResult(False, "no actions available")

@@ -1,14 +1,13 @@
 """Agent implementations behind one interface, plus evaluator verdict parsing.
 
 Three agents ship: scripted playback for deterministic tests, a seeded random
-policy over the possible actions encoded in the prompt (a monkey-testing
+policy over the possible actions the request carries (a monkey-testing
 baseline), and a remote chat-completion client for real models.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import random
@@ -19,8 +18,8 @@ from enum import Enum
 import requests
 
 from .actions import ActionCommand, extract_first_json_object, format_action
-from .prompts import PromptDocument, gui_tree_text
-from .widgets import PossibleAction, parse_tree, possible_actions
+from .prompts import PromptDocument
+from .widgets import PossibleAction
 
 
 class AgentError(Exception):
@@ -48,8 +47,11 @@ AGENT_ROLES = ("controller", "evaluator")
 
 @dataclass(frozen=True)
 class AgentRequest:
+    """A prompt for one role; a controller request carries the possible actions."""
+
     prompt: PromptDocument
     role: str
+    actions: tuple[PossibleAction, ...] = ()
 
     def __post_init__(self) -> None:
         if self.role not in AGENT_ROLES:
@@ -145,9 +147,10 @@ _WRITE_POOL = (
 
 
 class RandomAgent(Agent):
-    """Controller-only monkey policy: picks uniformly among possible actions.
+    """Controller-only monkey policy: picks uniformly among the possible
+    actions the request carries.
 
-    The per-request RNG is derived from (seed, prompt text), so the same
+    The per-request RNG is derived from (seed, prompt digest), so the same
     request always yields the same response and a whole run is reproducible
     from its seed.
     """
@@ -158,16 +161,10 @@ class RandomAgent(Agent):
     def respond(self, request: AgentRequest) -> str:
         if request.role != "controller":
             raise AgentError("the random agent only supports the controller role")
-        try:
-            tree_text = gui_tree_text(request.prompt)
-        except KeyError:
-            raise AgentError("prompt carries no GUI section") from None
-        candidates = [pa for pa in possible_actions(parse_tree(tree_text))
-                      if self._satisfiable(pa)]
+        candidates = [pa for pa in request.actions if self._satisfiable(pa)]
         if not candidates:
-            raise AgentError("no possible actions encoded in the prompt")
-        digest = hashlib.sha256(request.prompt.text().encode("utf-8")).hexdigest()
-        rng = random.Random(f"{self.seed}:{digest}")
+            raise AgentError("the request carries no possible action")
+        rng = random.Random(f"{self.seed}:{request.prompt.digest}")
         chosen = rng.choice(candidates)
         arg: str | None = None
         if chosen.arg.kind == "free_text":
@@ -211,6 +208,7 @@ class RemoteAgentConfig:
             "timeout": self.timeout,
             "max_retries": self.max_retries,
             "temperature": self.temperature,
+            "retry_backoff": self.retry_backoff,
         }
 
 

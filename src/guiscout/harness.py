@@ -38,8 +38,8 @@ from .agents import (
     parse_verdict,
     verdict_to_json,
 )
-from .prompts import DEFAULT_DOC_BUDGET, DocCorpus, ImageRef, build_controller_prompt, \
-    build_evaluator_prompt, gui_tree_text
+from .prompts import DEFAULT_DOC_BUDGET, DocCorpus, ImageRef, PromptDocument, \
+    build_controller_prompt, build_evaluator_prompt, gui_tree_text
 from .simulator import (
     FaultSpec,
     SimScreenshot,
@@ -293,12 +293,12 @@ class RunSession:
             before_digest=before.digest,
             started_at=started,
         )
-        prompt_text = controller_prompt.text()
-        rec.controller_prompt_digest = (self.writer.write_prompt(prompt_text)
-                                        if self.writer else _sha256(prompt_text))
+        rec.controller_prompt_digest = self._prompt_digest(controller_prompt)
 
+        actions = tuple(possible_actions(tree))
         try:
-            raw = self.controller.respond(AgentRequest(controller_prompt, "controller"))
+            raw = self.controller.respond(
+                AgentRequest(controller_prompt, "controller", actions))
         except ScriptExhausted:
             raise
         except AgentError as exc:
@@ -322,7 +322,7 @@ class RunSession:
         else:
             rec.action = format_action(cmd)
             rec.explanation = explanation
-            validation = validate_action(cmd, possible_actions(tree))
+            validation = validate_action(cmd, actions)
             if not validation.accepted:
                 rec.status = "rejected"
                 rec.reject_reason = validation.reason
@@ -343,9 +343,7 @@ class RunSession:
 
         evaluator_prompt = build_evaluator_prompt(
             explanation, _screenshot_ref(before), _screenshot_ref(after))
-        eval_text = evaluator_prompt.text()
-        rec.evaluator_prompt_digest = (self.writer.write_prompt(eval_text)
-                                       if self.writer else _sha256(eval_text))
+        rec.evaluator_prompt_digest = self._prompt_digest(evaluator_prompt)
 
         verdict: Verdict | None = None
         if self.evaluator is None:
@@ -364,6 +362,9 @@ class RunSession:
         self.prev_shot = after
         rec.finished_at = time.time()
         return rec
+
+    def _prompt_digest(self, prompt: PromptDocument) -> str:
+        return self.writer.write_prompt(prompt.text()) if self.writer else prompt.digest
 
     def run(self) -> RunRecord:
         for index in range(self.config.max_iterations):
@@ -442,19 +443,33 @@ def load_record(run_dir: Path) -> RunRecord:
     return record
 
 
+#: The type each replayed header config value must have; a header is outside input.
+_ECHO_TYPES = {"task": str, "max_iterations": int, "seed": int, "faults": list,
+               "wizard_config": (dict, type(None)), "doc_budget": int, "attach_screenshot": bool}
+
+
 def config_from_echo(echo: dict) -> RunConfig:
-    """Rebuild enough of a RunConfig from a persisted header to replay it."""
-    return RunConfig(
-        task=echo.get("task", DEFAULT_TASK),
-        max_iterations=echo.get("max_iterations", 100),
-        controller="scripted",
-        evaluator="scripted",
-        seed=echo.get("seed", 0),
-        faults=[FaultSpec.from_json_obj(obj) for obj in echo.get("faults", [])],
-        wizard_config=echo.get("wizard_config"),
-        doc_budget=echo.get("doc_budget", DEFAULT_DOC_BUDGET),
-        attach_screenshot=echo.get("attach_screenshot", True),
-    )
+    """Rebuild enough of a RunConfig from a persisted header to replay it.
+
+    A value of the wrong type, or an unreadable fault, raises ReplayError.
+    """
+    for key, kind in _ECHO_TYPES.items():
+        if key in echo and not isinstance(echo[key], kind):
+            raise ReplayError(f"header config {key!r} has the wrong type: {echo[key]!r}")
+    try:
+        return RunConfig(
+            task=echo.get("task", DEFAULT_TASK),
+            max_iterations=echo.get("max_iterations", 100),
+            controller="scripted",
+            evaluator="scripted",
+            seed=echo.get("seed", 0),
+            faults=[FaultSpec.from_json_obj(obj) for obj in echo.get("faults", [])],
+            wizard_config=echo.get("wizard_config"),
+            doc_budget=echo.get("doc_budget", DEFAULT_DOC_BUDGET),
+            attach_screenshot=echo.get("attach_screenshot", True),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"unusable header config: {exc!r}") from exc
 
 
 def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
@@ -466,6 +481,8 @@ def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
     """
     if record.config.get("backend", "sim") != "sim":
         raise ReplayError("only simulated-backend records can be replayed")
+    if not isinstance(record.run_id, str):
+        raise ReplayError(f"header run_id is not a string: {record.run_id!r}")
     controller_lines = []
     evaluator_lines = []
     for it in record.iterations:

@@ -8,7 +8,9 @@ blank lines, and golden files in the test suite pin the bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
+from functools import cached_property
 
 from .actions import ActionLogEntry, format_log
 from .widgets import WidgetKind, WidgetNode, serialize_tree
@@ -39,7 +41,17 @@ class PromptDocument:
             raise ValueError("a prompt carries at most two attachments")
 
     def text(self) -> str:
+        """The section bodies joined by blank lines; joined once per document."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return "\n\n".join(body for _, body in self.sections)
+
+    @cached_property
+    def digest(self) -> str:
+        """The sha256 hex digest of the UTF-8 text; hashed once per document."""
+        return hashlib.sha256(self._text.encode("utf-8")).hexdigest()
 
     def section(self, name: str) -> str:
         for section_name, body in self.sections:

@@ -1,19 +1,28 @@
 """Shared fixtures: a synthetic campaign shaped like a real evaluation
 (9 runs, 752 actions, 72 positives, 7 true positives, 5 unique issues) and a
 local stub chat-completion server for remote-agent tests.
+
+``HYPOTHESIS_PROFILE=ci`` selects a Hypothesis profile with a fixed example
+sequence and no per-example deadline, so property tests neither vary between
+CI runs nor flake on a slow runner.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from guiscout.harness import IterationRecord, RunRecord, RunWriter
 from guiscout.triage import FALSE_POSITIVE, TRUE_POSITIVE, Label, LabelFile
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 RUN_SIZES = [84] * 8 + [80]  # 752 total
 POSITIVES_PER_RUN = 8  # 72 total

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from guiscout.actions import (
     ActionCommand,
     ActionLogEntry,
+    LOG_STATUSES,
     ActionParseError,
     ControllerOutputError,
     extract_first_json_object,
@@ -227,6 +228,23 @@ def test_log_rendering_matches_prompt_format():
         '[\n  {\n    "action": "click(1)",\n    "explanation": "next",\n'
         '    "status": "rejected"\n  }\n]'
     )
+
+
+# Quotes, backslashes, control characters and non-BMP characters are the
+# cases where the string escaping of the two encoders could differ.
+_LOG_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\'/\x00\x1f\x7f\n\t\u2028\U0001F600\U00010000'),
+    st.characters()), max_size=30)
+_LOG_ENTRIES = st.lists(st.builds(ActionLogEntry, _LOG_TEXT, _LOG_TEXT,
+                                  st.sampled_from(LOG_STATUSES)), max_size=20)
+
+
+@settings(max_examples=300)
+@given(_LOG_ENTRIES)
+def test_log_rendering_equals_indented_json_dump(entries):
+    expected = json.dumps([entry.to_json_obj() for entry in entries], indent=2)
+    assert format_log(entries) == expected
+    assert format_log(entries) == expected  # again, from the cached fragments
 
 
 def test_unknown_status_is_rejected():

@@ -22,7 +22,7 @@ from guiscout.harness import DEFAULT_TASK
 from guiscout.prompts import DocCorpus, ImageRef, build_controller_prompt, \
     build_evaluator_prompt
 from guiscout.simulator import new_wizard
-from guiscout.widgets import possible_actions
+from guiscout.widgets import ARG_FREE_TEXT, ActionVerb, PossibleAction, possible_actions
 
 PROBLEM_EXAMPLE = """{
     "state": "problem",
@@ -31,9 +31,9 @@ PROBLEM_EXAMPLE = """{
 
 
 def controller_request(log=()) -> AgentRequest:
-    sim = new_wizard()
-    prompt = build_controller_prompt(DEFAULT_TASK, DocCorpus(), sim.snapshot(), list(log))
-    return AgentRequest(prompt, "controller")
+    tree = new_wizard().snapshot()
+    prompt = build_controller_prompt(DEFAULT_TASK, DocCorpus(), tree, list(log))
+    return AgentRequest(prompt, "controller", tuple(possible_actions(tree)))
 
 
 def evaluator_request() -> AgentRequest:
@@ -91,6 +91,21 @@ def test_random_agent_picks_a_currently_possible_action():
     output = parse_controller_output(RandomAgent(3).respond(request))
     legal = {(pa.control_id, pa.verb) for pa in possible_actions(tree)}
     assert (output.action.control_id, output.action.verb) in legal
+
+
+def test_random_agent_picks_from_the_actions_the_request_carries():
+    request = controller_request()
+    only = PossibleAction(4242, ActionVerb.WRITE, ARG_FREE_TEXT)
+    narrowed = AgentRequest(request.prompt, "controller", (only,))
+    for seed in range(5):
+        output = parse_controller_output(RandomAgent(seed).respond(narrowed))
+        assert (output.action.control_id, output.action.verb) == (4242, ActionVerb.WRITE)
+
+
+def test_random_agent_without_actions_raises():
+    request = controller_request()
+    with pytest.raises(AgentError, match="no possible action"):
+        RandomAgent(1).respond(AgentRequest(request.prompt, "controller"))
 
 
 def test_random_agent_rejects_evaluator_role():

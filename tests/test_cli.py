@@ -70,6 +70,24 @@ def test_replay_non_object_header_exits_one(tmp_path, capsys, header):
     assert "not an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("run_id", 5),
+    ("faults", 5),
+    ("faults", [{"kind": "nope", "page": "launch_settings", "label": "Working Directory"}]),
+    ("wizard_config", 5),
+    ("doc_budget", "x"),
+])
+def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, value):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    (header if key == "run_id" else header["config"])[key] = value
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_replay_with_altered_faults_exits_four(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

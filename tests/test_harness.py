@@ -242,6 +242,20 @@ def test_agent_failures_are_recorded_and_the_run_continues():
     assert all(it.status is None for it in record.iterations)
 
 
+def test_header_records_the_remote_agent_retry_backoff(tmp_path):
+    from guiscout.agents import RemoteAgentConfig
+
+    config = scripted_config(
+        controller="remote", max_iterations=1, out_dir=tmp_path, run_id="run-r",
+        remote_controller=RemoteAgentConfig(
+            endpoint="http://127.0.0.1:9/none", model="m",
+            api_key_env="GUISCOUT_MISSING_KEY_FOR_TESTS",
+            max_retries=0, retry_backoff=0.25))
+    run(config)
+    header = json.loads((tmp_path / "run-r" / "header.json").read_text("utf-8"))
+    assert header["config"]["remote_controller"]["retry_backoff"] == 0.25
+
+
 def test_run_many_isolates_per_run_failures():
     # a fault targeting a missing field fails each session at construction
     config = scripted_config(

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,13 @@ def test_controller_screenshot_is_optional():
     with_shot = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [],
                                         screenshot=shot())
     assert len(with_shot.attachments) == 1
+
+
+def test_prompt_text_is_joined_once_and_digest_hashes_it():
+    prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, FIXTURE_LOG)
+    text = prompt.text()
+    assert prompt.text() is text
+    assert prompt.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_prompt_document_caps_attachments():
