@@ -44,6 +44,7 @@ from .simulator import (
     FaultSpec,
     SimScreenshot,
     SimWizard,
+    WizardConfigError,
     default_doc_corpus,
     full_traversal_script,
     new_wizard,
@@ -214,8 +215,11 @@ class RunWriter:
         if not path.exists():
             path.write_text(shot.rendered, encoding="utf-8")
 
-    def write_prompt(self, text: str) -> str:
-        digest = _sha256(text)
+    def write_prompt(self, text: str, digest: str | None = None) -> str:
+        """Store a prompt under its sha256 digest; a caller that already holds
+        the digest of ``text`` passes it, so the text is not hashed again."""
+        if digest is None:
+            digest = _sha256(text)
         path = self.prompts_dir / f"{digest}.txt"
         if not path.exists():
             path.write_text(text, encoding="utf-8")
@@ -364,7 +368,9 @@ class RunSession:
         return rec
 
     def _prompt_digest(self, prompt: PromptDocument) -> str:
-        return self.writer.write_prompt(prompt.text()) if self.writer else prompt.digest
+        if self.writer is None:
+            return prompt.digest
+        return self.writer.write_prompt(prompt.text(), prompt.digest)
 
     def run(self) -> RunRecord:
         for index in range(self.config.max_iterations):
@@ -499,7 +505,10 @@ def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
     config.out_dir = out_dir
     if faults is not None:
         config.faults = faults
-    new_record = run(config)
+    try:
+        new_record = run(config)
+    except WizardConfigError as exc:
+        raise ReplayError(f"unusable header config: {exc}") from exc
     for old, new in zip(record.iterations, new_record.iterations):
         for field_name in ("status", "before_digest", "after_digest"):
             old_value = getattr(old, field_name)

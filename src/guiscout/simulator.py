@@ -29,6 +29,9 @@ WIZARD_TITLE = "Integrate a Tool as a Workflow Component"
 
 CANVAS_WIDTH = 120
 CANVAS_HEIGHT = 40
+# The empty canvas, one string per row: a border around blank rows.
+_CANVAS_EDGE = "+" + "-" * (CANVAS_WIDTH - 2) + "+"
+_CANVAS_BODY = "|" + " " * (CANVAS_WIDTH - 2) + "|"
 
 # Pixel layout inside the dialog. Rows are 44 px apart, which maps to
 # distinct canvas rows under the 38-row interior scaling.
@@ -276,24 +279,50 @@ def default_doc_corpus() -> DocCorpus:
     ))
 
 
-def _parse_field(obj: dict) -> FieldSpec:
-    kind_name = obj.get("kind")
+_MISSING = object()
+_TEXT_OR_NULL = (str, type(None))
+
+
+def _config_value(obj: object, key: str, kind: type | tuple[type, ...], where: str,
+                  default: object = _MISSING) -> object:
+    """``obj[key]`` of a wizard config, or ``default`` if the key is absent; a
+    value of another type, or an absent key without a default, is an error."""
+    if not isinstance(obj, dict):
+        raise WizardConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        if default is _MISSING:
+            raise WizardConfigError(f"{where} has no {key!r}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise WizardConfigError(f"{where} {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _parse_field(obj: object, where: str) -> FieldSpec:
+    kind_name = _config_value(obj, "kind", str, where, None)
     if kind_name not in _KIND_NAMES:
         raise WizardConfigError(f"unknown field kind {kind_name!r}")
     kind = _KIND_NAMES[kind_name]
-    default: str | bool = obj.get("default", False if kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON else "")
+    validator = _config_value(obj, "validator", _TEXT_OR_NULL, where, None)
+    if validator is not None and validator not in VALIDATORS:
+        raise WizardConfigError(f"unknown validator {validator!r}")
+    items = _config_value(obj, "items", list, where, [])
+    if not all(isinstance(item, str) for item in items):
+        raise WizardConfigError(f"{where} 'items' must all be text: {items!r}")
+    toggles = kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON
     return FieldSpec(
-        label=obj["label"],
+        label=_config_value(obj, "label", str, where),
         kind=kind,
-        validator=obj.get("validator"),
-        items=tuple(obj.get("items", ())),
-        items_from=obj.get("items_from"),
-        default=default,
-        text=obj.get("text", ""),
-        computed=obj.get("computed"),
-        opens=obj.get("opens"),
-        group=obj.get("group"),
-        noun=obj.get("noun"),
+        validator=validator,
+        items=tuple(items),
+        items_from=_config_value(obj, "items_from", _TEXT_OR_NULL, where, None),
+        default=_config_value(obj, "default", (str, bool), where, False if toggles else ""),
+        text=_config_value(obj, "text", str, where, ""),
+        computed=_config_value(obj, "computed", _TEXT_OR_NULL, where, None),
+        opens=_config_value(obj, "opens", _TEXT_OR_NULL, where, None),
+        group=_config_value(obj, "group", _TEXT_OR_NULL, where, None),
+        noun=_config_value(obj, "noun", _TEXT_OR_NULL, where, None),
     )
 
 
@@ -884,14 +913,13 @@ class SimWizard:
         return max(1, min(38, row)), max(1, min(118, col))
 
     @staticmethod
-    def _draw(canvas: list[list[str]], row: int, col: int, text: str) -> None:
-        for offset, ch in enumerate(text):
-            column = col + offset
-            if column >= CANVAS_WIDTH - 1:
-                break
-            if ch == "\n":
-                break
-            canvas[row][column] = ch
+    def _draw(canvas: list[str], row: int, col: int, text: str) -> None:
+        """Write ``text`` into a row from ``col``, up to its first newline and
+        short of the right border."""
+        text = text[:max(0, CANVAS_WIDTH - 1 - col)].partition("\n")[0]
+        if text:
+            line = canvas[row]
+            canvas[row] = line[:col] + text + line[col + len(text):]
 
     def _widget_line(self, node: WidgetNode) -> str:
         if node.kind is WidgetKind.STATIC:
@@ -914,24 +942,20 @@ class SimWizard:
             return marker + node.text
         return ""
 
-    def _draw_box(self, canvas: list[list[str]], rect: Rect) -> tuple[int, int, int, int]:
+    def _draw_box(self, canvas: list[str], rect: Rect) -> tuple[int, int, int, int]:
         top, left = self._cell(rect, ROOT_RECT)
         bottom = max(1, min(38, 1 + (rect.bottom - ROOT_RECT.top) * 38 // ROOT_RECT.height))
         right = max(1, min(118, 1 + (rect.right - ROOT_RECT.left) * 118 // ROOT_RECT.width))
+        inside = right - left - 1
+        edge = "+" + "-" * inside + "+" if inside >= 0 else "+"
+        body = "|" + " " * inside + "|" if inside >= 0 else "|"
         for row in range(top, bottom + 1):
-            for col in range(left, right + 1):
-                canvas[row][col] = " "
-        for col in range(left, right + 1):
-            canvas[top][col] = "-"
-            canvas[bottom][col] = "-"
-        for row in range(top, bottom + 1):
-            canvas[row][left] = "|"
-            canvas[row][right] = "|"
-        canvas[top][left] = canvas[top][right] = "+"
-        canvas[bottom][left] = canvas[bottom][right] = "+"
+            line = canvas[row]
+            canvas[row] = (line[:left] + (edge if row in (top, bottom) else body)
+                           + line[right + 1:])
         return top, left, bottom, right
 
-    def _draw_node(self, canvas: list[list[str]], node: WidgetNode) -> None:
+    def _draw_node(self, canvas: list[str], node: WidgetNode) -> None:
         if node.kind is WidgetKind.DIALOG:
             top, left, _, _ = self._draw_box(canvas, node.rectangle)
             self._draw(canvas, top, left + 2, f" {node.text} ")
@@ -948,19 +972,12 @@ class SimWizard:
     def render(self) -> SimScreenshot:
         """Deterministic text render of the current state; digest is stable."""
         tree = self.snapshot()
-        canvas = [[" "] * CANVAS_WIDTH for _ in range(CANVAS_HEIGHT)]
-        for col in range(CANVAS_WIDTH):
-            canvas[0][col] = "-"
-            canvas[CANVAS_HEIGHT - 1][col] = "-"
-        for row in range(CANVAS_HEIGHT):
-            canvas[row][0] = "|"
-            canvas[row][CANVAS_WIDTH - 1] = "|"
-        canvas[0][0] = canvas[0][CANVAS_WIDTH - 1] = "+"
-        canvas[CANVAS_HEIGHT - 1][0] = canvas[CANVAS_HEIGHT - 1][CANVAS_WIDTH - 1] = "+"
+        canvas = [_CANVAS_BODY] * CANVAS_HEIGHT
+        canvas[0] = canvas[-1] = _CANVAS_EDGE
         self._draw(canvas, 1, 2, tree.text)
         for child in tree.sub_elements:
             self._draw_node(canvas, child)
-        rendered = "\n".join("".join(row) for row in canvas)
+        rendered = "\n".join(canvas)
         digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
         return SimScreenshot(page_key=self.pages[self.current_page].key, rendered=rendered,
                              digest=digest, tree=tree,
@@ -1004,19 +1021,33 @@ class SimWizard:
 
 
 def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
+    """A wizard for a config in the schema of :func:`default_wizard_config`.
+
+    A config of the wrong shape, or a fault naming no field of it, raises
+    WizardConfigError.
+    """
+    page_objs = _config_value(config, "pages", list, "wizard config")
+    if not page_objs:
+        raise WizardConfigError("wizard config has no pages")
     pages = []
-    for page_obj in config["pages"]:
-        fields = tuple(_parse_field(f) for f in page_obj["fields"])
-        for f in fields:
-            if f.validator is not None and f.validator not in VALIDATORS:
-                raise WizardConfigError(f"unknown validator {f.validator!r}")
-        pages.append(PageSpec(key=page_obj["key"], title=page_obj["title"], fields=fields))
+    for index, page_obj in enumerate(page_objs):
+        where = f"wizard page {index}"
+        fields = tuple(_parse_field(f, f"{where} field {row}") for row, f
+                       in enumerate(_config_value(page_obj, "fields", list, where)))
+        pages.append(PageSpec(key=_config_value(page_obj, "key", str, where),
+                              title=_config_value(page_obj, "title", str, where),
+                              fields=fields))
     modals = {}
-    for key, modal_obj in config.get("modals", {}).items():
-        modals[key] = ModalSpec(key=key, title=modal_obj["title"],
-                                fields=tuple(_parse_field(f) for f in modal_obj["fields"]))
+    for key, modal_obj in _config_value(config, "modals", dict, "wizard config", {}).items():
+        where = f"wizard modal {key!r}"
+        field_objs = _config_value(modal_obj, "fields", list, where)
+        if not field_objs:
+            raise WizardConfigError(f"{where} has no fields")
+        modals[key] = ModalSpec(key=key, title=_config_value(modal_obj, "title", str, where),
+                                fields=tuple(_parse_field(f, f"{where} field {row}")
+                                             for row, f in enumerate(field_objs)))
     return SimWizard(pages=tuple(pages), modals=modals, faults=faults,
-                     title=config.get("title", WIZARD_TITLE))
+                     title=_config_value(config, "title", str, "wizard config", WIZARD_TITLE))
 
 
 def new_wizard(faults: list[FaultSpec] | None = None,

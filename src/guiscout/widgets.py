@@ -5,6 +5,13 @@ values. The JSON produced by :func:`serialize_tree` is embedded verbatim in
 controller prompts and persisted run records, so the encoding is a byte-stable
 contract: key order is fixed and rectangles are encoded as four prefixed
 strings (``["L4429", "T1655", "R5172", "B2299"]``).
+
+The text is byte-identical to ``json.dumps(obj, indent=2)`` of each node as
+the object ``class_name``, ``control_type``, ``control_id``, ``rectangle``,
+``text``, the ``extra_state`` keys in sorted order, then ``sub_elements``.
+:func:`serialize_tree` writes it directly, escaping strings with the same
+function ``json.dumps`` uses, because the indenting encoder is pure Python.
+A property test in ``tests/test_widgets.py`` checks the two against each other.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
 
@@ -187,24 +195,46 @@ def validate_tree(root: WidgetNode) -> None:
         seen.add(node.control_id)
 
 
-def _node_to_obj(node: WidgetNode) -> dict:
-    obj: dict = {
-        "class_name": node.class_name,
-        "control_type": node.kind.value,
-        "control_id": node.control_id,
-        "rectangle": node.rectangle.encode(),
-        "text": node.text,
-    }
-    for key in sorted(node.extra_state):
-        obj[key] = node.extra_state[key]
-    obj["sub_elements"] = [_node_to_obj(child) for child in node.sub_elements]
-    return obj
-
-
 def serialize_tree(tree: WidgetNode) -> str:
-    """Encode a widget tree as the canonical JSON text used in prompts."""
-    validate_tree(tree)
-    return json.dumps(_node_to_obj(tree), indent=2)
+    """Encode a widget tree as the canonical JSON text used in prompts.
+
+    A duplicate control id raises TreeIntegrityError; no text is returned then.
+    """
+    parts: list[str] = []
+    _encode_node(tree, "\n  ", parts, set())
+    return "".join(parts)
+
+
+def _encode_node(node: WidgetNode, pad: str, parts: list[str], seen: set[int]) -> None:
+    """Append ``node`` as ``json.dumps(..., indent=2)`` would write it at the
+    depth whose keys start on ``pad`` (a newline and their indent)."""
+    if node.control_id in seen:
+        raise TreeIntegrityError(f"duplicate control_id {node.control_id}")
+    seen.add(node.control_id)
+    inner = pad + "  "
+    rect = node.rectangle
+    parts.append(
+        f'{{{pad}"class_name": {_quote(node.class_name)},'
+        f'{pad}"control_type": {_quote(node.kind.value)},'
+        f'{pad}"control_id": {node.control_id},'
+        f'{pad}"rectangle": [{inner}"L{rect.left}",{inner}"T{rect.top}",'
+        f'{inner}"R{rect.right}",{inner}"B{rect.bottom}"{pad}],'
+        f'{pad}"text": {_quote(node.text)},')
+    state = node.extra_state
+    for key in sorted(state):
+        value = state[key]
+        encoded = "true" if value is True else "false" if value is False else _quote(value)
+        parts.append(f"{pad}{_quote(key)}: {encoded},")
+    if not node.sub_elements:
+        parts.append(f'{pad}"sub_elements": []{pad[:-2]}}}')
+        return
+    parts.append(f'{pad}"sub_elements": [{inner}')
+    child_pad = inner + "  "
+    for index, child in enumerate(node.sub_elements):
+        if index:
+            parts.append("," + inner)
+        _encode_node(child, child_pad, parts, seen)
+    parts.append(f"{pad}]{pad[:-2]}}}")
 
 
 def _node_from_obj(obj: object) -> WidgetNode:

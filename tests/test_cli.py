@@ -88,6 +88,23 @@ def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, valu
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("wizard_config", [
+    {"pages": 5},
+    {"pages": [{"key": "a"}]},
+    {"pages": []},
+    {"pages": [{"key": "a", "title": "A", "fields": [{"label": "Name"}]}]},
+])
+def test_replay_malformed_wizard_config_exits_one(tmp_path, capsys, wizard_config):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["config"]["wizard_config"] = wizard_config
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_replay_with_altered_faults_exits_four(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guiscout import harness
 from guiscout.actions import ActionCommand, format_action
 from guiscout.harness import (
     CampaignError,
@@ -87,6 +89,28 @@ def test_log_grows_by_exactly_one_entry_per_iteration(tmp_path):
         log_section = text.split("The previous actions:\n", 1)[1]
         log_json = log_section.rsplit("\n\nWhat action do you want", 1)[0]
         assert len(json.loads(log_json)) == k
+
+
+def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_path, monkeypatch):
+    hashed = []
+    sha256 = harness._sha256
+    monkeypatch.setattr(harness, "_sha256", lambda text: hashed.append(text) or sha256(text))
+    record = run(scripted_config(controller_script=mini_script(), out_dir=tmp_path,
+                                 run_id="run-hash"))
+    # Only the tree digest is hashed here; each prompt brings its cached digest.
+    assert len(hashed) == len(record.iterations)
+    prompts_dir = tmp_path / "run-hash" / "prompts"
+    for iteration in record.iterations:
+        for digest in (iteration.controller_prompt_digest, iteration.evaluator_prompt_digest):
+            text = (prompts_dir / f"{digest}.txt").read_text("utf-8")
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_write_prompt_without_a_digest_hashes_the_text(tmp_path):
+    writer = harness.RunWriter(tmp_path, "run-w", {"run_id": "run-w"})
+    digest = writer.write_prompt("the prompt \u00e9")
+    assert digest == hashlib.sha256("the prompt \u00e9".encode("utf-8")).hexdigest()
+    assert (writer.prompts_dir / f"{digest}.txt").read_text("utf-8") == "the prompt \u00e9"
 
 
 def test_evaluator_gets_only_the_current_explanation(tmp_path):

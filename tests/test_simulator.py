@@ -1,17 +1,25 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from guiscout.actions import ActionCommand, parse_action
 from guiscout.agents import VerdictState
 from guiscout.simulator import (
+    CANVAS_HEIGHT,
+    CANVAS_WIDTH,
     DESCRIPTION_HELP,
+    ROOT_RECT,
     FaultKind,
     FaultSpec,
+    SimWizard,
     WizardConfigError,
+    build_wizard,
     default_fault_set,
+    default_wizard_config,
     full_traversal_script,
     new_wizard,
 )
-from guiscout.widgets import ActionVerb, WidgetKind, find_widget, possible_actions
+from guiscout.widgets import ActionVerb, Rect, WidgetKind, find_widget, possible_actions
 
 PAGES = ("tool_description", "inputs_outputs", "launch_settings",
          "cpacs_properties", "review", "finish")
@@ -54,6 +62,37 @@ def test_unknown_fault_target_is_a_construction_error():
 
 
 # --- snapshot --------------------------------------------------------------
+
+def _config_with(path: tuple, value) -> dict:
+    config = default_wizard_config()
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("config", [
+    5,
+    {"pages": 5},
+    {"pages": []},
+    {"pages": [5]},
+    {"pages": [{"key": "a", "title": "A"}]},
+    {"pages": [{"key": "a", "title": 3, "fields": []}]},
+    {"pages": [{"key": "a", "title": "A", "fields": [{"label": "Name"}]}]},
+    {"pages": [{"key": "a", "title": "A", "fields": [{"kind": "Edit"}]}]},
+    _config_with(("pages", 0, "fields", 1, "validator"), "no_such_check"),
+    _config_with(("pages", 0, "fields", 3, "items"), ["ok", 5]),
+    _config_with(("pages", 0, "fields", 4, "default"), 1),
+    _config_with(("modals", "add_input", "fields"), []),
+    _config_with(("modals", "add_input", "fields", 0, "validator"), "no_such_check"),
+    _config_with(("modals",), []),
+    _config_with(("title",), None),
+], ids=lambda config: repr(config)[:40])
+def test_malformed_wizard_config_is_a_config_error(config):
+    with pytest.raises(WizardConfigError):
+        build_wizard(config, [])
+
 
 def test_fresh_snapshot_has_page_one_edits_and_next_button():
     sim = new_wizard()
@@ -462,6 +501,80 @@ def test_oracle_reports_exactly_k_problems_over_a_scripted_run(subset=2):
     record = run(RunConfig(controller="scripted", evaluator="oracle", faults=faults))
     problems = record.problem_iterations()
     assert len(problems) == subset
+
+
+# Per-character reference drawing: the row-string SimWizard._draw and
+# SimWizard._draw_box must match it cell for cell.
+
+def reference_draw(canvas: list[list[str]], row: int, col: int, text: str) -> None:
+    for offset, ch in enumerate(text):
+        column = col + offset
+        if column >= CANVAS_WIDTH - 1:
+            break
+        if ch == "\n":
+            break
+        canvas[row][column] = ch
+
+
+def reference_draw_box(canvas: list[list[str]], rect: Rect) -> tuple[int, int, int, int]:
+    top, left = SimWizard._cell(rect, ROOT_RECT)
+    bottom = max(1, min(38, 1 + (rect.bottom - ROOT_RECT.top) * 38 // ROOT_RECT.height))
+    right = max(1, min(118, 1 + (rect.right - ROOT_RECT.left) * 118 // ROOT_RECT.width))
+    for row in range(top, bottom + 1):
+        for col in range(left, right + 1):
+            canvas[row][col] = " "
+    for col in range(left, right + 1):
+        canvas[top][col] = "-"
+        canvas[bottom][col] = "-"
+    for row in range(top, bottom + 1):
+        canvas[row][left] = "|"
+        canvas[row][right] = "|"
+    canvas[top][left] = canvas[top][right] = "+"
+    canvas[bottom][left] = canvas[bottom][right] = "+"
+    return top, left, bottom, right
+
+
+# A canvas whose cells differ from their neighbours, so a splice one cell off shows.
+_PATTERNED_ROWS = ["".join(chr(0x21 + (row * 7 + col) % 90) for col in range(CANVAS_WIDTH))
+                   for row in range(CANVAS_HEIGHT)]
+
+_DRAW_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("\n\t \"\\\u00e9\U0001F600\U00010000"), st.characters()), max_size=150)
+_DRAW_TEXT_OP = st.tuples(st.just("text"), st.integers(0, CANVAS_HEIGHT - 1),
+                          st.one_of(st.sampled_from([0, 1, 117, 118, 119, 120]),
+                                    st.integers(0, CANVAS_WIDTH)),
+                          _DRAW_TEXT)
+# Sizes of 0-20 px fall inside one canvas row or column; the margins clip.
+_SPAN = st.one_of(st.integers(0, 20), st.integers(0, 900))
+
+
+@st.composite
+def _box_rects(draw) -> Rect:
+    left = draw(st.integers(ROOT_RECT.left - 100, ROOT_RECT.right + 100))
+    top = draw(st.integers(ROOT_RECT.top - 100, ROOT_RECT.bottom + 100))
+    return Rect(left, top, left + draw(_SPAN), top + draw(_SPAN))
+
+
+_DRAW_BOX_OP = st.tuples(st.just("box"), _box_rects())
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_DRAW_TEXT_OP, _DRAW_BOX_OP), min_size=1, max_size=6))
+@example([("box", Rect(4600, 1800, 4700, 1800)), ("box", Rect(4600, 1900, 4600, 2000)),
+          ("box", Rect(4700, 2100, 4700, 2100)), ("text", 5, 118, "ab\ncd"),
+          ("text", 6, 119, "x"), ("text", 7, 120, "y"), ("text", 8, 3, "\U0001F600" * 130)])
+def test_row_string_drawing_matches_per_character_drawing(ops):
+    sim = new_wizard()
+    rows = list(_PATTERNED_ROWS)
+    cells = [list(row) for row in _PATTERNED_ROWS]
+    for op in ops:
+        if op[0] == "text":
+            _, row, col, text = op
+            SimWizard._draw(rows, row, col, text)
+            reference_draw(cells, row, col, text)
+        else:
+            assert sim._draw_box(rows, op[1]) == reference_draw_box(cells, op[1])
+        assert rows == ["".join(row) for row in cells]
 
 
 # --- the canned traversal script -------------------------------------------

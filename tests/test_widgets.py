@@ -1,13 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guiscout.widgets import (
     ActionVerb,
     KIND_VERBS,
     PossibleAction,
+    RESERVED_KEYS,
     Rect,
     TreeIntegrityError,
     TreeParseError,
@@ -323,3 +324,87 @@ def test_find_widget_agrees_with_exhaustive_scan(tree, rng):
     found = find_widget(tree, target)
     assert found is not None and found.control_id == target
     assert serialize_tree(tree).count(f'"control_id": {target},') == 1
+
+
+# --- the serializer's byte contract -----------------------------------------
+
+def reference_obj(node: WidgetNode) -> dict:
+    """A node as the object whose ``json.dumps(..., indent=2)`` is the wire text."""
+    obj: dict = {
+        "class_name": node.class_name,
+        "control_type": node.kind.value,
+        "control_id": node.control_id,
+        "rectangle": node.rectangle.encode(),
+        "text": node.text,
+    }
+    for key in sorted(node.extra_state):
+        obj[key] = node.extra_state[key]
+    obj["sub_elements"] = [reference_obj(child) for child in node.sub_elements]
+    return obj
+
+
+# Quotes, backslashes, control characters, non-ASCII and non-BMP characters are
+# where the escaping of the two encoders could differ.
+_ESCAPED_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001F600\U00010000'),
+    st.characters()), max_size=12)
+_ESCAPED_EXTRA = st.dictionaries(
+    keys=_ESCAPED_TEXT.filter(lambda key: key not in RESERVED_KEYS),
+    values=st.one_of(st.booleans(), _ESCAPED_TEXT),
+    max_size=3,
+)
+
+_CLASS_NAMES = st.sampled_from(["Dialog", "Button", 'Say "hi"', "C:\\Tools", "\u00c4\U0001F600"])
+
+
+@st.composite
+def escaping_trees(draw) -> WidgetNode:
+    shape = draw(st.recursive(
+        st.just(()), lambda child: st.lists(child, min_size=1, max_size=3), max_leaves=8))
+    ids = iter(range(draw(st.integers(0, 2**40)), 2**41))
+
+    def build(children_shape) -> WidgetNode:
+        left = draw(st.integers(-5000, 5000))
+        top = draw(st.integers(-5000, 5000))
+        return WidgetNode(
+            class_name=draw(_CLASS_NAMES),
+            kind=draw(st.sampled_from(list(WidgetKind))),
+            control_id=next(ids),
+            rectangle=Rect(left, top, left + draw(st.integers(0, 800)),
+                           top + draw(st.integers(0, 800))),
+            text=draw(_ESCAPED_TEXT),
+            extra_state=draw(_ESCAPED_EXTRA),
+            sub_elements=tuple(build(child) for child in children_shape),
+        )
+
+    return build(shape)
+
+
+def _chain(depth: int, control_id: int = 0) -> WidgetNode:
+    """Dialogs nested ``depth`` levels deep; each has a check box whose strings need escaping."""
+    children = () if depth == 0 else (
+        _chain(depth - 1, control_id + 1),
+        leaf(WidgetKind.CHECK_BOX, control_id + 100, 'a "b" \\ \u00e9\U0001F600',
+             {"checked": True, "enabled": False, 'k"\n': "\x00"}))
+    return WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=control_id,
+                      rectangle=Rect(0, 0, 10, 10), text=f"level {depth}", sub_elements=children)
+
+
+@settings(max_examples=100)
+@given(escaping_trees())
+@example(_chain(4))
+def test_serialize_tree_equals_indented_json_dump(tree):
+    assert serialize_tree(tree) == json.dumps(reference_obj(tree), indent=2)
+
+
+@settings(max_examples=50)
+@given(escaping_trees(), st.data())
+def test_serialize_tree_rejects_a_duplicate_id_anywhere(tree, data):
+    nodes = list(tree.iter_nodes())
+    duplicate = data.draw(st.sampled_from(nodes)).control_id
+    copy = leaf(WidgetKind.BUTTON, duplicate)
+    root = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=2**42,
+                      rectangle=Rect(0, 0, 10, 10),
+                      sub_elements=data.draw(st.sampled_from([(tree, copy), (copy, tree)])))
+    with pytest.raises(TreeIntegrityError, match=f"duplicate control_id {duplicate}"):
+        serialize_tree(root)
