@@ -215,11 +215,9 @@ class RunWriter:
         if not path.exists():
             path.write_text(shot.rendered, encoding="utf-8")
 
-    def write_prompt(self, text: str, digest: str | None = None) -> str:
-        """Store a prompt under its sha256 digest; a caller that already holds
-        the digest of ``text`` passes it, so the text is not hashed again."""
-        if digest is None:
-            digest = _sha256(text)
+    def write_prompt(self, text: str, digest: str) -> str:
+        """Store a prompt under ``digest``, the sha256 of ``text`` that the
+        caller already holds, so the text is not hashed again."""
         path = self.prompts_dir / f"{digest}.txt"
         if not path.exists():
             path.write_text(text, encoding="utf-8")

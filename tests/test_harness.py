@@ -106,13 +106,6 @@ def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_pat
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def test_write_prompt_without_a_digest_hashes_the_text(tmp_path):
-    writer = harness.RunWriter(tmp_path, "run-w", {"run_id": "run-w"})
-    digest = writer.write_prompt("the prompt \u00e9")
-    assert digest == hashlib.sha256("the prompt \u00e9".encode("utf-8")).hexdigest()
-    assert (writer.prompts_dir / f"{digest}.txt").read_text("utf-8") == "the prompt \u00e9"
-
-
 def test_evaluator_gets_only_the_current_explanation(tmp_path):
     config = scripted_config(controller_script=mini_script(), out_dir=tmp_path,
                              run_id="run-ev")
