@@ -98,10 +98,14 @@ def parse_verdict(raw: str) -> Verdict:
     raise VerdictParseError(f"unknown state {state!r}", raw=raw)
 
 
-def verdict_to_json(verdict: Verdict) -> str:
+def verdict_to_obj(verdict: Verdict) -> dict:
     if verdict.state is VerdictState.OKAY:
-        return json.dumps({"state": "okay"})
-    return json.dumps({"state": "problem", "reason": verdict.reason})
+        return {"state": "okay"}
+    return {"state": "problem", "reason": verdict.reason}
+
+
+def verdict_to_json(verdict: Verdict) -> str:
+    return json.dumps(verdict_to_obj(verdict))
 
 
 class Agent:

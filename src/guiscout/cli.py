@@ -16,6 +16,7 @@ from pathlib import Path
 from .agents import RemoteAgentConfig
 from .harness import (
     DEFAULT_TASK,
+    ECHO_TYPES,
     CampaignError,
     ConfigError,
     RecordLoadError,
@@ -26,7 +27,7 @@ from .harness import (
     replay,
     run_many,
 )
-from .simulator import FaultKind, FaultSpec, WizardConfigError
+from .simulator import FaultKind, FaultSpec, WizardConfigError, new_wizard
 from .triage import (
     TRUE_POSITIVE,
     Label,
@@ -96,13 +97,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The type of each config-file value. A key the file shares with a run
+# header's config has the type it has there.
+_CONFIG_TYPES = {**{key: kind for key, kind in ECHO_TYPES.items()
+                    if key not in ("seed", "wizard_config")},
+                 "wizard": (dict, type(None)), "remote": (dict, type(None)),
+                 "controller_script": (list, type(None)), "evaluator_script": (list, type(None))}
+
+
 def _load_config_file(path: Path | None) -> dict:
+    """The config file as an object whose values have the types the run needs."""
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CliUsageError(f"unreadable config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliUsageError(f"config file {path} is not a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise CliUsageError(f"config file {key!r} has the wrong type: {cfg[key]!r}")
+    for key in ("controller_script", "evaluator_script"):
+        if not all(isinstance(line, str) for line in cfg.get(key) or []):
+            raise CliUsageError(f"config file {key!r} must be a list of strings")
+    remote = cfg.get("remote")
+    if remote is not None and not all(isinstance(remote.get(key), str)
+                                      for key in ("endpoint", "model")):
+        raise CliUsageError("config file \"remote\" needs a string \"endpoint\" and \"model\"")
+    return cfg
 
 
 def _remote_config(cfg: dict, role: str) -> RemoteAgentConfig | None:
@@ -122,7 +145,10 @@ def _remote_config(cfg: dict, role: str) -> RemoteAgentConfig | None:
 
 
 def _parse_faults(cfg: dict) -> list[FaultSpec]:
-    return [FaultSpec.from_json_obj(obj) for obj in cfg.get("faults", [])]
+    try:
+        return [FaultSpec.from_json_obj(obj) for obj in cfg.get("faults", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliUsageError(f"config file has an unreadable fault: {exc!r}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -155,6 +181,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             remote_controller=remote_controller if args.controller == "remote" else None,
             remote_evaluator=remote_evaluator if args.evaluator == "remote" else None,
         )
+        # A malformed wizard or fault would fail every run alike: a usage error.
+        new_wizard(run_config.faults, run_config.wizard_config)
         records = run_many(run_config, args.runs, jobs=args.jobs)
     except (ConfigError, WizardConfigError) as exc:
         raise CliUsageError(str(exc)) from exc

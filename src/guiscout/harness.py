@@ -37,6 +37,7 @@ from .agents import (
     VerdictParseError,
     parse_verdict,
     verdict_to_json,
+    verdict_to_obj,
 )
 from .prompts import DEFAULT_DOC_BUDGET, DocCorpus, ImageRef, PromptDocument, \
     build_controller_prompt, build_evaluator_prompt, gui_tree_text
@@ -359,7 +360,7 @@ class RunSession:
             except (AgentError, VerdictParseError) as exc:
                 rec.verdict_error = str(exc)
         if verdict is not None:
-            rec.verdict = json.loads(verdict_to_json(verdict))
+            rec.verdict = verdict_to_obj(verdict)
 
         self.prev_shot = after
         rec.finished_at = time.time()
@@ -448,8 +449,8 @@ def load_record(run_dir: Path) -> RunRecord:
 
 
 #: The type each replayed header config value must have; a header is outside input.
-_ECHO_TYPES = {"task": str, "max_iterations": int, "seed": int, "faults": list,
-               "wizard_config": (dict, type(None)), "doc_budget": int, "attach_screenshot": bool}
+ECHO_TYPES = {"task": str, "max_iterations": int, "seed": int, "faults": list,
+              "wizard_config": (dict, type(None)), "doc_budget": int, "attach_screenshot": bool}
 
 
 def config_from_echo(echo: dict) -> RunConfig:
@@ -457,7 +458,7 @@ def config_from_echo(echo: dict) -> RunConfig:
 
     A value of the wrong type, or an unreadable fault, raises ReplayError.
     """
-    for key, kind in _ECHO_TYPES.items():
+    for key, kind in ECHO_TYPES.items():
         if key in echo and not isinstance(echo[key], kind):
             raise ReplayError(f"header config {key!r} has the wrong type: {echo[key]!r}")
     try:

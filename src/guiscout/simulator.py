@@ -4,12 +4,15 @@ The wizard is a small state machine with top-to-bottom form validation, one
 modal dialog level, and injectable UI defects. Snapshots are widget trees,
 screenshots are fixed-size text renders, and both are pure functions of the
 wizard state, so every run is exactly reproducible from the fault set and the
-action sequence.
+action sequence. Control ids are assigned in a fixed order (see
+``SimWizard._build_slots``); the record fingerprints in
+``tests/fixtures/record_fingerprints.json`` pin it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -109,13 +112,8 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class PageSpec:
-    key: str
-    title: str
-    fields: tuple[FieldSpec, ...]
+    """A wizard page or a modal dialog: its key, its title and its fields."""
 
-
-@dataclass(frozen=True)
-class ModalSpec:
     key: str
     title: str
     fields: tuple[FieldSpec, ...]
@@ -158,17 +156,8 @@ _KIND_NAMES = {
     "List": WidgetKind.CONTAINER,
 }
 
-_CLASS_NAMES = {
-    WidgetKind.STATIC: "Static",
-    WidgetKind.EDIT: "Edit",
-    WidgetKind.COMBO_BOX: "ComboBox",
-    WidgetKind.CHECK_BOX: "CheckBox",
-    WidgetKind.RADIO_BUTTON: "RadioButton",
-    WidgetKind.BUTTON: "Button",
-    WidgetKind.CONTAINER: "List",
-    WidgetKind.DIALOG: "Dialog",
-    WidgetKind.LIST_ITEM: "ListItem",
-}
+# A field's widget class name is its kind's name in the config.
+_CLASS_NAMES = {kind: name for name, kind in _KIND_NAMES.items()}
 
 DESCRIPTION_HELP = (
     "Enter a name and a description for the new workflow component. "
@@ -326,6 +315,18 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     )
 
 
+def _parse_fields(obj: object, where: str) -> tuple[FieldSpec, ...]:
+    """The fields of a page or a modal. Labels key fault targets and
+    ``control_id_of``, so each may appear only once."""
+    fields = tuple(_parse_field(f, f"{where} field {row}")
+                   for row, f in enumerate(_config_value(obj, "fields", list, where)))
+    labels = [field.label for field in fields]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise WizardConfigError(f"{where} has two fields labelled {label!r}")
+    return fields
+
+
 # --- validators, looked up by name from the fixture config ---------------
 
 def _is_absolute(path: str) -> bool:
@@ -385,18 +386,27 @@ VALIDATORS = {
 }
 
 
+_NAV_ROLES = ("back", "next", "finish")
+
+
 @dataclass
 class _Slot:
-    """One concrete widget instance with a stable control id."""
+    """One concrete widget instance with a stable control id.
+
+    A slot belongs to the page or the modal it names. A slot that names
+    neither (the validation message, the completion note and the navigation
+    buttons) is shared by every page. ``role`` is one of ``title``, ``label``,
+    ``field``, ``message``, ``completion``, ``back``, ``next``, ``finish``,
+    ``ok`` and ``cancel``; only a ``field`` slot has a ``field``."""
 
     control_id: int
     kind: WidgetKind
     label: str
     rect: Rect
     role: str
-    page_key: str | None = None
     field: FieldSpec | None = None
-    in_modal: bool = False
+    page: str | None = None
+    modal: str | None = None
 
 
 @dataclass
@@ -410,7 +420,7 @@ class _InputRecord:
 class SimWizard:
     """Mutable wizard state, owned by a single run. Snapshots are immutable."""
 
-    def __init__(self, pages: tuple[PageSpec, ...], modals: dict[str, ModalSpec],
+    def __init__(self, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec],
                  faults: list[FaultSpec], title: str = WIZARD_TITLE):
         self.pages = pages
         self.modals = modals
@@ -427,114 +437,89 @@ class SimWizard:
         self.finished = False
 
         self._slots_by_id: dict[int, _Slot] = {}
-        self._field_slot: dict[tuple[str, str], _Slot] = {}
-        self._modal_field_slot: dict[tuple[str, str], _Slot] = {}
-        self._nav: dict[str, _Slot] = {}
+        # Each list is in tree order; a page's list ends with the shared slots.
         self._page_slots: dict[str, list[_Slot]] = {}
         self._modal_slots: dict[str, list[_Slot]] = {}
-        self._title_slots: dict[str, _Slot] = {}
         self._build_slots()
-        self._reset_values()
 
+        for fault in self.faults:
+            if fault.page not in self._page_slots or fault.label != "title" and not any(
+                    slot.field is not None and slot.label == fault.label
+                    for slot in self._page_slots[fault.page]):
+                raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label}")
+        self._active = {(fault.kind, fault.page, fault.label)
+                        for fault in self.faults if fault.active}
         self._reported: set[int] = set()
-        self._validate_faults()
 
     # -- construction ------------------------------------------------------
 
     def _build_slots(self) -> None:
-        next_id = iter(range(1, 1_000_000))
+        """Assign control ids in a fixed order: each page (title, then a label
+        and a control per field), the shared slots, then each modal (a label
+        and a control per field, message, OK, Cancel). Every field starts at
+        its default value."""
+        ids = itertools.count(1)
 
-        def take() -> int:
-            return next(next_id)
+        def add(kind: WidgetKind, label: str, rect: Rect, role: str,
+                field: FieldSpec | None = None, **owner: str) -> _Slot:
+            slot = _Slot(next(ids), kind, label, rect, role, field, **owner)
+            self._slots_by_id[slot.control_id] = slot
+            if field is not None:
+                self.values[slot.control_id] = field.default
+            return slot
+
+        def rows(fields: tuple[FieldSpec, ...], top: int, label_x: tuple[int, int],
+                 control_x: tuple[int, int], wide_x: tuple[int, int], list_height: int,
+                 **owner: str) -> list[_Slot]:
+            slots = []
+            for row, field in enumerate(fields):
+                y = top + _ROW_STEP * row
+                x, height = wide_x, 24
+                if field.has_label_widget:
+                    slots.append(add(WidgetKind.STATIC, f"{field.label}:",
+                                     Rect(label_x[0], y, label_x[1], y + 24), "label", **owner))
+                    x = control_x
+                    if field.kind is WidgetKind.CONTAINER:
+                        height = list_height
+                slots.append(add(field.kind, field.label, Rect(x[0], y, x[1], y + height),
+                                 "field", field, **owner))
+            return slots
 
         for page in self.pages:
-            slots: list[_Slot] = []
-            self._title_slots[page.key] = _Slot(take(), WidgetKind.STATIC, "title",
-                                                _TITLE_RECT, "title", page.key)
-            for row, field in enumerate(page.fields):
-                top = _FIELD_TOP + _ROW_STEP * row
-                if field.has_label_widget:
-                    label_rect = Rect(_LABEL_LEFT, top, _LABEL_RIGHT, top + 24)
-                    slots.append(_Slot(take(), WidgetKind.STATIC, field.label,
-                                       label_rect, "label", page.key, field))
-                    rect = Rect(_CONTROL_LEFT, top, _CONTROL_RIGHT,
-                                top + (96 if field.kind is WidgetKind.CONTAINER else 24))
-                else:
-                    rect = Rect(_FULL_LEFT, top, _FULL_RIGHT, top + 24)
-                slot = _Slot(take(), field.kind, field.label, rect, "field", page.key, field)
-                slots.append(slot)
-                self._field_slot[(page.key, field.label)] = slot
-            self._page_slots[page.key] = slots
-
-        self._message_slot = _Slot(take(), WidgetKind.STATIC, "message", _MESSAGE_RECT, "message")
-        self._completion_slot = _Slot(take(), WidgetKind.STATIC, "completion",
-                                      _COMPLETION_RECT, "completion")
-        self._nav["back"] = _Slot(take(), WidgetKind.BUTTON, "< Back", _NAV_BACK_RECT, "nav:back")
-        self._nav["next"] = _Slot(take(), WidgetKind.BUTTON, "Next >", _NAV_NEXT_RECT, "nav:next")
-        self._nav["finish"] = _Slot(take(), WidgetKind.BUTTON, "Finish", _NAV_NEXT_RECT,
-                                    "nav:finish")
-
+            title = add(WidgetKind.STATIC, page.title, _TITLE_RECT, "title", page=page.key)
+            self._page_slots[page.key] = [title, *rows(
+                page.fields, _FIELD_TOP, (_LABEL_LEFT, _LABEL_RIGHT),
+                (_CONTROL_LEFT, _CONTROL_RIGHT), (_FULL_LEFT, _FULL_RIGHT), 96,
+                page=page.key)]
+        shared = [add(WidgetKind.STATIC, "message", _MESSAGE_RECT, "message"),
+                  add(WidgetKind.STATIC, "Tool integration completed.", _COMPLETION_RECT,
+                      "completion"),
+                  add(WidgetKind.BUTTON, "< Back", _NAV_BACK_RECT, "back"),
+                  add(WidgetKind.BUTTON, "Next >", _NAV_NEXT_RECT, "next"),
+                  add(WidgetKind.BUTTON, "Finish", _NAV_NEXT_RECT, "finish")]
+        for slots in self._page_slots.values():
+            slots.extend(shared)
         for key, modal in self.modals.items():
-            slots = []
-            for row, field in enumerate(modal.fields):
-                top = _MODAL_FIELD_TOP + _ROW_STEP * row
-                if field.has_label_widget:
-                    label_rect = Rect(_MODAL_LABEL_LEFT, top, _MODAL_LABEL_RIGHT, top + 24)
-                    slots.append(_Slot(take(), WidgetKind.STATIC, field.label, label_rect,
-                                       "modal_label", None, field, in_modal=True))
-                rect = Rect(_MODAL_CONTROL_LEFT, top, _MODAL_CONTROL_RIGHT, top + 24)
-                slot = _Slot(take(), field.kind, field.label, rect, "modal_field", None, field,
-                             in_modal=True)
-                slots.append(slot)
-                self._modal_field_slot[(key, field.label)] = slot
-            self._modal_message_slot = _Slot(take(), WidgetKind.STATIC, "message",
-                                             _MODAL_MESSAGE_RECT, "modal_message", in_modal=True)
-            slots.append(_Slot(take(), WidgetKind.BUTTON, "OK", _MODAL_OK_RECT, "modal_ok",
-                               in_modal=True))
-            slots.append(_Slot(take(), WidgetKind.BUTTON, "Cancel", _MODAL_CANCEL_RECT,
-                               "modal_cancel", in_modal=True))
+            control_x = (_MODAL_CONTROL_LEFT, _MODAL_CONTROL_RIGHT)
+            slots = rows(modal.fields, _MODAL_FIELD_TOP, (_MODAL_LABEL_LEFT, _MODAL_LABEL_RIGHT),
+                         control_x, control_x, 24, modal=key)
+            message = add(WidgetKind.STATIC, "message", _MODAL_MESSAGE_RECT, "message", modal=key)
+            slots += [add(WidgetKind.BUTTON, "OK", _MODAL_OK_RECT, "ok", modal=key),
+                      add(WidgetKind.BUTTON, "Cancel", _MODAL_CANCEL_RECT, "cancel", modal=key),
+                      message]
             self._modal_slots[key] = slots
+        # Input list items take the ids after the last slot, in the order added.
+        self._first_item_id = next(ids)
 
-        for slot_list in self._page_slots.values():
-            for slot in slot_list:
-                self._slots_by_id[slot.control_id] = slot
-        for slot in self._title_slots.values():
-            self._slots_by_id[slot.control_id] = slot
-        for slot in (self._message_slot, self._completion_slot, *self._nav.values()):
-            self._slots_by_id[slot.control_id] = slot
-        for slot_list in self._modal_slots.values():
-            for slot in slot_list:
-                self._slots_by_id[slot.control_id] = slot
-        if self._modal_slots:
-            self._slots_by_id[self._modal_message_slot.control_id] = self._modal_message_slot
-
-        self._dynamic_next_id = max(self._slots_by_id) + 1
-
-    def _reset_values(self) -> None:
-        for (page_key, label), slot in self._field_slot.items():
-            assert slot.field is not None
-            self.values[slot.control_id] = slot.field.default
-        for (modal_key, label), slot in self._modal_field_slot.items():
-            assert slot.field is not None
-            self.values[slot.control_id] = slot.field.default
-
-    def _validate_faults(self) -> None:
-        page_keys = {page.key for page in self.pages}
-        for fault in self.faults:
-            if fault.page not in page_keys:
-                raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label}")
-            if fault.label == "title":
-                continue
-            if (fault.page, fault.label) not in self._field_slot:
-                raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label}")
+    @staticmethod
+    def _slot(slots: list[_Slot], role: str | None, label: str | None = None) -> _Slot:
+        """The first of ``slots`` with ``role`` and, if given, ``label``."""
+        for slot in slots:
+            if slot.role == role and (label is None or slot.label == label):
+                return slot
+        raise KeyError(label if label is not None else role)
 
     # -- fault helpers -----------------------------------------------------
-
-    def _active_fault(self, kind: FaultKind, page: str, label: str | None) -> FaultSpec | None:
-        for fault in self.faults:
-            if fault.active and fault.kind is kind and fault.page == page and fault.label == label:
-                return fault
-        return None
 
     def fault_reason(self, fault: FaultSpec) -> str:
         """Canonical reason string the oracle reports for one fault."""
@@ -542,10 +527,10 @@ class SimWizard:
             return f"The text of the {fault.label} is not fully visible."
         if fault.kind is FaultKind.MISALIGNED_RECT:
             return f"The {fault.label} control is misaligned with the other controls on the page."
+        slots = self._page_slots[fault.page]
         if fault.kind is FaultKind.MISSING_TITLE:
-            title = next(p.title for p in self.pages if p.key == fault.page)
-            return f"The title of the {title} page is missing."
-        noun = self._field_slot[(fault.page, fault.label)].field.noun_text
+            return f"The title of the {self._slot(slots, 'title').label} page is missing."
+        noun = self._slot(slots, "field", fault.label).field.noun_text
         if fault.kind is FaultKind.GENERIC_ERROR_MESSAGE:
             return (f"The error message 'Invalid path to {noun}' is shown although "
                     f"no {noun} was entered.")
@@ -553,190 +538,138 @@ class SimWizard:
 
     # -- validation --------------------------------------------------------
 
-    def _first_failure(self, page: PageSpec) -> tuple[str | None, str | None]:
-        """First failing field in declaration order: validation is top to bottom."""
-        for field in page.fields:
-            if field.validator is None:
+    def _first_failure(self, slots: list[_Slot]) -> tuple[str | None, str | None]:
+        """Message and label of the first failing field of a page or a modal,
+        in declaration order: validation is top to bottom."""
+        for slot in slots:
+            field = slot.field
+            if field is None or field.validator is None:
                 continue
-            slot = self._field_slot[(page.key, field.label)]
-            message = VALIDATORS[field.validator](self, field, self.values.get(slot.control_id))
+            message = VALIDATORS[field.validator](self, field, self.values[slot.control_id])
             if message is not None:
-                if self._active_fault(FaultKind.GENERIC_ERROR_MESSAGE, page.key, field.label):
+                if (FaultKind.GENERIC_ERROR_MESSAGE, slot.page, slot.label) in self._active:
                     message = f"Invalid path to {field.noun_text}"
-                return message, field.label
+                return message, slot.label
         return None, None
 
-    def _page_valid(self) -> bool:
-        return self._first_failure(self.pages[self.current_page])[0] is None
-
     def _revalidate_page(self) -> None:
-        message, label = self._first_failure(self.pages[self.current_page])
-        if message is None and self.message is not None:
-            page_key = self.pages[self.current_page].key
-            if self._active_fault(FaultKind.STALE_ERROR, page_key, self.message_label):
-                return  # the defect: the old message refuses to clear
+        page_key = self.pages[self.current_page].key
+        message, label = self._first_failure(self._page_slots[page_key])
+        if (message is None and self.message is not None
+                and (FaultKind.STALE_ERROR, page_key, self.message_label) in self._active):
+            return  # the defect: the old message refuses to clear
         self.message, self.message_label = message, label
-
-    def _revalidate_modal(self) -> None:
-        modal = self.modals[self.dialog_stack[-1]]
-        for field in modal.fields:
-            if field.validator is None:
-                continue
-            slot = self._modal_field_slot[(modal.key, field.label)]
-            message = VALIDATORS[field.validator](self, field, self.values.get(slot.control_id))
-            if message is not None:
-                self.modal_message = message
-                return
-        self.modal_message = None
-
-    def _clear_message(self) -> None:
-        self.message = None
-        self.message_label = None
 
     # -- actions -----------------------------------------------------------
 
     def execute(self, cmd: ActionCommand) -> ExecOutcome:
         """Apply one command. Failure is a status value, never an exception."""
         slot = self._slots_by_id.get(cmd.control_id)
-        record = self._input_record_by_id(cmd.control_id)
+        index = cmd.control_id - self._first_item_id
+        record = self.inputs[index] if 0 <= index < len(self.inputs) else None
         if slot is None and record is None:
             return ExecOutcome.failed(f"no widget with control_id {cmd.control_id}")
 
-        modal_open = bool(self.dialog_stack)
-        in_modal = record is None and slot is not None and slot.in_modal
-        if modal_open and not in_modal and record is None:
-            return ExecOutcome.failed("blocked by an open dialog")
-        if not modal_open and in_modal:
-            return ExecOutcome.failed("not visible on the current page")
+        owner = slot.modal if slot is not None else None
+        if owner != (self.dialog_stack[-1] if self.dialog_stack else None):
+            return ExecOutcome.failed("blocked by an open dialog" if owner is None
+                                      else "not visible on the current page")
 
         if record is not None:
-            if modal_open:
-                return ExecOutcome.failed("blocked by an open dialog")
             if cmd.verb is not ActionVerb.CLICK:
                 return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
             for item in self.inputs:
                 item.selected = item is record
             return ExecOutcome.executed()
 
-        assert slot is not None
-        page_key = self.pages[self.current_page].key
-        if slot.page_key is not None and slot.page_key != page_key:
+        if slot.page is not None and slot.page != self.pages[self.current_page].key:
             return ExecOutcome.failed("not visible on the current page")
-
         permitted = KIND_VERBS.get(slot.kind)
         if permitted is None:
             return ExecOutcome.failed("not actionable")
         if cmd.verb not in permitted:
             return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
 
-        if slot.role.startswith("nav:"):
-            return self._execute_nav(slot.role[4:])
-        if slot.role == "modal_ok":
-            return self._execute_modal_ok()
-        if slot.role == "modal_cancel":
+        if slot.role in _NAV_ROLES:
+            return self._execute_nav(slot.role)
+        if slot.role == "ok":
+            return self._execute_modal_ok(slot.modal)
+        if slot.role == "cancel":
             self.dialog_stack.clear()
             self.modal_message = None
             return ExecOutcome.executed()
-        if slot.role == "modal_field":
-            return self._execute_field(slot, cmd, modal=True)
-        if slot.role == "field":
-            return self._execute_field(slot, cmd, modal=False)
-        return ExecOutcome.failed("not actionable")
+        return self._execute_field(slot, cmd)
 
-    def _execute_nav(self, which: str) -> ExecOutcome:
-        if which == "back":
+    def _execute_nav(self, role: str) -> ExecOutcome:
+        if role == "back":
             if self.current_page == 0:
                 return ExecOutcome.failed("already on the first page")
             self.current_page -= 1
-            self._clear_message()
+            self.message = self.message_label = None
             return ExecOutcome.executed()
-        if which == "next":
-            if self.current_page >= len(self.pages) - 1:
-                return ExecOutcome.failed("not visible on the current page")
-            message, label = self._first_failure(self.pages[self.current_page])
-            if message is not None:
-                self.message, self.message_label = message, label
-                return ExecOutcome.failed(message)
-            self.current_page += 1
-            self._clear_message()
-            return ExecOutcome.executed()
-        # finish
-        if self.current_page != len(self.pages) - 1:
+        if (role == "finish") != (self.current_page == len(self.pages) - 1):
             return ExecOutcome.failed("not visible on the current page")
-        if self.finished:
+        if role == "finish" and self.finished:
             return ExecOutcome.failed("the integration is already completed")
-        message, label = self._first_failure(self.pages[self.current_page])
+        message, label = self._first_failure(self._page_slots[self.pages[self.current_page].key])
         if message is not None:
             self.message, self.message_label = message, label
             return ExecOutcome.failed(message)
-        self.finished = True
+        if role == "finish":
+            self.finished = True
+        else:
+            self.current_page += 1
+            self.message = self.message_label = None
         return ExecOutcome.executed()
 
-    def _execute_modal_ok(self) -> ExecOutcome:
-        modal = self.modals[self.dialog_stack[-1]]
-        for field in modal.fields:
-            if field.validator is None:
-                continue
-            slot = self._modal_field_slot[(modal.key, field.label)]
-            message = VALIDATORS[field.validator](self, field, self.values.get(slot.control_id))
-            if message is not None:
-                self.modal_message = message
-                return ExecOutcome.failed(message)
-        name_slot = self._modal_field_slot[(modal.key, modal.fields[0].label)]
-        type_slot = self._modal_field_slot.get((modal.key, modal.fields[1].label)) \
-            if len(modal.fields) > 1 else None
-        name = str(self.values.get(name_slot.control_id, ""))
-        data_type = str(self.values.get(type_slot.control_id, "")) if type_slot else ""
-        self.inputs.append(_InputRecord(name=name, data_type=data_type,
-                                        item_id=self._dynamic_next_id))
-        self._dynamic_next_id += 1
+    def _execute_modal_ok(self, key: str) -> ExecOutcome:
+        """Add an input named by the modal's first field, typed by its second."""
+        slots = self._modal_slots[key]
+        message = self._first_failure(slots)[0]
+        if message is not None:
+            self.modal_message = message
+            return ExecOutcome.failed(message)
+        values = [str(self.values[slot.control_id]) for slot in slots if slot.field is not None]
+        self.inputs.append(_InputRecord(name=values[0],
+                                        data_type=values[1] if len(values) > 1 else "",
+                                        item_id=self.first_dynamic_id))
         self.dialog_stack.clear()
         self.modal_message = None
         self._revalidate_page()
         return ExecOutcome.executed()
 
-    def _execute_field(self, slot: _Slot, cmd: ActionCommand, modal: bool) -> ExecOutcome:
-        assert slot.field is not None
+    def _execute_field(self, slot: _Slot, cmd: ActionCommand) -> ExecOutcome:
+        field = slot.field
+        assert field is not None
         kind = slot.kind
         if kind is WidgetKind.EDIT:
             self.values[slot.control_id] = cmd.arg or ""
         elif kind is WidgetKind.COMBO_BOX:
-            items = self._combo_items(slot.field)
-            if cmd.arg not in items:
+            if cmd.arg not in self._combo_items(field):
                 return ExecOutcome.failed(f"{cmd.arg!r} is not an available item")
             self.values[slot.control_id] = cmd.arg
         elif kind is WidgetKind.CHECK_BOX:
             self.values[slot.control_id] = cmd.verb is ActionVerb.CHECK
         elif kind is WidgetKind.RADIO_BUTTON:
-            page_key = slot.page_key
-            for other in self._page_slots.get(page_key or "", []):
-                if (other.kind is WidgetKind.RADIO_BUTTON and other.field is not None
-                        and other.field.group == slot.field.group):
+            siblings = (self._modal_slots[slot.modal] if slot.modal is not None
+                        else self._page_slots[slot.page])
+            for other in siblings:
+                if other.kind is WidgetKind.RADIO_BUTTON and other.field.group == field.group:
                     self.values[other.control_id] = other is slot
-        elif kind is WidgetKind.BUTTON:
-            if slot.field.opens:
-                if slot.field.opens not in self.modals:
-                    return ExecOutcome.failed("this button has no effect")
-                self.dialog_stack.append(slot.field.opens)
-                self.modal_message = None
-                for field in self.modals[slot.field.opens].fields:
-                    fslot = self._modal_field_slot[(slot.field.opens, field.label)]
-                    self.values[fslot.control_id] = field.default
-                return ExecOutcome.executed()
-            return ExecOutcome.failed("this button has no effect")
-        else:
-            return ExecOutcome.failed("not actionable")
-        if modal:
-            self._revalidate_modal()
+        else:  # a button: it opens a modal, or does nothing
+            if field.opens not in self.modals:
+                return ExecOutcome.failed("this button has no effect")
+            self.dialog_stack.append(field.opens)
+            self.modal_message = None
+            for other in self._modal_slots[field.opens]:
+                if other.field is not None:
+                    self.values[other.control_id] = other.field.default
+            return ExecOutcome.executed()
+        if slot.modal is not None:
+            self.modal_message = self._first_failure(self._modal_slots[slot.modal])[0]
         else:
             self._revalidate_page()
         return ExecOutcome.executed()
-
-    def _input_record_by_id(self, control_id: int) -> _InputRecord | None:
-        for record in self.inputs:
-            if record.item_id == control_id:
-                return record
-        return None
 
     def _combo_items(self, field: FieldSpec) -> tuple[str, ...]:
         if field.items_from == "inputs":
@@ -749,156 +682,116 @@ class SimWizard:
                       modal: str | None = None, nav: str | None = None) -> int:
         """Look up a stable control id for script authoring and tests."""
         if nav is not None:
-            return self._nav[nav].control_id
+            if nav not in _NAV_ROLES:
+                raise KeyError(nav)
+            return self._slot(self._page_slots[self.pages[0].key], nav).control_id
         if modal is not None:
-            return self._modal_field_slot[(modal, label)].control_id
+            return self._slot(self._modal_slots[modal], "field", label).control_id
         if page is not None:
-            return self._field_slot[(page, label)].control_id
+            return self._slot(self._page_slots[page], "field", label).control_id
         raise KeyError(label)
 
     def modal_button_id(self, modal: str, label: str) -> int:
-        for slot in self._modal_slots[modal]:
-            if slot.role in ("modal_ok", "modal_cancel") and slot.label == label:
-                return slot.control_id
-        raise KeyError(label)
+        role = {"OK": "ok", "Cancel": "cancel"}.get(label)
+        return self._slot(self._modal_slots[modal], role, label).control_id
 
     @property
     def first_dynamic_id(self) -> int:
-        return self._dynamic_next_id
-
-    def _slot_rect(self, slot: _Slot, page_key: str) -> Rect:
-        if slot.field is not None and self._active_fault(
-                FaultKind.MISALIGNED_RECT, page_key, slot.label) and slot.role == "field":
-            return slot.rect.shifted(dx=_MISALIGN_SHIFT)
-        return slot.rect
-
-    def _slot_text(self, slot: _Slot, page_key: str, text: str) -> str:
-        if slot.role == "field" and self._active_fault(
-                FaultKind.TRUNCATED_TEXT, page_key, slot.label):
-            return text[:_FAULT_TRUNCATE_AT]
-        return text
+        """The control id the next added input item gets."""
+        return self._first_item_id + len(self.inputs)
 
     def _computed_text(self, field: FieldSpec) -> str:
-        if field.computed == "summary":
-            name = ""
-            version = ""
-            name_slot = self._field_slot.get(("tool_description", "Name"))
-            if name_slot is not None:
-                name = str(self.values.get(name_slot.control_id, ""))
-            version_slot = self._field_slot.get(("launch_settings", "Version"))
-            if version_slot is not None:
-                version = str(self.values.get(version_slot.control_id, ""))
-            return (f"Name: {name or '-'} | Version: {version or '-'} | "
-                    f"Inputs: {len(self.inputs)}")
-        return field.text
+        if field.computed != "summary":
+            return field.text
 
-    def _field_node(self, slot: _Slot, page_key: str, disabled: bool) -> WidgetNode:
-        assert slot.field is not None
-        field = slot.field
-        rect = self._slot_rect(slot, page_key)
-        extra: dict[str, str | bool] = {}
-        if disabled and slot.kind in KIND_VERBS:
-            extra["enabled"] = False
-        value = self.values.get(slot.control_id)
-        text = ""
-        children: tuple[WidgetNode, ...] = ()
-        if slot.kind is WidgetKind.STATIC:
-            text = self._slot_text(slot, page_key, self._computed_text(field))
-        elif slot.kind is WidgetKind.EDIT:
-            text = self._slot_text(slot, page_key, str(value or ""))
-        elif slot.kind is WidgetKind.COMBO_BOX:
-            text = str(value or "")
-            extra["selected_item"] = text
-            extra["items"] = ITEMS_SEPARATOR.join(self._combo_items(field))
-        elif slot.kind is WidgetKind.CHECK_BOX:
-            text = field.label
-            extra["checked"] = bool(value)
-        elif slot.kind is WidgetKind.RADIO_BUTTON:
-            text = field.label
-            extra["selected"] = bool(value)
-        elif slot.kind is WidgetKind.BUTTON:
-            text = field.label
-        elif slot.kind is WidgetKind.CONTAINER:
-            items = []
-            base = slot.rect
-            for index, record in enumerate(self.inputs):
-                item_rect = Rect(base.left + 10, base.top + 24 * (index + 1),
-                                 base.right - 10, base.top + 24 * (index + 1) + 20)
-                item_extra: dict[str, str | bool] = {"selected": record.selected}
-                if disabled:
-                    item_extra["enabled"] = False
-                items.append(WidgetNode(
-                    class_name="ListItem", kind=WidgetKind.LIST_ITEM,
-                    control_id=record.item_id, rectangle=item_rect, text=record.name,
-                    extra_state=item_extra))
-            children = tuple(items)
-        return WidgetNode(
-            class_name=_CLASS_NAMES[slot.kind], kind=slot.kind, control_id=slot.control_id,
-            rectangle=rect, text=text, extra_state=extra, sub_elements=children)
+        def value(page: str, label: str) -> str:
+            try:
+                return str(self.values[self._slot(self._page_slots[page], "field",
+                                                  label).control_id])
+            except KeyError:
+                return ""
 
-    def _static_node(self, slot: _Slot, text: str, class_name: str = "Static") -> WidgetNode:
-        return WidgetNode(class_name=class_name, kind=WidgetKind.STATIC,
-                          control_id=slot.control_id, rectangle=slot.rect, text=text)
+        return (f"Name: {value('tool_description', 'Name') or '-'} | "
+                f"Version: {value('launch_settings', 'Version') or '-'} | "
+                f"Inputs: {len(self.inputs)}")
 
-    def _button_node(self, slot: _Slot, enabled: bool) -> WidgetNode:
-        extra: dict[str, str | bool] = {}
-        if not enabled:
-            extra["enabled"] = False
-        return WidgetNode(class_name="Button", kind=WidgetKind.BUTTON,
-                          control_id=slot.control_id, rectangle=slot.rect, text=slot.label,
-                          extra_state=extra)
+    def _shown(self, slot: _Slot) -> bool:
+        """Whether a slot of the current page or the open modal is drawn."""
+        role = slot.role
+        if role == "title":
+            return (FaultKind.MISSING_TITLE, slot.page, "title") not in self._active
+        if role == "message":
+            return bool(self.modal_message if slot.modal is not None else self.message)
+        if role == "completion":
+            return self.finished
+        if role == "next" or role == "finish":
+            return (role == "finish") == (self.current_page == len(self.pages) - 1)
+        return True
 
-    def _modal_node(self, key: str) -> WidgetNode:
-        modal = self.modals[key]
-        children: list[WidgetNode] = []
-        for slot in self._modal_slots[key]:
-            if slot.role == "modal_label":
-                children.append(self._static_node(slot, f"{slot.label}:"))
-            elif slot.role == "modal_field":
-                children.append(self._field_node(slot, page_key="", disabled=False))
-            else:  # OK / Cancel
-                children.append(self._button_node(slot, enabled=True))
-        if self.modal_message:
-            children.append(self._static_node(self._modal_message_slot, self.modal_message,
-                                              class_name="ValidationMessage"))
-        return WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG,
-                          control_id=self._modal_slots_dialog_id(key), rectangle=_MODAL_RECT,
-                          text=modal.title, sub_elements=tuple(children))
-
-    def _modal_slots_dialog_id(self, key: str) -> int:
-        # The modal dialog node reuses a stable synthetic id derived from its
-        # first slot; it is never actionable so it only needs uniqueness.
-        return 900_000 + sorted(self.modals).index(key)
+    def _node(self, slot: _Slot) -> WidgetNode:
+        """The widget node of one shown slot. An actionable page slot is
+        disabled while a modal is open; Back, Next and Finish also when they
+        cannot act."""
+        role, kind, field = slot.role, slot.kind, slot.field
+        disabled = slot.modal is None and bool(self.dialog_stack)
+        if role == "back":
+            disabled = disabled or self.current_page == 0
+        elif role == "next":
+            disabled = disabled or self._first_failure(
+                self._page_slots[self.pages[self.current_page].key])[0] is not None
+        elif role == "finish":
+            disabled = disabled or self.finished
+        extra: dict[str, str | bool] = {"enabled": False} if disabled and kind in KIND_VERBS \
+            else {}
+        class_name, rect, text, children = _CLASS_NAMES[kind], slot.rect, slot.label, ()
+        if role == "message":
+            class_name = "ValidationMessage"
+            text = self.modal_message if slot.modal is not None else self.message
+        elif field is not None:
+            value = self.values[slot.control_id]
+            if (FaultKind.MISALIGNED_RECT, slot.page, slot.label) in self._active:
+                rect = rect.shifted(dx=_MISALIGN_SHIFT)
+            if kind is WidgetKind.STATIC:
+                text = self._computed_text(field)
+            elif kind is WidgetKind.EDIT:
+                text = str(value or "")
+            elif kind is WidgetKind.COMBO_BOX:
+                text = str(value or "")
+                extra["selected_item"] = text
+                extra["items"] = ITEMS_SEPARATOR.join(self._combo_items(field))
+            elif kind is WidgetKind.CHECK_BOX:
+                extra["checked"] = bool(value)
+            elif kind is WidgetKind.RADIO_BUTTON:
+                extra["selected"] = bool(value)
+            elif kind is WidgetKind.CONTAINER:
+                text, base = "", slot.rect
+                item_state = {"enabled": False} if disabled else {}
+                children = tuple(WidgetNode(
+                    class_name="ListItem", kind=WidgetKind.LIST_ITEM, control_id=record.item_id,
+                    rectangle=Rect(base.left + 10, base.top + 24 * index,
+                                   base.right - 10, base.top + 24 * index + 20),
+                    text=record.name, extra_state={"selected": record.selected, **item_state})
+                    for index, record in enumerate(self.inputs, start=1))
+            if (kind is WidgetKind.STATIC or kind is WidgetKind.EDIT) and \
+                    (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
+                text = text[:_FAULT_TRUNCATE_AT]
+        return WidgetNode(class_name=class_name, kind=kind, control_id=slot.control_id,
+                          rectangle=rect, text=text, extra_state=extra, sub_elements=children)
 
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
         page = self.pages[self.current_page]
-        modal_open = bool(self.dialog_stack)
-        children: list[WidgetNode] = []
-        if not self._active_fault(FaultKind.MISSING_TITLE, page.key, "title"):
-            children.append(self._static_node(self._title_slots[page.key], page.title))
-        for slot in self._page_slots[page.key]:
-            if slot.role == "label":
-                children.append(self._static_node(slot, f"{slot.label}:"))
-            else:
-                children.append(self._field_node(slot, page.key, disabled=modal_open))
-        if self.message:
-            children.append(self._static_node(self._message_slot, self.message,
-                                              class_name="ValidationMessage"))
-        if self.finished:
-            children.append(self._static_node(self._completion_slot,
-                                              "Tool integration completed."))
-        children.append(self._button_node(self._nav["back"],
-                                          enabled=self.current_page > 0 and not modal_open))
-        last_page = self.current_page == len(self.pages) - 1
-        if not last_page:
-            children.append(self._button_node(self._nav["next"],
-                                              enabled=self._page_valid() and not modal_open))
-        else:
-            children.append(self._button_node(self._nav["finish"],
-                                              enabled=not self.finished and not modal_open))
-        if modal_open:
-            children.append(self._modal_node(self.dialog_stack[-1]))
+        children = [self._node(slot) for slot in self._page_slots[page.key] if self._shown(slot)]
+        if self.dialog_stack:
+            key = self.dialog_stack[-1]
+            # The modal's dialog node is never actionable; its id only needs
+            # to be unique.
+            children.append(WidgetNode(
+                class_name="Dialog", kind=WidgetKind.DIALOG,
+                control_id=900_000 + sorted(self.modals).index(key), rectangle=_MODAL_RECT,
+                text=self.modals[key].title,
+                sub_elements=tuple(self._node(slot) for slot in self._modal_slots[key]
+                                   if self._shown(slot))))
         return WidgetNode(
             class_name="Dialog", kind=WidgetKind.DIALOG, control_id=0, rectangle=ROOT_RECT,
             text=self.title, extra_state={"active_page": page.key},
@@ -959,11 +852,7 @@ class SimWizard:
         if node.kind is WidgetKind.DIALOG:
             top, left, _, _ = self._draw_box(canvas, node.rectangle)
             self._draw(canvas, top, left + 2, f" {node.text} ")
-            for child in node.sub_elements:
-                self._draw_node(canvas, child)
-            return
-        line = self._widget_line(node)
-        if line:
+        elif line := self._widget_line(node):
             row, col = self._cell(node.rectangle, ROOT_RECT)
             self._draw(canvas, row, col, line)
         for child in node.sub_elements:
@@ -986,25 +875,21 @@ class SimWizard:
     # -- the deterministic evaluator stand-in -------------------------------
 
     def _observable_fault_indices(self) -> frozenset[int]:
-        page = self.pages[self.current_page]
-        page_clean = self._first_failure(page)[0] is None
+        page_key = self.pages[self.current_page].key
         out: set[int] = set()
         for index, fault in enumerate(self.faults):
-            if not fault.active:
+            if not fault.active or fault.page != page_key:
                 continue
-            if fault.kind in (FaultKind.TRUNCATED_TEXT, FaultKind.MISALIGNED_RECT,
-                              FaultKind.MISSING_TITLE):
-                if fault.page == page.key:
-                    out.add(index)
-            elif fault.kind is FaultKind.GENERIC_ERROR_MESSAGE:
-                if (fault.page == page.key and self.message is not None
-                        and self.message.startswith("Invalid path to")
-                        and self.message_label == fault.label):
-                    out.add(index)
+            if fault.kind is FaultKind.GENERIC_ERROR_MESSAGE:
+                seen = (self.message is not None and self.message.startswith("Invalid path to")
+                        and self.message_label == fault.label)
             elif fault.kind is FaultKind.STALE_ERROR:
-                if (fault.page == page.key and self.message is not None
-                        and self.message_label == fault.label and page_clean):
-                    out.add(index)
+                seen = (self.message is not None and self.message_label == fault.label
+                        and self._first_failure(self._page_slots[page_key])[0] is None)
+            else:
+                seen = True
+            if seen:
+                out.add(index)
         return frozenset(out)
 
     def oracle_evaluate(self, before: SimScreenshot, after: SimScreenshot,
@@ -1023,7 +908,8 @@ class SimWizard:
 def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
     """A wizard for a config in the schema of :func:`default_wizard_config`.
 
-    A config of the wrong shape, or a fault naming no field of it, raises
+    A config of the wrong shape, two pages with one key, two fields with one
+    label on a page or in a modal, or a fault naming no field of it, raises
     WizardConfigError.
     """
     page_objs = _config_value(config, "pages", list, "wizard config")
@@ -1032,20 +918,20 @@ def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
     pages = []
     for index, page_obj in enumerate(page_objs):
         where = f"wizard page {index}"
-        fields = tuple(_parse_field(f, f"{where} field {row}") for row, f
-                       in enumerate(_config_value(page_obj, "fields", list, where)))
+        fields = _parse_fields(page_obj, where)
         pages.append(PageSpec(key=_config_value(page_obj, "key", str, where),
                               title=_config_value(page_obj, "title", str, where),
                               fields=fields))
+    if len({page.key for page in pages}) < len(pages):
+        raise WizardConfigError("wizard config has two pages with one key")
     modals = {}
     for key, modal_obj in _config_value(config, "modals", dict, "wizard config", {}).items():
         where = f"wizard modal {key!r}"
-        field_objs = _config_value(modal_obj, "fields", list, where)
-        if not field_objs:
+        fields = _parse_fields(modal_obj, where)
+        if not fields:
             raise WizardConfigError(f"{where} has no fields")
-        modals[key] = ModalSpec(key=key, title=_config_value(modal_obj, "title", str, where),
-                                fields=tuple(_parse_field(f, f"{where} field {row}")
-                                             for row, f in enumerate(field_objs)))
+        modals[key] = PageSpec(key=key, title=_config_value(modal_obj, "title", str, where),
+                                fields=fields)
     return SimWizard(pages=tuple(pages), modals=modals, faults=faults,
                      title=_config_value(config, "title", str, "wizard config", WIZARD_TITLE))
 

@@ -113,10 +113,6 @@ class IssueGroup:
     cause_key: str
     members: list[PositiveFinding]
 
-    @property
-    def representative_reason(self) -> str:
-        return self.members[0].reason
-
 
 @dataclass
 class Report:

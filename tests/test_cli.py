@@ -231,3 +231,40 @@ def test_run_with_custom_wizard_config(tmp_path):
     record = json.loads((out / "run-000" / "header.json").read_text("utf-8"))
     assert record["config"]["wizard_config"]["pages"][0]["fields"][1]["label"] == \
         "Component Name"
+
+
+@pytest.mark.parametrize("cfg", [
+    {"wizard": {"pages": 5}},
+    {"faults": [{"kind": "truncated_text", "page": "tool_description",
+                 "label": "No Such Field"}]},
+], ids=["malformed-wizard", "fault-naming-no-field"])
+def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out), "--runs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run(s) failed" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    ([1, 2], []),
+    ({"faults": 5}, []),
+    ({"faults": [{"kind": "nope", "page": "launch_settings", "label": "Working Directory"}]},
+     []),
+    ({"max_iterations": "5"}, []),
+    ({"remote": {"model": "m"}}, ["--controller", "remote"]),
+    ({"task": 5}, []),
+    ({"doc_budget": "x"}, []),
+    ({"controller_script": "abc"}, []),
+    ({"evaluator_script": [1]}, ["--evaluator", "scripted"]),
+    ({"wizard": 5}, []),
+], ids=lambda value: repr(value)[:40])
+def test_run_config_value_of_wrong_type_exits_one(tmp_path, capsys, cfg, flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

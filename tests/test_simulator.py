@@ -88,6 +88,9 @@ def _config_with(path: tuple, value) -> dict:
     _config_with(("modals", "add_input", "fields", 0, "validator"), "no_such_check"),
     _config_with(("modals",), []),
     _config_with(("title",), None),
+    _config_with(("pages", 0, "fields", 2, "label"), "Name"),
+    _config_with(("modals", "add_input", "fields", 1, "label"), "Input name"),
+    _config_with(("pages", 1, "key"), "tool_description"),
 ], ids=lambda config: repr(config)[:40])
 def test_malformed_wizard_config_is_a_config_error(config):
     with pytest.raises(WizardConfigError):
@@ -369,6 +372,41 @@ def test_added_inputs_feed_the_endpoint_combo():
     sim.current_page = 3
     combo = sim.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
     assert find_widget(sim.snapshot(), combo).combo_items() == ("airfoil",)
+
+
+def test_each_modal_owns_its_controls_and_message():
+    config = default_wizard_config()
+    config["pages"][1]["fields"].insert(2, {"label": "Add Output...", "kind": "Button",
+                                            "opens": "add_output"})
+    config["modals"]["add_output"] = {"title": "Add Output", "fields": [
+        {"label": "Output name", "kind": "Edit", "validator": "non_empty"},
+        {"label": "Kind A", "kind": "RadioButton", "default": True, "group": "kind"},
+        {"label": "Kind B", "kind": "RadioButton", "default": False, "group": "kind"}]}
+    sim = build_wizard(config, [])
+    sim.current_page = 1
+
+    def message_ids(modal):
+        click(sim, sim.control_id_of(f"Add {modal.title()}...", page="inputs_outputs"))
+        assert click(sim, sim.modal_button_id(f"add_{modal}", "OK")).status == "failed"
+        return [node.control_id for node in sim.snapshot().iter_nodes()
+                if node.class_name == "ValidationMessage"]
+
+    input_message = message_ids("input")
+    outcome = write(sim, sim.control_id_of("Output name", modal="add_output"), "o")
+    assert outcome.reason == "not visible on the current page"
+    outcome = click(sim, sim.modal_button_id("add_output", "OK"))
+    assert outcome.reason == "not visible on the current page"
+    click(sim, sim.modal_button_id("add_input", "Cancel"))
+    output_message = message_ids("output")
+    assert len(input_message) == len(output_message) == 1
+    assert input_message != output_message
+
+    kind_b = sim.control_id_of("Kind B", modal="add_output")
+    assert click(sim, kind_b).status == "executed"
+    tree = sim.snapshot()
+    assert find_widget(tree, kind_b).extra_state["selected"] is True
+    assert find_widget(tree, sim.control_id_of("Kind A", modal="add_output")) \
+        .extra_state["selected"] is False
 
 
 # --- validation order ------------------------------------------------------
