@@ -83,7 +83,6 @@ from .widgets import (
     WidgetKind,
     WidgetNode,
     find_widget,
-    parse_tree,
     possible_actions,
     serialize_tree,
 )

@@ -201,6 +201,11 @@ class RemoteAgentConfig:
     retry_backoff: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, kind in (("timeout", (int, float)), ("max_retries", int),
+                           ("temperature", (int, float)), ("retry_backoff", (int, float))):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
 

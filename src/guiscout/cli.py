@@ -133,15 +133,18 @@ def _remote_config(cfg: dict, role: str) -> RemoteAgentConfig | None:
     if remote is None:
         return None
     default_temperature = 1.0 if role == "controller" else 0.0
-    return RemoteAgentConfig(
-        endpoint=remote["endpoint"],
-        model=remote["model"],
-        api_key_env=remote.get("api_key_env", "GUISCOUT_API_KEY"),
-        timeout=remote.get("timeout", 60.0),
-        max_retries=remote.get("max_retries", 3),
-        temperature=remote.get(f"{role}_temperature", default_temperature),
-        retry_backoff=remote.get("retry_backoff", 1.0),
-    )
+    try:
+        return RemoteAgentConfig(
+            endpoint=remote["endpoint"],
+            model=remote["model"],
+            api_key_env=remote.get("api_key_env", "GUISCOUT_API_KEY"),
+            timeout=remote.get("timeout", 60.0),
+            max_retries=remote.get("max_retries", 3),
+            temperature=remote.get(f"{role}_temperature", default_temperature),
+            retry_backoff=remote.get("retry_backoff", 1.0),
+        )
+    except ValueError as exc:
+        raise CliUsageError(f"config file \"remote\" is unusable for the {role}: {exc}") from exc
 
 
 def _parse_faults(cfg: dict) -> list[FaultSpec]:

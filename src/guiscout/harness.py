@@ -39,7 +39,7 @@ from .agents import (
     verdict_to_json,
     verdict_to_obj,
 )
-from .prompts import DEFAULT_DOC_BUDGET, DocCorpus, ImageRef, PromptDocument, \
+from .prompts import DEFAULT_DOC_BUDGET, ImageRef, PromptDocument, \
     build_controller_prompt, build_evaluator_prompt, gui_tree_text
 from .simulator import (
     FaultSpec,
@@ -121,6 +121,10 @@ class RunConfig:
             raise ConfigError("a remote controller needs a remote agent config")
         if self.evaluator == "remote" and self.remote_evaluator is None:
             raise ConfigError("a remote evaluator needs a remote agent config")
+        # The built-in traversal script is written against the default wizard.
+        if (self.controller == "scripted" and self.controller_script is None
+                and self.wizard_config is not None):
+            raise ConfigError("a scripted controller on a custom wizard needs a controller_script")
 
     def echo(self) -> dict:
         """Config as persisted in run headers. Never contains credentials."""
@@ -241,9 +245,7 @@ def _screenshot_ref(shot: SimScreenshot) -> ImageRef:
 def _build_controller(config: RunConfig) -> Agent:
     if config.controller == "scripted":
         lines = config.controller_script
-        if lines is None:
-            lines = full_traversal_script(config.wizard_config)
-        return ScriptedAgent(lines)
+        return ScriptedAgent(full_traversal_script() if lines is None else lines)
     if config.controller == "random":
         return RandomAgent(config.seed)
     assert config.remote_controller is not None
@@ -263,12 +265,12 @@ def _build_evaluator(config: RunConfig) -> Agent | None:
 class RunSession:
     """One sequential run: owns the simulator, the agents, and the log."""
 
-    def __init__(self, config: RunConfig, docs: DocCorpus | None = None):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.sim: SimWizard = new_wizard(config.faults, config.wizard_config)
         self.controller = _build_controller(config)
         self.evaluator = _build_evaluator(config)
-        self.docs = docs if docs is not None else default_doc_corpus()
+        self.docs = default_doc_corpus()
         self.log: list[ActionLogEntry] = []
         self.writer: RunWriter | None = None
         if config.out_dir is not None:
@@ -385,9 +387,9 @@ class RunSession:
         return self.record
 
 
-def run(config: RunConfig, docs: DocCorpus | None = None) -> RunRecord:
+def run(config: RunConfig) -> RunRecord:
     """Execute one run to completion and return its record."""
-    return RunSession(config, docs).run()
+    return RunSession(config).run()
 
 
 def run_many(config: RunConfig, n: int, jobs: int = 1) -> list[RunRecord]:
@@ -453,68 +455,56 @@ ECHO_TYPES = {"task": str, "max_iterations": int, "seed": int, "faults": list,
               "wizard_config": (dict, type(None)), "doc_budget": int, "attach_screenshot": bool}
 
 
-def config_from_echo(echo: dict) -> RunConfig:
-    """Rebuild enough of a RunConfig from a persisted header to replay it.
+def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
+           out_dir: Path | None = None) -> RunRecord:
+    """Re-execute a recorded run against a fresh simulator.
 
-    A value of the wrong type, or an unreadable fault, raises ReplayError.
+    Every recorded field except the wall-clock timestamps must match; the
+    first mismatch raises ReplayDivergence naming the iteration and the field.
+    A header config value of the wrong type, an unreadable fault, or an
+    iteration without recorded agent output raises ReplayError.
     """
+    echo = record.config
+    if echo.get("backend", "sim") != "sim":
+        raise ReplayError("only simulated-backend records can be replayed")
+    if not isinstance(record.run_id, str):
+        raise ReplayError(f"header run_id is not a string: {record.run_id!r}")
     for key, kind in ECHO_TYPES.items():
         if key in echo and not isinstance(echo[key], kind):
             raise ReplayError(f"header config {key!r} has the wrong type: {echo[key]!r}")
+    for it in record.iterations:
+        if it.controller_raw is None or it.evaluator_raw is None:
+            raise ReplayError(
+                f"iteration {it.index} has no recorded agent output; cannot replay")
     try:
-        return RunConfig(
+        config = RunConfig(
             task=echo.get("task", DEFAULT_TASK),
-            max_iterations=echo.get("max_iterations", 100),
+            max_iterations=len(record.iterations),
             controller="scripted",
             evaluator="scripted",
             seed=echo.get("seed", 0),
-            faults=[FaultSpec.from_json_obj(obj) for obj in echo.get("faults", [])],
+            out_dir=out_dir,
+            run_id=record.run_id + "-replay",
+            faults=(faults if faults is not None else
+                    [FaultSpec.from_json_obj(obj) for obj in echo.get("faults", [])]),
             wizard_config=echo.get("wizard_config"),
+            controller_script=[it.controller_raw for it in record.iterations],
+            evaluator_script=[it.evaluator_raw for it in record.iterations],
             doc_budget=echo.get("doc_budget", DEFAULT_DOC_BUDGET),
             attach_screenshot=echo.get("attach_screenshot", True),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ReplayError(f"unusable header config: {exc!r}") from exc
-
-
-def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
-           out_dir: Path | None = None) -> RunRecord:
-    """Re-execute a recorded run against a fresh simulator.
-
-    Statuses and screenshot digests must match the original record; the first
-    mismatch raises ReplayDivergence naming the iteration.
-    """
-    if record.config.get("backend", "sim") != "sim":
-        raise ReplayError("only simulated-backend records can be replayed")
-    if not isinstance(record.run_id, str):
-        raise ReplayError(f"header run_id is not a string: {record.run_id!r}")
-    controller_lines = []
-    evaluator_lines = []
-    for it in record.iterations:
-        if it.controller_raw is None or it.evaluator_raw is None:
-            raise ReplayError(
-                f"iteration {it.index} has no recorded agent output; cannot replay")
-        controller_lines.append(it.controller_raw)
-        evaluator_lines.append(it.evaluator_raw)
-    config = config_from_echo(record.config)
-    config.controller_script = controller_lines
-    config.evaluator_script = evaluator_lines
-    config.max_iterations = len(record.iterations)
-    config.run_id = record.run_id + "-replay"
-    config.out_dir = out_dir
-    if faults is not None:
-        config.faults = faults
     try:
         new_record = run(config)
     except WizardConfigError as exc:
         raise ReplayError(f"unusable header config: {exc}") from exc
     for old, new in zip(record.iterations, new_record.iterations):
-        for field_name in ("status", "before_digest", "after_digest"):
-            old_value = getattr(old, field_name)
-            new_value = getattr(new, field_name)
-            if old_value != new_value:
-                raise ReplayDivergence(
-                    old.index, f"{field_name} {new_value!r} != recorded {old_value!r}")
+        recorded = old.fingerprint()
+        for field_name, new_value in new.fingerprint().items():
+            if new_value != recorded[field_name]:
+                raise ReplayDivergence(old.index, f"{field_name} {new_value!r} "
+                                                  f"!= recorded {recorded[field_name]!r}")
     if len(new_record.iterations) != len(record.iterations):
         raise ReplayDivergence(len(new_record.iterations),
                                "replay produced a different number of iterations")

@@ -160,10 +160,8 @@ If there are no problems output:
     "state": "okay"
 }"""
 
-# The historical header repeats "was"; kept by default so golden files stay
-# byte-stable. Pass doubled_was=False to normalize.
-EVALUATOR_ACTION_HEADER_DOUBLED = "The action performed between the two images was was:"
-EVALUATOR_ACTION_HEADER_NORMALIZED = "The action performed between the two images was:"
+# The historical header repeats "was"; the golden files pin it byte for byte.
+EVALUATOR_ACTION_HEADER = "The action performed between the two images was was:"
 
 EVALUATOR_CLOSING = "Are there any problems with the GUI after the action was performed?"
 
@@ -219,17 +217,15 @@ def build_evaluator_prompt(
     action_explanation: str,
     before: ImageRef | None,
     after: ImageRef | None,
-    doubled_was: bool = True,
 ) -> PromptDocument:
     """Assemble the evaluator prompt for one before/after screenshot pair."""
     if before is None or after is None:
         raise MissingAttachmentError("the evaluator prompt needs both a before and an after image")
-    header = EVALUATOR_ACTION_HEADER_DOUBLED if doubled_was else EVALUATOR_ACTION_HEADER_NORMALIZED
     sections = (
         ("Role", EVALUATOR_ROLE),
         ("Task", EVALUATOR_TASK),
         ("Output", EVALUATOR_OUTPUT),
-        ("Action", header + "\n" + action_explanation),
+        ("Action", EVALUATOR_ACTION_HEADER + "\n" + action_explanation),
         ("Closing", EVALUATOR_CLOSING),
     )
     return PromptDocument(sections=sections, attachments=(before, after))

@@ -942,10 +942,10 @@ def new_wizard(faults: list[FaultSpec] | None = None,
     return build_wizard(config or default_wizard_config(), list(faults or []))
 
 
-def full_traversal_script(config: dict | None = None) -> list[str]:
+def full_traversal_script() -> list[str]:
     """Controller responses that walk all six pages of the default fixture and
     touch every interactive widget. Authored against stable control ids."""
-    sim = new_wizard([], config)
+    sim = new_wizard()
 
     def cid(label: str, page: str) -> int:
         return sim.control_id_of(label, page=page)

@@ -242,9 +242,12 @@ def summarize(records: list[RunRecord], labels: LabelFile,
             raise TriageError(
                 f"label references missing finding (run {key[0]}, iteration {key[1]})")
     tp_keys = {key for key, label in labels.entries.items() if label.value == TRUE_POSITIVE}
+    by_run: dict[str, list[PositiveFinding]] = {}
+    for finding in findings:
+        by_run.setdefault(finding.run_id, []).append(finding)
     per_run = []
     for record in sorted(records, key=lambda r: r.run_id):
-        run_findings = [finding for finding in findings if finding.run_id == record.run_id]
+        run_findings = by_run.get(record.run_id, [])
         per_run.append({
             "run_id": record.run_id,
             "actions": len(record.iterations),

@@ -16,19 +16,14 @@ A property test in ``tests/test_widgets.py`` checks the two against each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
 
-class TreeParseError(ValueError):
-    """Widget-tree JSON could not be decoded."""
-
-
 class TreeIntegrityError(ValueError):
-    """A decoded or constructed tree violates a structural invariant."""
+    """A constructed tree violates a structural invariant."""
 
 
 class ActionVerb(Enum):
@@ -65,8 +60,6 @@ KIND_VERBS: dict[WidgetKind, tuple[ActionVerb, ...]] = {
     WidgetKind.LIST_ITEM: (ActionVerb.CLICK,),
     WidgetKind.TAB_ITEM: (ActionVerb.CLICK,),
 }
-
-_CONTROL_TYPE_TO_KIND = {kind.value: kind for kind in WidgetKind}
 
 #: Top-level JSON keys owned by the node encoding; extra_state may not shadow them.
 RESERVED_KEYS = frozenset(
@@ -106,20 +99,6 @@ class Rect:
     def encode(self) -> list[str]:
         return [f"L{self.left}", f"T{self.top}", f"R{self.right}", f"B{self.bottom}"]
 
-    @classmethod
-    def decode(cls, raw: object) -> "Rect":
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise TreeParseError(f"rectangle must be a list of 4 prefixed strings, got {raw!r}")
-        values = []
-        for prefix, part in zip("LTRB", raw):
-            if not isinstance(part, str) or not part.startswith(prefix):
-                raise TreeParseError(f"rectangle entry {part!r} must start with {prefix!r}")
-            try:
-                values.append(int(part[1:]))
-            except ValueError as exc:
-                raise TreeParseError(f"rectangle entry {part!r} is not an integer") from exc
-        return cls(*values)
-
 
 @dataclass(frozen=True)
 class WidgetNode:
@@ -132,9 +111,6 @@ class WidgetNode:
     text: str = ""
     extra_state: dict[str, str | bool] = field(default_factory=dict)
     sub_elements: tuple["WidgetNode", ...] = ()
-    # Set by parse_tree when the control_type string was unknown and the node
-    # degraded to CONTAINER. Excluded from structural equality.
-    unknown_type: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.control_id < 0:
@@ -186,15 +162,6 @@ class PossibleAction:
     arg: ArgSpec = ARG_NONE
 
 
-def validate_tree(root: WidgetNode) -> None:
-    """Check tree-wide invariants; raises TreeIntegrityError on violation."""
-    seen: set[int] = set()
-    for node in root.iter_nodes():
-        if node.control_id in seen:
-            raise TreeIntegrityError(f"duplicate control_id {node.control_id}")
-        seen.add(node.control_id)
-
-
 def serialize_tree(tree: WidgetNode) -> str:
     """Encode a widget tree as the canonical JSON text used in prompts.
 
@@ -235,65 +202,6 @@ def _encode_node(node: WidgetNode, pad: str, parts: list[str], seen: set[int]) -
             parts.append("," + inner)
         _encode_node(child, child_pad, parts, seen)
     parts.append(f"{pad}]{pad[:-2]}}}")
-
-
-def _node_from_obj(obj: object) -> WidgetNode:
-    if not isinstance(obj, dict):
-        raise TreeParseError(f"widget node must be a JSON object, got {type(obj).__name__}")
-    for required in ("class_name", "control_type", "control_id", "rectangle", "sub_elements"):
-        if required not in obj:
-            raise TreeParseError(f"widget node is missing {required!r}")
-    control_type = obj["control_type"]
-    unknown = False
-    kind = _CONTROL_TYPE_TO_KIND.get(control_type)
-    if kind is None:
-        kind = WidgetKind.CONTAINER
-        unknown = True
-    control_id = obj["control_id"]
-    if not isinstance(control_id, int) or isinstance(control_id, bool):
-        raise TreeParseError(f"control_id must be an integer, got {control_id!r}")
-    text = obj.get("text", "")
-    if not isinstance(text, str):
-        raise TreeParseError(f"text must be a string, got {text!r}")
-    extra: dict[str, str | bool] = {}
-    for key, value in obj.items():
-        if key in RESERVED_KEYS:
-            continue
-        if not isinstance(value, (str, bool)):
-            raise TreeParseError(f"extra_state value for {key!r} must be text or boolean")
-        extra[key] = value
-    children = tuple(_node_from_obj(child) for child in obj["sub_elements"])
-    try:
-        return WidgetNode(
-            class_name=str(obj["class_name"]),
-            kind=kind,
-            control_id=control_id,
-            rectangle=Rect.decode(obj["rectangle"]),
-            text=text,
-            extra_state=extra,
-            sub_elements=children,
-            unknown_type=unknown,
-        )
-    except TreeIntegrityError:
-        raise
-    except ValueError as exc:
-        raise TreeParseError(str(exc)) from exc
-
-
-def parse_tree(text: str) -> WidgetNode:
-    """Decode widget-tree JSON; inverse of :func:`serialize_tree`.
-
-    Unknown control_type strings degrade to CONTAINER with ``unknown_type``
-    set rather than failing, because real accessibility trees contain wrapper
-    types this model does not enumerate.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeParseError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
-    root = _node_from_obj(data)
-    validate_tree(root)
-    return root
 
 
 def possible_actions(tree: WidgetNode) -> list[PossibleAction]:

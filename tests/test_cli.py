@@ -121,6 +121,25 @@ def test_replay_with_altered_faults_exits_four(tmp_path, capsys):
     assert "divergence at iteration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tree_digest", "0" * 64),
+    ("controller_prompt_digest", "0" * 64),
+    ("evaluator_prompt_digest", "0" * 64),
+    ("page_key", "edited"),
+    ("action", "click(999999)"),
+    ("verdict", {"state": "problem", "reason": "edited"}),
+])
+def test_replay_of_an_edited_record_field_exits_four(tmp_path, capsys, field, value):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    iterations = out / "run-000" / "iterations.jsonl"
+    lines = [json.loads(line) for line in iterations.read_text("utf-8").splitlines()]
+    lines[1][field] = value
+    iterations.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    assert main(["replay", "--record", str(out / "run-000")]) == 4
+    assert f"divergence at iteration 1: {field} " in capsys.readouterr().err
+
+
 def test_label_creates_prefilled_file(tmp_path, capsys):
     out = tmp_path / "runs"
     config = tmp_path / "config.json"
@@ -267,4 +286,38 @@ def test_run_config_value_of_wrong_type_exits_one(tmp_path, capsys, cfg, flags):
     out = tmp_path / "runs"
     assert main(["run", "--config", str(config), "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_scripted_run_on_a_custom_wizard_without_a_script_exits_one(tmp_path, capsys):
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    wizard["pages"][0]["fields"][1]["label"] = "Component Name"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"wizard": wizard}), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "controller_script" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("controller_temperature", 5),
+    ("controller_temperature", "hot"),
+    ("evaluator_temperature", -1),
+    ("timeout", "60"),
+    ("max_retries", 1.5),
+    ("retry_backoff", None),
+])
+def test_run_remote_setting_out_of_range_or_not_a_number_exits_one(tmp_path, capsys,
+                                                                    key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"remote": {"endpoint": "http://127.0.0.1:9/x", "model": "m",
+                                             key: value}}), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "remote" in err
     assert not out.exists()

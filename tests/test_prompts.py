@@ -120,12 +120,9 @@ def test_evaluator_output_section_shows_both_verdict_shapes():
     assert '"state": "okay"' in body
 
 
-def test_evaluator_action_header_doubled_and_normalized():
+def test_evaluator_action_header_is_doubled():
     doubled = build_evaluator_prompt("go", shot(), shot())
     assert "was was:" in doubled.section("Action")
-    normalized = build_evaluator_prompt("go", shot(), shot(), doubled_was=False)
-    assert "was was:" not in normalized.section("Action")
-    assert "images was:" in normalized.section("Action")
 
 
 def test_evaluator_empty_explanation_still_has_two_attachments():

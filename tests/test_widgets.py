@@ -11,11 +11,9 @@ from guiscout.widgets import (
     RESERVED_KEYS,
     Rect,
     TreeIntegrityError,
-    TreeParseError,
     WidgetKind,
     WidgetNode,
     find_widget,
-    parse_tree,
     possible_actions,
     serialize_tree,
 )
@@ -27,15 +25,6 @@ DIALOG_ROOT = WidgetNode(
     rectangle=Rect(4429, 1655, 5172, 2299),
     text="Integrate a Tool as a Workflow Component",
 )
-
-TABLE_SNIPPET = """{
-  "class_name": "Dialog",
-  "control_type": "WindowSpecification",
-  "control_id": 0,
-  "rectangle": [ "L4429", "T1655", "R5172", "B2299" ],
-  "text": "Integrate a Tool as a Workflow Component",
-  "sub_elements": []
-}"""
 
 
 def leaf(kind: WidgetKind, control_id: int, text: str = "", extra=None) -> WidgetNode:
@@ -78,70 +67,9 @@ def test_extra_state_serializes_between_text_and_sub_elements():
     assert obj["enabled"] is False
 
 
-def test_rectangle_encoding_round_trip():
+def test_rectangle_encodes_as_prefixed_strings():
     rect = Rect(7, 8, 900, 1000)
     assert rect.encode() == ["L7", "T8", "R900", "B1000"]
-    assert Rect.decode(rect.encode()) == rect
-
-
-# --- parsing ---------------------------------------------------------------
-
-def test_parse_reference_snippet():
-    root = parse_tree(TABLE_SNIPPET)
-    assert root.kind is WidgetKind.DIALOG
-    assert root.control_id == 0
-    assert root.text == "Integrate a Tool as a Workflow Component"
-
-
-def test_parse_minimal_button_leaf():
-    raw = ('{"class_name":"X","control_type":"ButtonWrapper","control_id":1,'
-           '"rectangle":["L0","T0","R1","B1"],"text":"","sub_elements":[]}')
-    node = parse_tree(raw)
-    assert node.kind is WidgetKind.BUTTON
-    assert node.control_id == 1
-    assert node.sub_elements == ()
-
-
-def test_parse_duplicate_control_id_is_integrity_error():
-    root = WidgetNode(
-        class_name="Dialog", kind=WidgetKind.DIALOG, control_id=5,
-        rectangle=Rect(0, 0, 100, 100),
-        sub_elements=(leaf(WidgetKind.BUTTON, 5),),
-    )
-    with pytest.raises(TreeIntegrityError, match="duplicate control_id 5"):
-        parse_tree(serialize_tree_unchecked(root))
-
-
-def serialize_tree_unchecked(node: WidgetNode) -> str:
-    # serialize_tree validates, so build the duplicate-id JSON by hand
-    def obj(n):
-        return {
-            "class_name": n.class_name, "control_type": n.kind.value,
-            "control_id": n.control_id, "rectangle": n.rectangle.encode(),
-            "text": n.text, "sub_elements": [obj(c) for c in n.sub_elements],
-        }
-    return json.dumps(obj(node))
-
-
-def test_parse_malformed_json_reports_byte_offset():
-    with pytest.raises(TreeParseError, match=r"malformed JSON at byte \d+"):
-        parse_tree('{"class_name": "X", ')
-
-
-def test_parse_unknown_control_type_degrades_to_container():
-    raw = ('{"class_name":"X","control_type":"HyperlinkWrapper","control_id":1,'
-           '"rectangle":["L0","T0","R1","B1"],"text":"","sub_elements":[]}')
-    node = parse_tree(raw)
-    assert node.kind is WidgetKind.CONTAINER
-    assert node.unknown_type is True
-    assert possible_actions(node) == []
-
-
-def test_parse_rejects_bad_rectangle():
-    raw = ('{"class_name":"X","control_type":"ButtonWrapper","control_id":1,'
-           '"rectangle":["X0","T0","R1","B1"],"text":"","sub_elements":[]}')
-    with pytest.raises(TreeParseError, match="rectangle"):
-        parse_tree(raw)
 
 
 # --- possible actions ------------------------------------------------------
@@ -272,19 +200,6 @@ def widget_trees(draw) -> WidgetNode:
         )
 
     return build(shape)
-
-
-@settings(max_examples=100)
-@given(widget_trees())
-def test_round_trip_structural_equality(tree):
-    assert parse_tree(serialize_tree(tree)) == tree
-
-
-@settings(max_examples=100)
-@given(widget_trees())
-def test_reserialization_is_bit_identical(tree):
-    once = serialize_tree(tree)
-    assert serialize_tree(parse_tree(once)) == once
 
 
 @settings(max_examples=100)
