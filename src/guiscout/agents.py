@@ -201,7 +201,8 @@ class RemoteAgentConfig:
     retry_backoff: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, kind in (("timeout", (int, float)), ("max_retries", int),
+        for name, kind in (("endpoint", str), ("model", str), ("api_key_env", str),
+                           ("timeout", (int, float)), ("max_retries", int),
                            ("temperature", (int, float)), ("retry_backoff", (int, float))):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):

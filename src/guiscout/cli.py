@@ -15,10 +15,7 @@ from pathlib import Path
 
 from .agents import RemoteAgentConfig
 from .harness import (
-    DEFAULT_TASK,
-    ECHO_TYPES,
     CampaignError,
-    ConfigError,
     RecordLoadError,
     ReplayDivergence,
     ReplayError,
@@ -27,7 +24,7 @@ from .harness import (
     replay,
     run_many,
 )
-from .simulator import FaultKind, FaultSpec, WizardConfigError, new_wizard
+from .simulator import FaultKind, FaultSpec, faults_from_json, new_wizard
 from .triage import (
     TRUE_POSITIVE,
     Label,
@@ -67,14 +64,13 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--config", type=Path, help="JSON config file")
     run_p.add_argument("--runs", type=int, default=1, help="number of isolated runs")
     run_p.add_argument("--backend", choices=["sim"], default="sim")
-    run_p.add_argument("--controller", choices=["scripted", "random", "remote"],
-                       default="scripted")
-    run_p.add_argument("--evaluator", choices=["scripted", "oracle", "remote"],
-                       default="oracle")
-    run_p.add_argument("--seed", type=int, default=0)
+    # A run setting left unset keeps the config file's value or RunConfig's default.
+    run_p.add_argument("--controller", choices=["scripted", "random", "remote"])
+    run_p.add_argument("--evaluator", choices=["scripted", "oracle", "remote"])
+    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", type=Path, default=Path("runs"))
     run_p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    run_p.add_argument("--max-iterations", type=int, default=None)
+    run_p.add_argument("--max-iterations", type=int)
 
     replay_p = sub.add_parser("replay", help="re-execute a recorded run")
     replay_p.add_argument("--record", type=Path, required=True, help="run directory")
@@ -97,16 +93,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The type of each config-file value. A key the file shares with a run
-# header's config has the type it has there.
-_CONFIG_TYPES = {**{key: kind for key, kind in ECHO_TYPES.items()
-                    if key not in ("seed", "wizard_config")},
-                 "wizard": (dict, type(None)), "remote": (dict, type(None)),
-                 "controller_script": (list, type(None)), "evaluator_script": (list, type(None))}
+# Each config-file key and the RunConfig field it sets. A key the file leaves
+# out keeps the field's default; RunConfig checks every value.
+_RUN_KEYS = {"task": "task", "max_iterations": "max_iterations", "doc_budget": "doc_budget",
+             "attach_screenshot": "attach_screenshot", "wizard": "wizard_config",
+             "controller_script": "controller_script", "evaluator_script": "evaluator_script"}
+# The keys of the "remote" section that set the RemoteAgentConfig field of the same name.
+_REMOTE_KEYS = ("endpoint", "model", "api_key_env", "timeout", "max_retries", "retry_backoff")
 
 
 def _load_config_file(path: Path | None) -> dict:
-    """The config file as an object whose values have the types the run needs."""
+    """The config file as a JSON object; its values are checked where they are used."""
     if path is None:
         return {}
     try:
@@ -115,16 +112,6 @@ def _load_config_file(path: Path | None) -> dict:
         raise CliUsageError(f"unreadable config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliUsageError(f"config file {path} is not a JSON object")
-    for key, kind in _CONFIG_TYPES.items():
-        if key in cfg and not isinstance(cfg[key], kind):
-            raise CliUsageError(f"config file {key!r} has the wrong type: {cfg[key]!r}")
-    for key in ("controller_script", "evaluator_script"):
-        if not all(isinstance(line, str) for line in cfg.get(key) or []):
-            raise CliUsageError(f"config file {key!r} must be a list of strings")
-    remote = cfg.get("remote")
-    if remote is not None and not all(isinstance(remote.get(key), str)
-                                      for key in ("endpoint", "model")):
-        raise CliUsageError("config file \"remote\" needs a string \"endpoint\" and \"model\"")
     return cfg
 
 
@@ -132,26 +119,16 @@ def _remote_config(cfg: dict, role: str) -> RemoteAgentConfig | None:
     remote = cfg.get("remote")
     if remote is None:
         return None
-    default_temperature = 1.0 if role == "controller" else 0.0
+    if not isinstance(remote, dict):
+        raise CliUsageError(f"config file \"remote\" is not an object: {remote!r}")
+    fields = {key: remote[key] for key in _REMOTE_KEYS if key in remote}
+    if f"{role}_temperature" in remote or role == "evaluator":
+        # An evaluator judges, so unless told otherwise it samples at temperature 0.
+        fields["temperature"] = remote.get(f"{role}_temperature", 0.0)
     try:
-        return RemoteAgentConfig(
-            endpoint=remote["endpoint"],
-            model=remote["model"],
-            api_key_env=remote.get("api_key_env", "GUISCOUT_API_KEY"),
-            timeout=remote.get("timeout", 60.0),
-            max_retries=remote.get("max_retries", 3),
-            temperature=remote.get(f"{role}_temperature", default_temperature),
-            retry_backoff=remote.get("retry_backoff", 1.0),
-        )
-    except ValueError as exc:
+        return RemoteAgentConfig(**fields)
+    except (TypeError, ValueError) as exc:
         raise CliUsageError(f"config file \"remote\" is unusable for the {role}: {exc}") from exc
-
-
-def _parse_faults(cfg: dict) -> list[FaultSpec]:
-    try:
-        return [FaultSpec.from_json_obj(obj) for obj in cfg.get("faults", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliUsageError(f"config file has an unreadable fault: {exc!r}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -166,28 +143,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         env_name = (remote_controller or remote_evaluator).api_key_env
         if not os.environ.get(env_name):
             raise CliUsageError(f"environment variable {env_name} is not set")
+    fields = {field: cfg[key] for key, field in _RUN_KEYS.items() if key in cfg}
+    # A flag given on the command line overrides the config file.
+    flags = {"controller": args.controller, "evaluator": args.evaluator, "seed": args.seed,
+             "max_iterations": args.max_iterations}
+    fields.update((name, value) for name, value in flags.items() if value is not None)
     try:
+        if "faults" in cfg:
+            fields["faults"] = faults_from_json(cfg["faults"])
         run_config = RunConfig(
-            task=cfg.get("task", DEFAULT_TASK),
-            max_iterations=(args.max_iterations if args.max_iterations is not None
-                            else cfg.get("max_iterations", 100)),
-            controller=args.controller,
-            evaluator=args.evaluator,
-            seed=args.seed,
             out_dir=args.out,
-            faults=_parse_faults(cfg),
-            wizard_config=cfg.get("wizard"),
-            controller_script=cfg.get("controller_script"),
-            evaluator_script=cfg.get("evaluator_script"),
-            doc_budget=cfg.get("doc_budget", 8000),
-            attach_screenshot=cfg.get("attach_screenshot", True),
             remote_controller=remote_controller if args.controller == "remote" else None,
             remote_evaluator=remote_evaluator if args.evaluator == "remote" else None,
+            **fields,
         )
         # A malformed wizard or fault would fail every run alike: a usage error.
         new_wizard(run_config.faults, run_config.wizard_config)
         records = run_many(run_config, args.runs, jobs=args.jobs)
-    except (ConfigError, WizardConfigError) as exc:
+    except ValueError as exc:  # ConfigError, WizardConfigError or a malformed fault
         raise CliUsageError(str(exc)) from exc
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -198,16 +171,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        record = load_record(args.record)
-    except RecordLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    record = load_record(args.record)
     try:
         replay(record)
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ReplayDivergence as exc:
         print(f"divergence at iteration {exc.iteration}: {exc.detail}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -233,11 +199,7 @@ def _load_labels(path: Path) -> LabelFile:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    try:
-        records = _load_run_dirs(args.runs)
-    except RecordLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = _load_run_dirs(args.runs)
     existing = _load_labels(args.labels) if Path(args.labels).is_file() else None
     labels = prefill_labels(collect_positives(records), existing)
     labels.save(args.labels)
@@ -247,11 +209,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        records = _load_run_dirs(args.runs)
-    except RecordLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = _load_run_dirs(args.runs)
     labels = LabelFile()
     if args.labels is not None and Path(args.labels).is_file():
         labels = _load_labels(args.labels)
@@ -311,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             "demo": cmd_demo,
         }[args.command]
         return handler(args)
-    except CliUsageError as exc:
+    # An unreadable run record or a header replay cannot use is a usage error too.
+    except (CliUsageError, RecordLoadError, ReplayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,7 @@ import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 
 from .actions import (
@@ -47,6 +47,7 @@ from .simulator import (
     SimWizard,
     WizardConfigError,
     default_doc_corpus,
+    faults_from_json,
     full_traversal_script,
     new_wizard,
 )
@@ -111,8 +112,22 @@ class RunConfig:
     remote_evaluator: RemoteAgentConfig | None = None
 
     def __post_init__(self) -> None:
+        for name, kind in (("task", str), ("run_id", str), ("max_iterations", int), ("seed", int),
+                           ("doc_budget", int), ("faults", list), ("attach_screenshot", bool),
+                           ("wizard_config", dict | None), ("controller_script", list | None),
+                           ("evaluator_script", list | None)):
+            value = getattr(self, name)
+            # isinstance(True, int) holds, but a bool is never a count or a seed.
+            if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
+        for name, kind in (("faults", FaultSpec), ("controller_script", str),
+                           ("evaluator_script", str)):
+            if not all(isinstance(item, kind) for item in getattr(self, name) or []):
+                raise ConfigError(f"{name} holds an item of the wrong type")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
+        if self.doc_budget < 0:
+            raise ConfigError("doc_budget must be non-negative")
         if self.controller not in ("scripted", "random", "remote"):
             raise ConfigError(f"unknown controller kind {self.controller!r}")
         if self.evaluator not in ("scripted", "oracle", "remote"):
@@ -173,7 +188,18 @@ class IterationRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "IterationRecord":
-        return cls(**obj)
+        """An iteration from its JSON line; a missing, unknown or mistyped
+        field raises TypeError or ValueError."""
+        rec = cls(**obj)
+        for (name, value), types in zip(rec.__dict__.items(), _FIELD_TYPES):
+            if type(value) not in types:
+                raise ValueError(f"{name} has the wrong type: {value!r}")
+        verdict = rec.verdict
+        if verdict is not None and verdict != {"state": "okay"} and not (
+                verdict.keys() == {"state", "reason"} and verdict["state"] == "problem"
+                and isinstance(verdict["reason"], str) and verdict["reason"]):
+            raise ValueError(f"verdict is malformed: {verdict!r}")
+        return rec
 
     def fingerprint(self) -> dict:
         """Everything identity-relevant; wall-clock timestamps excluded."""
@@ -181,6 +207,14 @@ class IterationRecord:
         obj.pop("started_at")
         obj.pop("finished_at")
         return obj
+
+
+#: The JSON types each IterationRecord field may hold, in field order; a field
+#: not named is a string or null. Types match exactly, so a bool is no number.
+_FIELD_TYPES = tuple({"index": {int}, "page_key": {str}, "tree_digest": {str},
+                      "explanation": {str}, "verdict": {dict, type(None)},
+                      "started_at": {int, float}, "finished_at": {int, float},
+                      }.get(field.name, {str, type(None)}) for field in dc_fields(IterationRecord))
 
 
 @dataclass
@@ -273,14 +307,15 @@ class RunSession:
         self.docs = default_doc_corpus()
         self.log: list[ActionLogEntry] = []
         self.writer: RunWriter | None = None
+        echo = config.echo()
         if config.out_dir is not None:
             self.writer = RunWriter(config.out_dir, config.run_id,
                                     {"run_id": config.run_id, "format_version": 1,
-                                     "created_at": time.time(), "config": config.echo()})
+                                     "created_at": time.time(), "config": echo})
         self.prev_shot: SimScreenshot = self.sim.render()
         if self.writer:
             self.writer.write_shot(self.prev_shot)
-        self.record = RunRecord(run_id=config.run_id, config=config.echo())
+        self.record = RunRecord(run_id=config.run_id, config=echo)
 
     def run_iteration(self, index: int) -> IterationRecord:
         """Execute one full controller/executor/evaluator iteration."""
@@ -393,30 +428,21 @@ def run(config: RunConfig) -> RunRecord:
 
 
 def run_many(config: RunConfig, n: int, jobs: int = 1) -> list[RunRecord]:
-    """n independent runs with derived seeds (seed + run index)."""
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    configs = []
-    for index in range(n):
-        configs.append(replace(config, seed=config.seed + index,
-                               run_id=f"run-{index:03d}"))
+    """n independent runs with derived seeds (seed + run index), on ``jobs`` threads."""
+    if n < 1 or jobs < 1:
+        raise ConfigError(f"runs and jobs must be at least 1, got {n} and {jobs}")
+    configs = [replace(config, seed=config.seed + index, run_id=f"run-{index:03d}")
+               for index in range(n)]
     records: list[RunRecord | None] = [None] * n
     failures: list[tuple[int, Exception]] = []
-    if jobs <= 1:
-        for index, cfg in enumerate(configs):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {pool.submit(run, cfg): index for index, cfg in enumerate(configs)}
+        for future in concurrent.futures.as_completed(futures):
+            index = futures[future]
             try:
-                records[index] = run(cfg)
+                records[index] = future.result()
             except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
                 failures.append((index, exc))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run, cfg): index for index, cfg in enumerate(configs)}
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                try:
-                    records[index] = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((index, exc))
     ok = [record for record in records if record is not None]
     if failures:
         raise CampaignError(sorted(failures, key=lambda pair: pair[0]), ok)
@@ -430,8 +456,10 @@ def load_record(run_dir: Path) -> RunRecord:
         header = json.loads((run_dir / "header.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise RecordLoadError(f"unreadable header in {run_dir}: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
-        raise RecordLoadError(f"header in {run_dir} is not an object with an object config")
+    if not (isinstance(header, dict) and isinstance(header.get("run_id", ""), str)
+            and isinstance(header.get("config", {}), dict)):
+        raise RecordLoadError(
+            f"header in {run_dir} is not an object with a string run_id and an object config")
     record = RunRecord(run_id=header.get("run_id", run_dir.name),
                        config=header.get("config", {}))
     iterations_path = run_dir / "iterations.jsonl"
@@ -450,51 +478,41 @@ def load_record(run_dir: Path) -> RunRecord:
     return record
 
 
-#: The type each replayed header config value must have; a header is outside input.
-ECHO_TYPES = {"task": str, "max_iterations": int, "seed": int, "faults": list,
-              "wizard_config": (dict, type(None)), "doc_budget": int, "attach_screenshot": bool}
-
-
 def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
            out_dir: Path | None = None) -> RunRecord:
     """Re-execute a recorded run against a fresh simulator.
 
     Every recorded field except the wall-clock timestamps must match; the
     first mismatch raises ReplayDivergence naming the iteration and the field.
-    A header config value of the wrong type, an unreadable fault, or an
+    A header config that RunConfig rejects, an unreadable fault, or an
     iteration without recorded agent output raises ReplayError.
     """
     echo = record.config
     if echo.get("backend", "sim") != "sim":
         raise ReplayError("only simulated-backend records can be replayed")
-    if not isinstance(record.run_id, str):
-        raise ReplayError(f"header run_id is not a string: {record.run_id!r}")
-    for key, kind in ECHO_TYPES.items():
-        if key in echo and not isinstance(echo[key], kind):
-            raise ReplayError(f"header config {key!r} has the wrong type: {echo[key]!r}")
     for it in record.iterations:
         if it.controller_raw is None or it.evaluator_raw is None:
             raise ReplayError(
                 f"iteration {it.index} has no recorded agent output; cannot replay")
+    fields = {key: echo[key] for key in
+              ("task", "seed", "wizard_config", "doc_budget", "attach_screenshot") if key in echo}
     try:
+        if faults is None and "faults" in echo:
+            faults = faults_from_json(echo["faults"])
+        if faults is not None:
+            fields["faults"] = faults
         config = RunConfig(
-            task=echo.get("task", DEFAULT_TASK),
             max_iterations=len(record.iterations),
             controller="scripted",
             evaluator="scripted",
-            seed=echo.get("seed", 0),
             out_dir=out_dir,
             run_id=record.run_id + "-replay",
-            faults=(faults if faults is not None else
-                    [FaultSpec.from_json_obj(obj) for obj in echo.get("faults", [])]),
-            wizard_config=echo.get("wizard_config"),
             controller_script=[it.controller_raw for it in record.iterations],
             evaluator_script=[it.evaluator_raw for it in record.iterations],
-            doc_budget=echo.get("doc_budget", DEFAULT_DOC_BUDGET),
-            attach_screenshot=echo.get("attach_screenshot", True),
+            **fields,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReplayError(f"unusable header config: {exc!r}") from exc
+    except ValueError as exc:
+        raise ReplayError(f"unusable header config: {exc}") from exc
     try:
         new_record = run(config)
     except WizardConfigError as exc:

@@ -77,14 +77,29 @@ class FaultSpec:
     label: str
     active: bool = True
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.kind, FaultKind) and isinstance(self.page, str)
+                and isinstance(self.label, str) and isinstance(self.active, bool)):
+            raise ValueError(f"malformed fault: {self!r}")
+
     def to_json_obj(self) -> dict:
         return {"kind": self.kind.value, "page": self.page, "label": self.label,
                 "active": self.active}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FaultSpec":
+        """A fault from its JSON object; a malformed one raises ValueError."""
+        if not isinstance(obj, dict) or not {"kind", "page", "label"} <= obj.keys():
+            raise ValueError(f"a fault is an object with a kind, page and label: {obj!r}")
         return cls(kind=FaultKind(obj["kind"]), page=obj["page"], label=obj["label"],
                    active=obj.get("active", True))
+
+
+def faults_from_json(objs: list) -> list[FaultSpec]:
+    """Faults from a JSON list of fault objects; anything malformed raises ValueError."""
+    if not isinstance(objs, list):
+        raise ValueError(f"faults is not a list: {objs!r}")
+    return [FaultSpec.from_json_obj(obj) for obj in objs]
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ def test_run_smoke(tmp_path, capsys):
     assert "1 run(s)" in capsys.readouterr().out
 
 
-def test_run_rejects_zero_runs(tmp_path, capsys):
-    code = main(["run", "--runs", "0", "--out", str(tmp_path)])
+@pytest.mark.parametrize("flag, message", [("--runs", "--runs"), ("--jobs", "jobs")])
+def test_run_rejects_zero_runs(tmp_path, capsys, flag, message):
+    out = tmp_path / "runs"
+    code = main(["run", flag, "0", "--out", str(out)])
     assert code == 1
-    assert "--runs" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_live_without_credential_names_the_variable(tmp_path, capsys, monkeypatch):
@@ -76,6 +79,7 @@ def test_replay_non_object_header_exits_one(tmp_path, capsys, header):
     ("faults", [{"kind": "nope", "page": "launch_settings", "label": "Working Directory"}]),
     ("wizard_config", 5),
     ("doc_budget", "x"),
+    ("seed", True),
 ])
 def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, value):
     out = tmp_path / "runs"
@@ -138,6 +142,30 @@ def test_replay_of_an_edited_record_field_exits_four(tmp_path, capsys, field, va
     iterations.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
     assert main(["replay", "--record", str(out / "run-000")]) == 4
     assert f"divergence at iteration 1: {field} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["label", "report", "replay"])
+@pytest.mark.parametrize("field, value", [
+    ("verdict", "x"),
+    ("controller_raw", 5),
+    ("action", 5),
+    ("page_key", 5),
+])
+def test_malformed_iteration_line_exits_one(tmp_path, capsys, command, field, value):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    iterations = out / "run-000" / "iterations.jsonl"
+    lines = [json.loads(line) for line in iterations.read_text("utf-8").splitlines()]
+    lines[1][field] = value
+    iterations.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    argv = {"label": ["label", "--runs", str(out), "--labels", str(labels)],
+            "report": ["report", "--runs", str(out), "--assume-unlabeled-false"],
+            "replay": ["replay", "--record", str(out / "run-000")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: corrupt iteration at {iterations}:2")
+    assert [path.name for path in out.iterdir()] == ["run-000"]
+    assert not labels.exists()
 
 
 def test_label_creates_prefilled_file(tmp_path, capsys):
@@ -279,6 +307,11 @@ def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     ({"controller_script": "abc"}, []),
     ({"evaluator_script": [1]}, ["--evaluator", "scripted"]),
     ({"wizard": 5}, []),
+    ({"max_iterations": True}, []),
+    ({"doc_budget": True}, []),
+    ({"doc_budget": -5}, []),
+    ({"faults": [{"kind": "generic_error_message", "page": "launch_settings",
+                  "label": "Working Directory", "active": "no"}]}, []),
 ], ids=lambda value: repr(value)[:40])
 def test_run_config_value_of_wrong_type_exits_one(tmp_path, capsys, cfg, flags):
     config = tmp_path / "config.json"
@@ -310,6 +343,7 @@ def test_scripted_run_on_a_custom_wizard_without_a_script_exits_one(tmp_path, ca
     ("timeout", "60"),
     ("max_retries", 1.5),
     ("retry_backoff", None),
+    ("api_key_env", 5),
 ])
 def test_run_remote_setting_out_of_range_or_not_a_number_exits_one(tmp_path, capsys,
                                                                     key, value):
@@ -321,3 +355,47 @@ def test_run_remote_setting_out_of_range_or_not_a_number_exits_one(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "remote" in err
     assert not out.exists()
+
+
+def test_run_config_file_sets_every_run_setting(tmp_path, monkeypatch):
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    wizard["pages"][0]["fields"][1]["label"] = "Component Name"
+    fault = {"kind": "generic_error_message", "page": "launch_settings",
+             "label": "Working Directory", "active": False}
+    controller_script = [json.dumps({"action": "click(999)", "explanation": f"probe {n}"})
+                         for n in range(3)]
+    evaluator_script = ['{"state": "okay"}', '{"state": "problem", "reason": "r"}', "x"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "task": "Test the wizard.", "max_iterations": 2, "doc_budget": 100,
+        "attach_screenshot": False, "faults": [fault], "wizard": wizard,
+        "controller_script": controller_script, "evaluator_script": evaluator_script,
+    }), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out), "--evaluator", "scripted",
+                 "--seed", "7"]) == 0
+    header = json.loads((out / "run-000" / "header.json").read_text("utf-8"))
+    assert header["config"] == {
+        "task": "Test the wizard.", "max_iterations": 2, "backend": "sim",
+        "controller": "scripted", "evaluator": "scripted", "seed": 7, "faults": [fault],
+        "wizard_config": wizard, "doc_budget": 100, "attach_screenshot": False,
+        "remote_controller": None, "remote_evaluator": None}
+    # The scripts are not echoed; the recorded agent outputs show they were used.
+    iterations = [json.loads(line) for line in
+                  (out / "run-000" / "iterations.jsonl").read_text("utf-8").splitlines()]
+    assert [it["controller_raw"] for it in iterations] == controller_script[:2]
+    assert [it["evaluator_raw"] for it in iterations] == evaluator_script[:2]
+
+    remote = {"endpoint": "http://127.0.0.1:9/x", "model": "m", "api_key_env": "GUISCOUT_T",
+              "timeout": 5.0, "max_retries": 1, "retry_backoff": 0.5}
+    config.write_text(json.dumps({"max_iterations": 0, "remote": {
+        **remote, "controller_temperature": 0.3, "evaluator_temperature": 0.7}}),
+        encoding="utf-8")
+    monkeypatch.setenv("GUISCOUT_T", "secret")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "remote"),
+                 "--controller", "remote", "--evaluator", "remote"]) == 0
+    header = json.loads((tmp_path / "remote" / "run-000" / "header.json").read_text("utf-8"))
+    assert header["config"]["remote_controller"] == {**remote, "temperature": 0.3}
+    assert header["config"]["remote_evaluator"] == {**remote, "temperature": 0.7}

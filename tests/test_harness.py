@@ -283,9 +283,26 @@ def test_run_many_isolates_per_run_failures():
     assert info.value.records == []
 
 
-def test_run_many_rejects_zero_runs():
+@pytest.mark.parametrize("runs, jobs", [(0, 1), (1, 0)])
+def test_run_many_rejects_zero_runs(runs, jobs):
     with pytest.raises(ConfigError):
-        run_many(scripted_config(), 0)
+        run_many(scripted_config(), runs, jobs=jobs)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("task", 5),
+    ("run_id", None),
+    ("max_iterations", True),
+    ("seed", "1"),
+    ("doc_budget", -1),
+    ("faults", [{"kind": "stale_error"}]),
+    ("wizard_config", []),
+    ("controller_script", ["{}", 5]),
+    ("attach_screenshot", 1),
+])
+def test_run_config_rejects_a_value_of_the_wrong_type(setting, value):
+    with pytest.raises(ConfigError, match=setting):
+        scripted_config(**{setting: value})
 
 
 # --- replay ----------------------------------------------------------------
