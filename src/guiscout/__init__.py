@@ -40,6 +40,7 @@ from .harness import (
     ReplayDivergence,
     RunConfig,
     RunRecord,
+    load_blobs,
     load_record,
     replay,
     run,

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-import requests
-
 from .actions import ActionCommand, extract_first_json_object, format_action
 from .prompts import PromptDocument
 from .widgets import PossibleAction
@@ -245,6 +243,10 @@ class RemoteAgent(Agent):
         }
 
     def respond(self, request: AgentRequest) -> str:
+        # Imported on first use: it adds about 14 MiB of memory to every
+        # process, and runs with only local agents never send a request.
+        import requests
+
         key = os.environ.get(self.config.api_key_env)
         if not key:
             raise RemoteAgentError(

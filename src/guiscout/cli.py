@@ -102,6 +102,13 @@ _RUN_KEYS = {"task": "task", "max_iterations": "max_iterations", "doc_budget": "
 _REMOTE_KEYS = ("endpoint", "model", "api_key_env", "timeout", "max_retries", "retry_backoff")
 
 
+def _reject_unknown_keys(section: str, obj: dict, known) -> None:
+    """A misspelt key would silently keep a default, so any unknown key is an error."""
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise CliUsageError(f"config file {section} has unknown keys {unknown}")
+
+
 def _load_config_file(path: Path | None) -> dict:
     """The config file as a JSON object; its values are checked where they are used."""
     if path is None:
@@ -121,6 +128,8 @@ def _remote_config(cfg: dict, role: str) -> RemoteAgentConfig | None:
         return None
     if not isinstance(remote, dict):
         raise CliUsageError(f"config file \"remote\" is not an object: {remote!r}")
+    _reject_unknown_keys('"remote"', remote,
+                         (*_REMOTE_KEYS, "controller_temperature", "evaluator_temperature"))
     fields = {key: remote[key] for key in _REMOTE_KEYS if key in remote}
     if f"{role}_temperature" in remote or role == "evaluator":
         # An evaluator judges, so unless told otherwise it samples at temperature 0.
@@ -135,6 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise CliUsageError("--runs must be at least 1")
     cfg = _load_config_file(args.config)
+    _reject_unknown_keys("top level", cfg, (*_RUN_KEYS, "faults", "remote"))
     remote_controller = _remote_config(cfg, "controller")
     remote_evaluator = _remote_config(cfg, "evaluator")
     if "remote" in (args.controller, args.evaluator):

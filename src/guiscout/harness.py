@@ -5,7 +5,11 @@ validate its output, execute the action, append to the action log, render the
 new screenshot, build the evaluator prompt from the action's explanation and
 the before/after pair, query the evaluator, and record the verdict. Records
 persist incrementally (one JSONL line per iteration) so a crashed run keeps
-everything it completed.
+everything it completed: each iteration first flushes the screenshots and
+prompts it added to the run's pack, then writes and flushes its line, so every
+digest that a complete line names is already in the pack. A flush hands the
+bytes to the operating system; nothing is fsynced, so this covers a crashed
+process, not a lost disk write.
 """
 
 from __future__ import annotations
@@ -235,36 +239,58 @@ class RunRecord:
                 if it.verdict is not None and it.verdict.get("state") == "problem"]
 
 
-class RunWriter:
-    """Incremental, crash-safe persistence for one run directory."""
+#: The layout RunWriter writes: header.json, iterations.jsonl and the pack
+#: blobs.txt. Version 1 stored each text as shots/<digest>.txt or
+#: prompts/<digest>.txt; its header and iterations.jsonl are the same.
+FORMAT_VERSION = 2
+READABLE_FORMAT_VERSIONS = (1, 2)
+BLOBS_NAME = "blobs.txt"
 
-    def __init__(self, out_dir: Path, run_id: str, header: dict):
+
+class RunWriter:
+    """Incremental, crash-safe persistence for one run directory.
+
+    Screenshots and prompts go to one append-only pack, keyed by the sha256 of
+    their UTF-8 bytes. Each distinct text is written once, as a line
+    ``<sha256> <byte length>``, its bytes, and a newline; ``load_blobs`` reads
+    it back. Call ``close`` when the run ends.
+    """
+
+    def __init__(self, out_dir: Path, run_id: str, config: dict, created_at: float):
         self.run_dir = Path(out_dir) / run_id
-        self.shots_dir = self.run_dir / "shots"
-        self.prompts_dir = self.run_dir / "prompts"
-        self.shots_dir.mkdir(parents=True, exist_ok=True)
-        self.prompts_dir.mkdir(parents=True, exist_ok=True)
-        header_path = self.run_dir / "header.json"
-        header_path.write_text(json.dumps(header, indent=2), encoding="utf-8")
-        self._iterations_path = self.run_dir / "iterations.jsonl"
-        self._iterations_path.write_text("", encoding="utf-8")
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        header = {"run_id": run_id, "format_version": FORMAT_VERSION,
+                  "created_at": created_at, "config": config}
+        (self.run_dir / "header.json").write_text(json.dumps(header, indent=2),
+                                                   encoding="utf-8")
+        self._blobs = (self.run_dir / BLOBS_NAME).open("wb")
+        self._iterations = (self.run_dir / "iterations.jsonl").open("w", encoding="utf-8")
+        self._written: set[str] = set()
 
     def write_shot(self, shot: SimScreenshot) -> None:
-        path = self.shots_dir / f"{shot.digest}.txt"
-        if not path.exists():
-            path.write_text(shot.rendered, encoding="utf-8")
+        self._store(shot.digest, shot.rendered)
 
     def write_prompt(self, text: str, digest: str) -> str:
         """Store a prompt under ``digest``, the sha256 of ``text`` that the
         caller already holds, so the text is not hashed again."""
-        path = self.prompts_dir / f"{digest}.txt"
-        if not path.exists():
-            path.write_text(text, encoding="utf-8")
+        self._store(digest, text)
         return digest
 
+    def _store(self, digest: str, text: str) -> None:
+        if digest not in self._written:
+            self._written.add(digest)
+            data = text.encode("utf-8")
+            self._blobs.write(b"%s %d\n%s\n" % (digest.encode("ascii"), len(data), data))
+
     def append_iteration(self, record: IterationRecord) -> None:
-        with self._iterations_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_json_obj()) + "\n")
+        # The pack first: a complete line names only digests already on disk.
+        self._blobs.flush()
+        self._iterations.write(json.dumps(record.to_json_obj()) + "\n")
+        self._iterations.flush()
+
+    def close(self) -> None:
+        self._blobs.close()
+        self._iterations.close()
 
 
 def _sha256(text: str) -> str:
@@ -309,9 +335,7 @@ class RunSession:
         self.writer: RunWriter | None = None
         echo = config.echo()
         if config.out_dir is not None:
-            self.writer = RunWriter(config.out_dir, config.run_id,
-                                    {"run_id": config.run_id, "format_version": 1,
-                                     "created_at": time.time(), "config": echo})
+            self.writer = RunWriter(config.out_dir, config.run_id, echo, time.time())
         self.prev_shot: SimScreenshot = self.sim.render()
         if self.writer:
             self.writer.write_shot(self.prev_shot)
@@ -409,16 +433,20 @@ class RunSession:
         return self.writer.write_prompt(prompt.text(), prompt.digest)
 
     def run(self) -> RunRecord:
-        for index in range(self.config.max_iterations):
-            if self.controller.finished:
-                break
-            try:
-                rec = self.run_iteration(index)
-            except ScriptExhausted:
-                break
-            self.record.iterations.append(rec)
+        try:
+            for index in range(self.config.max_iterations):
+                if self.controller.finished:
+                    break
+                try:
+                    rec = self.run_iteration(index)
+                except ScriptExhausted:
+                    break
+                self.record.iterations.append(rec)
+                if self.writer:
+                    self.writer.append_iteration(rec)
+        finally:
             if self.writer:
-                self.writer.append_iteration(rec)
+                self.writer.close()
         return self.record
 
 
@@ -460,6 +488,10 @@ def load_record(run_dir: Path) -> RunRecord:
             and isinstance(header.get("config", {}), dict)):
         raise RecordLoadError(
             f"header in {run_dir} is not an object with a string run_id and an object config")
+    version = header.get("format_version")
+    if type(version) is not int or version not in READABLE_FORMAT_VERSIONS:
+        raise RecordLoadError(f"header in {run_dir} has format_version {version!r}; "
+                              f"readable versions are {READABLE_FORMAT_VERSIONS}")
     record = RunRecord(run_id=header.get("run_id", run_dir.name),
                        config=header.get("config", {}))
     iterations_path = run_dir / "iterations.jsonl"
@@ -478,41 +510,83 @@ def load_record(run_dir: Path) -> RunRecord:
     return record
 
 
+def load_blobs(run_dir: Path) -> dict[str, str]:
+    """Every screenshot and prompt in a run's pack, by digest. An entry that
+    is torn or whose text does not hash to its digest raises RecordLoadError."""
+    path = Path(run_dir) / BLOBS_NAME
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise RecordLoadError(f"unreadable pack in {run_dir}: {exc}") from exc
+    blobs: dict[str, str] = {}
+    pos = 0
+    while pos < len(data):
+        head_end = data.find(b"\n", pos)
+        digest, _, length = data[pos:max(pos, head_end)].decode("ascii", "replace").partition(" ")
+        start = head_end + 1
+        end = start + int(length) if head_end >= 0 and length.isdigit() else len(data)
+        body = data[start:end]
+        if (end >= len(data) or data[end] != ord("\n")
+                or hashlib.sha256(body).hexdigest() != digest):
+            raise RecordLoadError(f"torn or corrupt entry at byte {pos} of {path}")
+        try:
+            blobs[digest] = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecordLoadError(f"entry at byte {pos} of {path} is not UTF-8") from exc
+        pos = end + 1
+    return blobs
+
+
+#: The header config keys that map one to one onto a RunConfig field.
+_ECHOED_FIELDS = ("task", "max_iterations", "controller", "evaluator", "seed",
+                  "wizard_config", "doc_budget", "attach_screenshot")
+
+
 def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
            out_dir: Path | None = None) -> RunRecord:
     """Re-execute a recorded run against a fresh simulator.
 
     Every recorded field except the wall-clock timestamps must match; the
     first mismatch raises ReplayDivergence naming the iteration and the field.
-    A header config that RunConfig rejects, an unreadable fault, or an
-    iteration without recorded agent output raises ReplayError.
+    The recorded RunConfig is rebuilt from the header, and its echo must equal
+    the header's config exactly. A header config that fails this, or an
+    iteration without recorded agent output, raises ReplayError.
     """
-    echo = record.config
-    if echo.get("backend", "sim") != "sim":
-        raise ReplayError("only simulated-backend records can be replayed")
     for it in record.iterations:
         if it.controller_raw is None or it.evaluator_raw is None:
             raise ReplayError(
                 f"iteration {it.index} has no recorded agent output; cannot replay")
-    fields = {key: echo[key] for key in
-              ("task", "seed", "wizard_config", "doc_budget", "attach_screenshot") if key in echo}
+    echo = record.config
     try:
-        if faults is None and "faults" in echo:
-            faults = faults_from_json(echo["faults"])
-        if faults is not None:
-            fields["faults"] = faults
-        config = RunConfig(
-            max_iterations=len(record.iterations),
-            controller="scripted",
-            evaluator="scripted",
-            out_dir=out_dir,
-            run_id=record.run_id + "-replay",
-            controller_script=[it.controller_raw for it in record.iterations],
-            evaluator_script=[it.evaluator_raw for it in record.iterations],
-            **fields,
-        )
-    except ValueError as exc:
+        fields = {key: echo[key] for key in _ECHOED_FIELDS if key in echo}
+        fields["faults"] = faults_from_json(echo.get("faults", []))
+        # Scripts are not echoed; the recorded outputs stand in for any script.
+        fields["controller_script"] = [it.controller_raw for it in record.iterations]
+        fields["evaluator_script"] = [it.evaluator_raw for it in record.iterations]
+        for key in ("remote_controller", "remote_evaluator"):
+            if echo.get(key) is not None:
+                fields[key] = RemoteAgentConfig(**echo[key])
+        recorded_config = RunConfig(**fields)
+    except (TypeError, ValueError) as exc:
         raise ReplayError(f"unusable header config: {exc}") from exc
+    # The header must be one that a run writes, so that no key goes unchecked.
+    rebuilt = recorded_config.echo()
+    differing = rebuilt.keys() ^ echo.keys() | {
+        key for key in rebuilt.keys() & echo.keys() if rebuilt[key] != echo[key]}
+    if differing:
+        raise ReplayError(f"unusable header config: {sorted(differing)} differ from "
+                          f"what a run with these settings records")
+    config = replace(
+        recorded_config,
+        max_iterations=len(record.iterations),
+        controller="scripted",
+        evaluator="scripted",
+        faults=recorded_config.faults if faults is None else faults,
+        out_dir=out_dir,
+        run_id=record.run_id + "-replay",
+        remote_controller=None,
+        remote_evaluator=None,
+    )
     try:
         new_record = run(config)
     except WizardConfigError as exc:

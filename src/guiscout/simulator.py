@@ -91,6 +91,9 @@ class FaultSpec:
         """A fault from its JSON object; a malformed one raises ValueError."""
         if not isinstance(obj, dict) or not {"kind", "page", "label"} <= obj.keys():
             raise ValueError(f"a fault is an object with a kind, page and label: {obj!r}")
+        unknown = sorted(obj.keys() - {"kind", "page", "label", "active"})
+        if unknown:
+            raise ValueError(f"a fault has unknown keys {unknown}: {obj!r}")
         return cls(kind=FaultKind(obj["kind"]), page=obj["page"], label=obj["label"],
                    active=obj.get("active", True))
 

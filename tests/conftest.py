@@ -89,11 +89,10 @@ def write_funnel_dirs(base: Path) -> tuple[Path, Path]:
     records, labels = make_funnel_records()
     runs_dir = base / "runs"
     for record in records:
-        writer = RunWriter(runs_dir, record.run_id,
-                           {"run_id": record.run_id, "format_version": 1,
-                            "created_at": 0.0, "config": record.config})
+        writer = RunWriter(runs_dir, record.run_id, record.config, 0.0)
         for it in record.iterations:
             writer.append_iteration(it)
+        writer.close()
     labels_path = base / "labels.txt"
     labels.save(labels_path)
     return runs_dir, labels_path

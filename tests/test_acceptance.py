@@ -16,7 +16,7 @@ from guiscout.actions import (
     parse_action,
     parse_controller_output,
 )
-from guiscout.harness import RunConfig, load_record, replay, run, run_many
+from guiscout.harness import RunConfig, load_blobs, load_record, replay, run, run_many
 from guiscout.simulator import (
     FaultKind,
     FaultSpec,
@@ -244,9 +244,9 @@ def test_criterion_8_remote_agent_contract(tmp_path, stub_server, monkeypatch):
     images = [part for part in messages[0]["content"] if part["type"] == "image_url"]
     decoded = [base64.b64decode(part["image_url"]["url"].split(",", 1)[1]).decode("utf-8")
                for part in images]
-    shots_dir = tmp_path / "run-000" / "shots"
-    before = (shots_dir / f"{iteration.before_digest}.txt").read_text("utf-8")
-    after = (shots_dir / f"{iteration.after_digest}.txt").read_text("utf-8")
+    blobs = load_blobs(tmp_path / "run-000")
+    before = blobs[iteration.before_digest]
+    after = blobs[iteration.after_digest]
     assert decoded == [before, after]
 
     for path in sorted((tmp_path / "run-000").rglob("*")):

@@ -80,6 +80,10 @@ def test_replay_non_object_header_exits_one(tmp_path, capsys, header):
     ("wizard_config", 5),
     ("doc_budget", "x"),
     ("seed", True),
+    ("max_iterations", "x"),
+    ("controller", 5),
+    ("remote_controller", 7),
+    ("backend", "live"),
 ])
 def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, value):
     out = tmp_path / "runs"
@@ -319,6 +323,22 @@ def test_run_config_value_of_wrong_type_exits_one(tmp_path, capsys, cfg, flags):
     out = tmp_path / "runs"
     assert main(["run", "--config", str(config), "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"max_iteration": 5}, "max_iteration"),
+    ({"remote": {"endpoint": "http://127.0.0.1:9/x", "model": "m", "timout": 5}}, "timout"),
+    ({"faults": [{"kind": "generic_error_message", "page": "launch_settings",
+                  "label": "Working Directory", "actve": False}]}, "actve"),
+], ids=["top-level", "remote", "fault"])
+def test_run_config_file_with_a_misspelt_key_exits_one(tmp_path, capsys, cfg, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
     assert not out.exists()
 
 

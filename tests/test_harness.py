@@ -15,6 +15,7 @@ from guiscout.harness import (
     ReplayDivergence,
     RunConfig,
     RunSession,
+    load_blobs,
     load_record,
     replay,
     run,
@@ -83,9 +84,9 @@ def test_oracle_problem_recorded_with_canonical_reason():
 def test_log_grows_by_exactly_one_entry_per_iteration(tmp_path):
     config = scripted_config(out_dir=tmp_path, run_id="run-log")
     record = run(config)
-    prompts_dir = tmp_path / "run-log" / "prompts"
+    blobs = load_blobs(tmp_path / "run-log")
     for k, iteration in enumerate(record.iterations):
-        text = (prompts_dir / f"{iteration.controller_prompt_digest}.txt").read_text("utf-8")
+        text = blobs[iteration.controller_prompt_digest]
         log_section = text.split("The previous actions:\n", 1)[1]
         log_json = log_section.rsplit("\n\nWhat action do you want", 1)[0]
         assert len(json.loads(log_json)) == k
@@ -99,10 +100,10 @@ def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_pat
                                  run_id="run-hash"))
     # Only the tree digest is hashed here; each prompt brings its cached digest.
     assert len(hashed) == len(record.iterations)
-    prompts_dir = tmp_path / "run-hash" / "prompts"
+    blobs = load_blobs(tmp_path / "run-hash")
     for iteration in record.iterations:
         for digest in (iteration.controller_prompt_digest, iteration.evaluator_prompt_digest):
-            text = (prompts_dir / f"{digest}.txt").read_text("utf-8")
+            text = blobs[digest]
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -110,9 +111,9 @@ def test_evaluator_gets_only_the_current_explanation(tmp_path):
     config = scripted_config(controller_script=mini_script(), out_dir=tmp_path,
                              run_id="run-ev")
     record = run(config)
-    prompts_dir = tmp_path / "run-ev" / "prompts"
+    blobs = load_blobs(tmp_path / "run-ev")
     second = record.iterations[1]
-    text = (prompts_dir / f"{second.evaluator_prompt_digest}.txt").read_text("utf-8")
+    text = blobs[second.evaluator_prompt_digest]
     assert "go to the next page" in text
     assert "name the tool" not in text
 
@@ -179,10 +180,11 @@ def test_record_persists_incrementally_and_loads_back(tmp_path):
     assert len(lines) == len(record.iterations)
     loaded = load_record(run_dir)
     assert loaded.fingerprint() == record.fingerprint()
+    blobs = load_blobs(run_dir)
     for iteration in record.iterations:
-        assert (run_dir / "shots" / f"{iteration.before_digest}.txt").is_file()
-        assert (run_dir / "shots" / f"{iteration.after_digest}.txt").is_file()
-        assert (run_dir / "prompts" / f"{iteration.controller_prompt_digest}.txt").is_file()
+        assert iteration.before_digest in blobs
+        assert iteration.after_digest in blobs
+        assert iteration.controller_prompt_digest in blobs
 
 
 def test_header_echoes_config_without_scripts(tmp_path):
@@ -211,6 +213,98 @@ def test_non_object_header_fails_to_load(tmp_path, header):
     (tmp_path / "run-h" / "header.json").write_text(json.dumps(header), encoding="utf-8")
     with pytest.raises(RecordLoadError, match="not an object"):
         load_record(tmp_path / "run-h")
+
+
+@pytest.mark.parametrize("version", [None, 0, 3, "2", 2.0, True])
+def test_unknown_format_version_fails_to_load(tmp_path, version):
+    run(scripted_config(out_dir=tmp_path, run_id="run-v", max_iterations=2))
+    header_path = tmp_path / "run-v" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    assert header["format_version"] == 2
+    header["format_version"] = version
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    with pytest.raises(RecordLoadError, match="format_version"):
+        load_record(tmp_path / "run-v")
+
+
+def test_format_version_one_header_still_loads(tmp_path):
+    record = run(scripted_config(out_dir=tmp_path, run_id="run-v1", max_iterations=3))
+    header_path = tmp_path / "run-v1" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["format_version"] = 1
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    assert load_record(tmp_path / "run-v1").fingerprint() == record.fingerprint()
+
+
+PERSISTED_DIGESTS = ("before_digest", "after_digest", "controller_prompt_digest",
+                     "evaluator_prompt_digest")
+
+
+def test_every_digest_a_line_names_is_in_the_pack_when_the_line_is_written(tmp_path,
+                                                                             monkeypatch):
+    steps = 12
+    session = RunSession(RunConfig(controller="random", evaluator="oracle", seed=3,
+                                   max_iterations=steps, faults=default_fault_set(),
+                                   out_dir=tmp_path, run_id="run-p"))
+    run_dir = tmp_path / "run-p"
+    writer = session.writer
+
+    def assert_resolved(lines):
+        blobs = load_blobs(run_dir)
+        for line in lines:
+            obj = json.loads(line)
+            for key in PERSISTED_DIGESTS:
+                text = blobs[obj[key]]
+                assert hashlib.sha256(text.encode("utf-8")).hexdigest() == obj[key]
+
+    written = []
+
+    class LineSpy:
+        """Reads the pack from disk whenever a line is handed to iterations.jsonl."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, line):
+            assert_resolved([line])
+            written.append(line)
+            return self.handle.write(line)
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+    monkeypatch.setattr(writer, "_iterations", LineSpy(writer._iterations))
+    try:
+        for index in range(steps):
+            writer.append_iteration(session.run_iteration(index))
+            lines = (run_dir / "iterations.jsonl").read_text("utf-8").splitlines()
+            assert len(lines) == index + 1
+            assert_resolved(lines)
+    finally:
+        writer.close()
+    assert len(written) == steps
+
+
+def test_a_pack_cut_or_changed_inside_its_last_entry_fails_to_load(tmp_path):
+    run(scripted_config(controller_script=mini_script(), out_dir=tmp_path, run_id="run-t"))
+    path = tmp_path / "run-t" / "blobs.txt"
+    data = path.read_bytes()
+    digest, text = list(load_blobs(tmp_path / "run-t").items())[-1]
+    body = text.encode("utf-8")
+    head = f"{digest} {len(body)}\n".encode("ascii")
+    start = len(data) - len(head) - len(body) - 1
+    assert data[start:] == head + body + b"\n"
+    cuts = [*range(start + 1, start + len(head) + 2), start + len(head) + len(body) // 2,
+            len(data) - 2, len(data) - 1]
+    for cut in cuts:
+        path.write_bytes(data[:cut])
+        with pytest.raises(RecordLoadError, match="torn or corrupt"):
+            load_blobs(tmp_path / "run-t")
+    changed = bytearray(data)
+    changed[start + len(head)] ^= 1
+    path.write_bytes(bytes(changed))
+    with pytest.raises(RecordLoadError, match="torn or corrupt"):
+        load_blobs(tmp_path / "run-t")
 
 
 # --- run_many --------------------------------------------------------------
@@ -315,6 +409,18 @@ def test_self_replay_matches(tmp_path):
     replayed = replay(record)
     assert [it.after_digest for it in replayed.iterations] == \
         [it.after_digest for it in record.iterations]
+
+
+def test_replay_of_a_scripted_run_on_a_custom_wizard_matches(tmp_path):
+    from guiscout.simulator import default_wizard_config
+
+    config = scripted_config(out_dir=tmp_path, run_id="run-w", max_iterations=12,
+                             wizard_config=default_wizard_config(),
+                             controller_script=full_traversal_script())
+    run(config)
+    record = load_record(tmp_path / "run-w")
+    assert [it.fingerprint() for it in replay(record).iterations] == \
+        [it.fingerprint() for it in record.iterations]
 
 
 def test_replay_of_empty_record_is_trivially_equal():
