@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from guiscout.harness import IterationRecord, RunRecord, RunConfig, run
@@ -16,8 +18,11 @@ from guiscout.triage import (
     consolidate,
     normalize_reason,
     prefill_labels,
+    report_to_json,
     summarize,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def finding(run_id="run-000", iteration=0, reason="broken", action="click(1)"):
@@ -144,6 +149,14 @@ def test_summarize_is_pure(funnel_records):
     records, labels = funnel_records
     assert build_report(records, labels).to_json_obj() == \
         build_report(records, labels).to_json_obj()
+
+
+def test_funnel_fixture_report_is_pinned(funnel_records):
+    # Every number of the report, per-run rows and coverage included, in both formats.
+    records, labels = funnel_records
+    report = build_report(records, labels)
+    assert report_to_json(report) + "\n" == (FIXTURES / "funnel_report.json").read_text("utf-8")
+    assert report.render_text() + "\n" == (FIXTURES / "funnel_report.txt").read_text("utf-8")
 
 
 def test_report_text_shows_the_funnel_stages(funnel_records):
