@@ -67,15 +67,12 @@ from .simulator import (
     new_wizard,
 )
 from .triage import (
-    IssueGroup,
     Label,
     LabelFile,
     PositiveFinding,
     Report,
     build_report,
     collect_positives,
-    consolidate,
-    summarize,
 )
 from .widgets import (
     ActionVerb,

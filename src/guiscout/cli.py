@@ -230,9 +230,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("label them or pass --assume-unlabeled-false", file=sys.stderr)
         return EXIT_UNLABELED
-    except TriageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "json":
         print(report_to_json(report))
     else:
@@ -279,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
             "demo": cmd_demo,
         }[args.command]
         return handler(args)
-    # An unreadable run record or a header replay cannot use is a usage error too.
-    except (CliUsageError, RecordLoadError, ReplayError) as exc:
+    # An unreadable run record, a header replay cannot use, or labels and records
+    # that do not fit together (such as two runs with one run id) are usage errors too.
+    except (CliUsageError, RecordLoadError, ReplayError, TriageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,7 +36,6 @@ from .agents import (
     RemoteAgent,
     RemoteAgentConfig,
     ScriptedAgent,
-    ScriptExhausted,
     Verdict,
     VerdictParseError,
     parse_verdict,
@@ -258,7 +257,8 @@ class RunWriter:
 
     def __init__(self, out_dir: Path, run_id: str, config: dict, created_at: float):
         self.run_dir = Path(out_dir) / run_id
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        # Exclusive: a run directory that exists already raises FileExistsError.
+        self.run_dir.mkdir(parents=True)
         header = {"run_id": run_id, "format_version": FORMAT_VERSION,
                   "created_at": created_at, "config": config}
         (self.run_dir / "header.json").write_text(json.dumps(header, indent=2),
@@ -363,8 +363,6 @@ class RunSession:
         try:
             raw = self.controller.respond(
                 AgentRequest(controller_prompt, "controller", actions))
-        except ScriptExhausted:
-            raise
         except AgentError as exc:
             rec.controller_error = str(exc)
             rec.finished_at = time.time()
@@ -411,7 +409,7 @@ class RunSession:
 
         verdict: Verdict | None = None
         if self.evaluator is None:
-            verdict = self.sim.oracle_evaluate(before, after, cmd)
+            verdict = self.sim.oracle_evaluate(before, after)
             rec.evaluator_raw = verdict_to_json(verdict)
         else:
             try:
@@ -437,10 +435,7 @@ class RunSession:
             for index in range(self.config.max_iterations):
                 if self.controller.finished:
                     break
-                try:
-                    rec = self.run_iteration(index)
-                except ScriptExhausted:
-                    break
+                rec = self.run_iteration(index)
                 self.record.iterations.append(rec)
                 if self.writer:
                     self.writer.append_iteration(rec)
@@ -456,11 +451,20 @@ def run(config: RunConfig) -> RunRecord:
 
 
 def run_many(config: RunConfig, n: int, jobs: int = 1) -> list[RunRecord]:
-    """n independent runs with derived seeds (seed + run index), on ``jobs`` threads."""
+    """n independent runs with derived seeds (seed + run index), on ``jobs`` threads.
+
+    Run i writes ``out_dir/run-<i:03d>``; if one of those exists already, no
+    run starts and ConfigError names it.
+    """
     if n < 1 or jobs < 1:
         raise ConfigError(f"runs and jobs must be at least 1, got {n} and {jobs}")
     configs = [replace(config, seed=config.seed + index, run_id=f"run-{index:03d}")
                for index in range(n)]
+    if config.out_dir is not None:
+        taken = [cfg.run_id for cfg in configs if (Path(config.out_dir) / cfg.run_id).exists()]
+        if taken:
+            raise ConfigError(f"{config.out_dir} already holds {', '.join(taken)}; "
+                              f"a campaign never overwrites a run")
     records: list[RunRecord | None] = [None] * n
     failures: list[tuple[int, Exception]] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

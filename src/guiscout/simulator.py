@@ -910,8 +910,7 @@ class SimWizard:
                 out.add(index)
         return frozenset(out)
 
-    def oracle_evaluate(self, before: SimScreenshot, after: SimScreenshot,
-                        cmd: ActionCommand | None = None) -> Verdict:
+    def oracle_evaluate(self, before: SimScreenshot, after: SimScreenshot) -> Verdict:
         """Ground-truth evaluator: reports each active fault exactly once, at
         the first evaluation in which its effect is visible."""
         visible = before.visible_faults | after.visible_faults

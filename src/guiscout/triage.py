@@ -1,8 +1,11 @@
-"""Finding triage: collect problem verdicts, apply human labels, consolidate
-true positives that share an underlying cause, and summarize the funnel.
+"""Finding triage: collect problem verdicts, apply human labels, and count
+the funnel in one pass.
 
-The funnel is monotone by construction: unique issues <= true positives <=
-positives <= actions.
+A finding is keyed by (run id, iteration), so the run ids of a report's
+records must be unique. Each true positive has a cause key: its label's
+``cause_key``, otherwise its normalized reason. Unique issues are the distinct
+cause keys among the true positives. The funnel is monotone by construction:
+unique issues <= true positives <= positives <= actions.
 """
 
 from __future__ import annotations
@@ -107,14 +110,6 @@ class LabelFile:
 
 
 @dataclass
-class IssueGroup:
-    """True positives that stem from one underlying cause."""
-
-    cause_key: str
-    members: list[PositiveFinding]
-
-
-@dataclass
 class Report:
     runs: int
     actions: int
@@ -165,19 +160,24 @@ class Report:
 
 
 def collect_positives(records: list[RunRecord]) -> list[PositiveFinding]:
-    """One finding per problem verdict, ordered by (run, iteration)."""
+    """One finding per problem verdict, ordered by (run, iteration). A finding
+    is keyed by its run id, so two records with one run id raise TriageError."""
     findings: list[PositiveFinding] = []
+    run_ids: set[str] = set()
     for record in sorted(records, key=lambda r: r.run_id):
-        for it in record.iterations:
-            if it.verdict is not None and it.verdict.get("state") == "problem":
-                findings.append(PositiveFinding(
-                    run_id=record.run_id,
-                    iteration=it.index,
-                    reason=it.verdict.get("reason", ""),
-                    action=it.action or "",
-                    before_digest=it.before_digest,
-                    after_digest=it.after_digest,
-                ))
+        if record.run_id in run_ids:
+            raise TriageError(f"run id {record.run_id} names more than one run; "
+                              f"run ids must be unique")
+        run_ids.add(record.run_id)
+        for it in record.problem_iterations():
+            findings.append(PositiveFinding(
+                run_id=record.run_id,
+                iteration=it.index,
+                reason=it.verdict.get("reason", ""),
+                action=it.action or "",
+                before_digest=it.before_digest,
+                after_digest=it.after_digest,
+            ))
     return findings
 
 
@@ -194,79 +194,6 @@ def normalize_reason(reason: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def consolidate(true_positives: list[PositiveFinding],
-                labels: LabelFile | None = None) -> list[IssueGroup]:
-    """Partition true positives into equivalence classes by cause key.
-
-    The cause key defaults to the normalized reason text; a label entry may
-    override it because "same underlying cause" is ultimately a human call.
-    """
-    groups: dict[str, IssueGroup] = {}
-    for finding in true_positives:
-        cause_key = None
-        if labels is not None:
-            entry = labels.entries.get(finding.key)
-            if entry is not None:
-                cause_key = entry.cause_key
-        if cause_key is None:
-            cause_key = normalize_reason(finding.reason)
-        group = groups.get(cause_key)
-        if group is None:
-            groups[cause_key] = IssueGroup(cause_key=cause_key, members=[finding])
-        else:
-            group.members.append(finding)
-    return list(groups.values())
-
-
-def _coverage(records: list[RunRecord]) -> tuple[int, list[str]]:
-    controls: set[int] = set()
-    pages: set[str] = set()
-    for record in records:
-        for it in record.iterations:
-            pages.add(it.page_key)
-            if it.status == "executed" and it.action:
-                try:
-                    controls.add(parse_action(it.action).control_id)
-                except ActionParseError:
-                    pass
-    return len(controls), sorted(pages)
-
-
-def summarize(records: list[RunRecord], labels: LabelFile,
-              groups: list[IssueGroup]) -> Report:
-    """Compute the funnel report; raises if labels reference unknown findings."""
-    findings = collect_positives(records)
-    finding_keys = {finding.key for finding in findings}
-    for key in labels.entries:
-        if key not in finding_keys:
-            raise TriageError(
-                f"label references missing finding (run {key[0]}, iteration {key[1]})")
-    tp_keys = {key for key, label in labels.entries.items() if label.value == TRUE_POSITIVE}
-    by_run: dict[str, list[PositiveFinding]] = {}
-    for finding in findings:
-        by_run.setdefault(finding.run_id, []).append(finding)
-    per_run = []
-    for record in sorted(records, key=lambda r: r.run_id):
-        run_findings = by_run.get(record.run_id, [])
-        per_run.append({
-            "run_id": record.run_id,
-            "actions": len(record.iterations),
-            "positives": len(run_findings),
-            "true_positives": sum(1 for finding in run_findings if finding.key in tp_keys),
-        })
-    controls_acted, pages_visited = _coverage(records)
-    return Report(
-        runs=len(records),
-        actions=sum(len(record.iterations) for record in records),
-        positives=len(findings),
-        true_positives=len(tp_keys),
-        unique_issues=len(groups),
-        per_run=per_run,
-        controls_acted=controls_acted,
-        pages_visited=pages_visited,
-    )
-
-
 def prefill_labels(findings: list[PositiveFinding], existing: LabelFile | None = None) -> LabelFile:
     """Label-file template: every finding present, new ones marked unknown."""
     merged = LabelFile()
@@ -280,23 +207,56 @@ def prefill_labels(findings: list[PositiveFinding], existing: LabelFile | None =
 
 def build_report(records: list[RunRecord], labels: LabelFile,
                  assume_unlabeled_false: bool = False) -> Report:
-    """The whole funnel: findings -> labels -> consolidation -> report."""
+    """The whole funnel: findings -> labels -> unique issues, runs and coverage.
+
+    Raises UnlabeledFindingsError while a finding carries no decision, unless
+    ``assume_unlabeled_false`` counts it a false positive; then TriageError for
+    a label that names no finding.
+    """
     findings = collect_positives(records)
-    resolved = LabelFile(dict(labels.entries))
-    unlabeled = []
-    for finding in findings:
-        label = resolved.entries.get(finding.key)
-        if label is None or label.value == UNLABELED:
-            if not assume_unlabeled_false:
-                unlabeled.append(finding.key)
-            else:
-                resolved.entries[finding.key] = Label(FALSE_POSITIVE)
-    if unlabeled:
+    unlabeled = [finding.key for finding in findings
+                 if labels.entries.get(finding.key, Label(UNLABELED)).value == UNLABELED]
+    if unlabeled and not assume_unlabeled_false:
         raise UnlabeledFindingsError(sorted(unlabeled))
-    tp_findings = [finding for finding in findings
-                   if resolved.entries[finding.key].value == TRUE_POSITIVE]
-    groups = consolidate(tp_findings, resolved)
-    return summarize(records, resolved, groups)
+    finding_keys = {finding.key for finding in findings}
+    for key in labels.entries:
+        if key not in finding_keys:
+            raise TriageError(
+                f"label references missing finding (run {key[0]}, iteration {key[1]})")
+    per_run = {record.run_id: {"run_id": record.run_id, "actions": len(record.iterations),
+                               "positives": 0, "true_positives": 0}
+               for record in sorted(records, key=lambda r: r.run_id)}
+    # "Same underlying cause" is a human call: a label's cause_key overrides the reason.
+    cause_keys: set[str] = set()
+    for finding in findings:
+        row = per_run[finding.run_id]
+        row["positives"] += 1
+        label = labels.entries.get(finding.key)
+        if label is not None and label.value == TRUE_POSITIVE:
+            row["true_positives"] += 1
+            cause_keys.add(label.cause_key if label.cause_key is not None
+                           else normalize_reason(finding.reason))
+    controls: set[int] = set()
+    pages: set[str] = set()
+    for record in records:
+        for it in record.iterations:
+            pages.add(it.page_key)
+            if it.status == "executed" and it.action:
+                try:
+                    controls.add(parse_action(it.action).control_id)
+                except ActionParseError:
+                    pass
+    rows = list(per_run.values())
+    return Report(
+        runs=len(records),
+        actions=sum(row["actions"] for row in rows),
+        positives=len(findings),
+        true_positives=sum(row["true_positives"] for row in rows),
+        unique_issues=len(cause_keys),
+        per_run=rows,
+        controls_acted=len(controls),
+        pages_visited=sorted(pages),
+    )
 
 
 def report_to_json(report: Report) -> str:

@@ -24,8 +24,7 @@ from guiscout.simulator import (
     full_traversal_script,
     new_wizard,
 )
-from guiscout.triage import TRUE_POSITIVE, Label, LabelFile, build_report, consolidate, \
-    collect_positives
+from guiscout.triage import TRUE_POSITIVE, Label, LabelFile, build_report, collect_positives
 from guiscout.widgets import ActionVerb, serialize_tree
 
 from conftest import make_funnel_records
@@ -78,8 +77,6 @@ def test_criterion_3_end_to_end_seeded_fault_detection():
     findings = collect_positives([record])
     assert len(findings) == 5
     labels = LabelFile({finding.key: Label(TRUE_POSITIVE) for finding in findings})
-    groups = consolidate(findings, labels)
-    assert len(groups) == 5
     report = build_report([record], labels)
     assert report.positives == 5 and report.true_positives == 5
     assert report.unique_issues == 5

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -22,6 +23,17 @@ def test_run_rejects_zero_runs(tmp_path, capsys, flag, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_into_an_out_that_holds_a_run_exits_one_and_keeps_it(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--max-iterations", "3"]) == 0
+    files = {path.name: path.read_bytes() for path in (out / "run-000").iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--out", str(out), "--runs", "2", "--max-iterations", "5"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out} already holds run-000;")
+    assert {path.name: path.read_bytes() for path in (out / "run-000").iterdir()} == files
+    assert [path.name for path in out.iterdir()] == ["run-000"]
 
 
 def test_run_live_without_credential_names_the_variable(tmp_path, capsys, monkeypatch):
@@ -169,6 +181,20 @@ def test_malformed_iteration_line_exits_one(tmp_path, capsys, command, field, va
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: corrupt iteration at {iterations}:2")
     assert [path.name for path in out.iterdir()] == ["run-000"]
+    assert not labels.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "report"])
+def test_two_runs_with_one_run_id_exit_one_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--max-iterations", "3"]) == 0
+    shutil.copytree(out / "run-000", out / "run-000-copy")
+    labels = tmp_path / "labels.txt"
+    argv = {"label": ["label", "--runs", str(out), "--labels", str(labels)],
+            "report": ["report", "--runs", str(out), "--assume-unlabeled-false"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: run id run-000 names more than one run")
     assert not labels.exists()
 
 

@@ -236,6 +236,15 @@ def test_format_version_one_header_still_loads(tmp_path):
     assert load_record(tmp_path / "run-v1").fingerprint() == record.fingerprint()
 
 
+def test_a_run_never_overwrites_a_run_directory(tmp_path):
+    config = scripted_config(out_dir=tmp_path, run_id="run-o", max_iterations=2)
+    run(config)
+    files = {path.name: path.read_bytes() for path in (tmp_path / "run-o").iterdir()}
+    with pytest.raises(FileExistsError):
+        run(replace(config, max_iterations=3))
+    assert {path.name: path.read_bytes() for path in (tmp_path / "run-o").iterdir()} == files
+
+
 PERSISTED_DIGESTS = ("before_digest", "after_digest", "controller_prompt_digest",
                      "evaluator_prompt_digest")
 

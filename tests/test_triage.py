@@ -15,11 +15,9 @@ from guiscout.triage import (
     UnlabeledFindingsError,
     build_report,
     collect_positives,
-    consolidate,
     normalize_reason,
     prefill_labels,
     report_to_json,
-    summarize,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,6 +38,24 @@ def okay_record(run_id="run-000", size=3) -> RunRecord:
     return record
 
 
+def problem_record(reasons, run_id="run-000") -> RunRecord:
+    """One problem verdict per reason, at iterations 0, 1, ..."""
+    record = RunRecord(run_id=run_id, config={})
+    for index, reason in enumerate(reasons):
+        record.iterations.append(IterationRecord(
+            index=index, page_key="tool_description", tree_digest="t",
+            action=f"click({index})", status="executed",
+            verdict={"state": "problem", "reason": reason}))
+    return record
+
+
+def unique_issues(record: RunRecord, cause_key=None) -> int:
+    """Unique issues when every finding of ``record`` is a true positive."""
+    labels = LabelFile({finding.key: Label(TRUE_POSITIVE, cause_key)
+                        for finding in collect_positives([record])})
+    return build_report([record], labels).unique_issues
+
+
 # --- collect_positives ------------------------------------------------------
 
 def test_no_problem_verdicts_means_no_findings():
@@ -53,54 +69,32 @@ def test_funnel_fixture_yields_72_findings(funnel_records):
     assert findings == sorted(findings, key=lambda f: (f.run_id, f.iteration))
 
 
+def test_two_records_with_one_run_id_are_an_error():
+    with pytest.raises(TriageError, match="run id run-000 names more than one run"):
+        collect_positives([problem_record(["broken"]), problem_record(["broken"])])
+
+
 def test_sim_run_with_k_faults_yields_k_findings():
     record = run(RunConfig(controller="scripted", evaluator="oracle",
                            faults=default_fault_set()))
     assert len(collect_positives([record])) == 5
 
 
-# --- consolidation ----------------------------------------------------------
+# --- unique issues ----------------------------------------------------------
 
-def test_seven_true_positives_with_two_shared_causes_give_five_groups(funnel_records):
-    records, labels = funnel_records
-    findings = collect_positives(records)
-    tps = [f for f in findings if labels.entries[f.key].value == TRUE_POSITIVE]
-    assert len(tps) == 7
-    groups = consolidate(tps, labels)
-    assert len(groups) == 5
-    assert sorted(len(group.members) for group in groups) == [1, 1, 1, 2, 2]
-
-
-def test_all_distinct_keys_give_identity_partition():
-    findings = [finding(iteration=i, reason=f"problem kind {chr(65 + i)}") for i in range(4)]
-    groups = consolidate(findings)
-    assert len(groups) == 4
-    assert all(len(group.members) == 1 for group in groups)
+def test_four_distinct_reasons_are_four_issues():
+    assert unique_issues(problem_record([f"problem kind {kind}" for kind in "ABCD"])) == 4
 
 
 def test_reasons_differing_only_in_control_ids_merge():
-    findings = [finding(iteration=0, reason="Button 134478 overlaps the label."),
-                finding(iteration=1, reason="Button 99 overlaps the label.")]
-    groups = consolidate(findings)
-    assert len(groups) == 1
-    assert groups[0].members == findings
-
-
-def test_consolidation_is_a_partition():
-    findings = [finding(iteration=i, reason=f"reason {i % 3}") for i in range(9)]
-    groups = consolidate(findings)
-    seen = [member.key for group in groups for member in group.members]
-    assert sorted(seen) == sorted(f.key for f in findings)
-    assert len(seen) == len(set(seen))
+    assert unique_issues(problem_record(["Button 134478 overlaps the label.",
+                                         "Button 99 overlaps the label."])) == 1
 
 
 def test_explicit_cause_key_overrides_the_normalized_reason():
-    findings = [finding(iteration=0, reason="completely unrelated text"),
-                finding(iteration=1, reason="another unrelated text")]
-    labels = LabelFile({f.key: Label(TRUE_POSITIVE, "same-root-cause") for f in findings})
-    groups = consolidate(findings, labels)
-    assert len(groups) == 1
-    assert groups[0].cause_key == "same-root-cause"
+    record = problem_record(["completely unrelated text", "another unrelated text"])
+    assert unique_issues(record) == 2
+    assert unique_issues(record, cause_key="same-root-cause") == 1
 
 
 def test_normalize_reason_masks_ids_case_and_punctuation():
@@ -108,7 +102,7 @@ def test_normalize_reason_masks_ids_case_and_punctuation():
         normalize_reason("the next button 7 is broken")
 
 
-# --- summarize --------------------------------------------------------------
+# --- build_report -----------------------------------------------------------
 
 def test_funnel_fixture_summary_counts(funnel_records):
     records, labels = funnel_records
@@ -118,7 +112,7 @@ def test_funnel_fixture_summary_counts(funnel_records):
 
 
 def test_empty_records_summarize_to_zero():
-    report = summarize([], LabelFile(), [])
+    report = build_report([], LabelFile())
     assert (report.runs, report.actions, report.positives,
             report.true_positives, report.unique_issues) == (0, 0, 0, 0, 0)
 
@@ -126,7 +120,7 @@ def test_empty_records_summarize_to_zero():
 def test_label_for_missing_finding_is_an_error():
     labels = LabelFile({("run-000", 99): Label(TRUE_POSITIVE)})
     with pytest.raises(TriageError, match=r"missing finding \(run run-000, iteration 99\)"):
-        summarize([okay_record()], labels, [])
+        build_report([okay_record()], labels)
 
 
 def test_funnel_chain_is_monotone(funnel_records):
