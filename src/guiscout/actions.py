@@ -185,20 +185,23 @@ def format_action(cmd: ActionCommand) -> str:
     return f"{cmd.verb.value}({cmd.control_id}, '{escaped}')"
 
 
+# One decoder for every response, as json.loads shares one.
+_DECODER = json.JSONDecoder()
+
+
 def extract_first_json_object(text: str) -> dict:
     """Return the first syntactically complete JSON object embedded in text.
 
     Models wrap their JSON in prose or code fences; scanning for the first
     decodable object tolerates all of that.
     """
-    decoder = json.JSONDecoder()
     idx = 0
     while True:
         start = text.find("{", idx)
         if start == -1:
             raise ValueError("no JSON object found")
         try:
-            obj, _ = decoder.raw_decode(text[start:])
+            obj, _ = _DECODER.raw_decode(text[start:])
         except json.JSONDecodeError:
             idx = start + 1
             continue

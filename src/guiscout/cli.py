@@ -69,7 +69,9 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--evaluator", choices=["scripted", "oracle", "remote"])
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", type=Path, default=Path("runs"))
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="runs in flight when the controller or evaluator is remote; "
+                            "simulated runs go one at a time whatever --jobs is")
     run_p.add_argument("--max-iterations", type=int)
 
     replay_p = sub.add_parser("replay", help="re-execute a recorded run")

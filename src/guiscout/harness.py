@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
@@ -261,8 +262,10 @@ class RunWriter:
         self.run_dir.mkdir(parents=True)
         header = {"run_id": run_id, "format_version": FORMAT_VERSION,
                   "created_at": created_at, "config": config}
-        (self.run_dir / "header.json").write_text(json.dumps(header, indent=2),
-                                                   encoding="utf-8")
+        # Atomic: a crash leaves a whole header.json or none, never a torn one.
+        partial = self.run_dir / "header.json.partial"
+        partial.write_text(json.dumps(header, indent=2), encoding="utf-8")
+        os.replace(partial, self.run_dir / "header.json")
         self._blobs = (self.run_dir / BLOBS_NAME).open("wb")
         self._iterations = (self.run_dir / "iterations.jsonl").open("w", encoding="utf-8")
         self._written: set[str] = set()
@@ -451,7 +454,12 @@ def run(config: RunConfig) -> RunRecord:
 
 
 def run_many(config: RunConfig, n: int, jobs: int = 1) -> list[RunRecord]:
-    """n independent runs with derived seeds (seed + run index), on ``jobs`` threads.
+    """n independent runs with derived seeds (seed + run index).
+
+    A campaign with a remote controller or evaluator runs on ``jobs`` threads,
+    which overlap the runs' waits on the network. Every other campaign is pure
+    Python under one interpreter lock, where more threads only add contention,
+    so its runs go one at a time whatever ``jobs`` is.
 
     Run i writes ``out_dir/run-<i:03d>``; if one of those exists already, no
     run starts and ConfigError names it.
@@ -467,7 +475,8 @@ def run_many(config: RunConfig, n: int, jobs: int = 1) -> list[RunRecord]:
                               f"a campaign never overwrites a run")
     records: list[RunRecord | None] = [None] * n
     failures: list[tuple[int, Exception]] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+    remote = "remote" in (config.controller, config.evaluator)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs if remote else 1) as pool:
         futures = {pool.submit(run, cfg): index for index, cfg in enumerate(configs)}
         for future in concurrent.futures.as_completed(futures):
             index = futures[future]
@@ -507,10 +516,16 @@ def load_record(run_dir: Path) -> RunRecord:
         if not line.strip():
             continue
         try:
-            record.iterations.append(IterationRecord.from_json_obj(json.loads(line)))
+            rec = IterationRecord.from_json_obj(json.loads(line))
+            # Triage keys findings by (run id, index): a repeated index would
+            # count one finding twice.
+            if rec.index != len(record.iterations):
+                raise ValueError(f"index {rec.index} is not the line's position "
+                                 f"{len(record.iterations)}")
         except (ValueError, TypeError) as exc:
             raise RecordLoadError(
                 f"corrupt iteration at {iterations_path}:{line_no}: {exc}") from exc
+        record.iterations.append(rec)
     return record
 
 

@@ -166,13 +166,18 @@ def test_replay_of_an_edited_record_field_exits_four(tmp_path, capsys, field, va
     ("controller_raw", 5),
     ("action", 5),
     ("page_key", 5),
+    # The whole first line copied over the second: its index repeats.
+    pytest.param(None, None, id="copied-line"),
 ])
 def test_malformed_iteration_line_exits_one(tmp_path, capsys, command, field, value):
     out = tmp_path / "runs"
     assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
     iterations = out / "run-000" / "iterations.jsonl"
     lines = [json.loads(line) for line in iterations.read_text("utf-8").splitlines()]
-    lines[1][field] = value
+    if field is None:
+        lines[1] = lines[0]
+    else:
+        lines[1][field] = value
     iterations.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
     labels = tmp_path / "labels.txt"
     argv = {"label": ["label", "--runs", str(out), "--labels", str(labels)],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from dataclasses import replace
 
 import pytest
@@ -197,6 +198,18 @@ def test_header_echoes_config_without_scripts(tmp_path):
     assert "controller_script" not in header["config"]
 
 
+def test_header_is_replaced_into_place_or_not_written(tmp_path, monkeypatch):
+    def replace_fails(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", replace_fails)
+    with pytest.raises(OSError, match="disk full"):
+        run(scripted_config(out_dir=tmp_path, run_id="run-a"))
+    assert not (tmp_path / "run-a" / "header.json").exists()
+    with pytest.raises(RecordLoadError, match="unreadable header"):
+        load_record(tmp_path / "run-a")
+
+
 def test_truncated_iterations_file_fails_to_load(tmp_path):
     config = scripted_config(out_dir=tmp_path, run_id="run-c")
     run(config)
@@ -345,6 +358,52 @@ def test_run_many_runs_in_parallel(tmp_path):
                         3, jobs=3)
     for a, b in zip(sequential, parallel):
         assert a.fingerprint() == b.fingerprint()
+
+
+def test_simulated_campaign_runs_one_run_at_a_time(monkeypatch):
+    threads = []
+    real_run = harness.run
+
+    def spy(config):
+        threads.append(threading.get_ident())
+        return real_run(config)
+
+    monkeypatch.setattr(harness, "run", spy)
+    config = RunConfig(controller="random", evaluator="oracle", seed=7, max_iterations=15,
+                       faults=default_fault_set())
+    three_jobs = run_many(config, 4, jobs=3)
+    assert len(threads) == 4 and len(set(threads)) == 1
+    one_job = run_many(config, 4, jobs=1)
+    assert [r.fingerprint() for r in three_jobs] == [r.fingerprint() for r in one_job]
+
+
+@pytest.mark.parametrize("role", ["controller", "evaluator"])
+def test_remote_campaign_keeps_jobs_requests_in_flight(stub_server, monkeypatch, role):
+    from guiscout.agents import RemoteAgentConfig
+
+    monkeypatch.setenv("GUISCOUT_TEST_KEY", "k")
+    # Each request waits until three are in flight; runs one at a time would
+    # break the barrier at its timeout and record an agent error.
+    barrier = threading.Barrier(3, timeout=10)
+    content = mini_script()[0] if role == "controller" else '{"state": "okay"}'
+
+    def responder(body):
+        barrier.wait()
+        return 200, content
+
+    stub_server.set_responder(responder)
+    remote = RemoteAgentConfig(endpoint=stub_server.url, model="m",
+                               api_key_env="GUISCOUT_TEST_KEY", timeout=20.0,
+                               max_retries=0, retry_backoff=0.0)
+    config = scripted_config(max_iterations=1, controller_script=mini_script(),
+                             **{role: "remote", f"remote_{role}": remote})
+    records = run_many(config, 3, jobs=3)
+    assert len(stub_server.requests) == 3
+    assert not barrier.broken
+    for record in records:
+        (it,) = record.iterations
+        assert it.controller_error is None and it.verdict_error is None
+        assert it.status == "executed" and it.verdict == {"state": "okay"}
 
 
 def test_agent_failures_are_recorded_and_the_run_continues():
