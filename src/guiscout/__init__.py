@@ -10,6 +10,7 @@ testable without a live model or a live desktop application.
 
 from .actions import (
     ActionCommand,
+    ActionLog,
     ActionLogEntry,
     ActionParseError,
     ControllerOutput,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,12 +101,28 @@ class ActionLogEntry:
                 + ',\n    "status": ' + json.dumps(self.status) + "\n  }")
 
 
-def format_log(entries: list[ActionLogEntry]) -> str:
-    """Render the action log as the JSON array embedded in controller prompts:
-    the bytes of ``json.dumps(..., indent=2)``, joined from cached entries."""
-    if not entries:
-        return "[]"
-    return "[\n" + ",\n".join(entry.log_fragment for entry in entries) + "\n]"
+class ActionLog:
+    """The action log of a run and its text as embedded in controller prompts:
+    the bytes of ``json.dumps([entry.to_json_obj() ...], indent=2)``. An
+    append extends the text by the entry's cached fragment, so no step joins
+    the whole log again."""
+
+    def __init__(self, entries: Iterable[ActionLogEntry] = ()) -> None:
+        self.entries: list[ActionLogEntry] = []
+        self.text = "[]"
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry: ActionLogEntry) -> None:
+        fragment = entry.log_fragment
+        self.text = f"{self.text[:-2]},\n{fragment}\n]" if self.entries else f"[\n{fragment}\n]"
+        self.entries.append(entry)
+
+
+def format_log(log: ActionLog | Iterable[ActionLogEntry]) -> str:
+    """The action log as the JSON array embedded in controller prompts. A
+    run's ActionLog already holds that text; other entries are logged first."""
+    return (log if isinstance(log, ActionLog) else ActionLog(log)).text
 
 
 _HEAD_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\(")

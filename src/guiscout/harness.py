@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields, repla
 from pathlib import Path
 
 from .actions import (
+    ActionLog,
     ActionLogEntry,
     ControllerOutputError,
     format_action,
@@ -44,7 +45,7 @@ from .agents import (
     verdict_to_obj,
 )
 from .prompts import DEFAULT_DOC_BUDGET, ImageRef, PromptDocument, \
-    build_controller_prompt, build_evaluator_prompt, gui_tree_text
+    build_controller_prompt, build_evaluator_prompt
 from .simulator import (
     FaultSpec,
     SimScreenshot,
@@ -55,7 +56,7 @@ from .simulator import (
     full_traversal_script,
     new_wizard,
 )
-from .widgets import possible_actions
+from .widgets import possible_actions, serialize_tree
 
 DEFAULT_TASK = (
     "Act as a GUI-Tester for the software RCE.\n"
@@ -334,7 +335,7 @@ class RunSession:
         self.controller = _build_controller(config)
         self.evaluator = _build_evaluator(config)
         self.docs = default_doc_corpus()
-        self.log: list[ActionLogEntry] = []
+        self.log = ActionLog()
         self.writer: RunWriter | None = None
         echo = config.echo()
         if config.out_dir is not None:
@@ -356,7 +357,7 @@ class RunSession:
         rec = IterationRecord(
             index=index,
             page_key=before.page_key,
-            tree_digest=_sha256(gui_tree_text(controller_prompt)),
+            tree_digest=_sha256(serialize_tree(tree)),
             before_digest=before.digest,
             started_at=started,
         )

@@ -9,10 +9,11 @@ blank lines, and golden files in the test suite pin the bytes.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .actions import ActionLogEntry, format_log
+from .actions import ActionLog, ActionLogEntry, format_log
 from .widgets import WidgetKind, WidgetNode, serialize_tree
 
 
@@ -59,10 +60,6 @@ class PromptDocument:
                 return body
         raise KeyError(name)
 
-    @property
-    def section_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.sections)
-
 
 @dataclass(frozen=True)
 class DocEntry:
@@ -76,9 +73,6 @@ class DocCorpus:
 
     entries: tuple[DocEntry, ...] = ()
 
-
-CONTROLLER_SECTIONS = ("Role", "Task", "Documentation", "GUI", "Action", "ActionLog", "Closing")
-EVALUATOR_SECTIONS = ("Role", "Task", "Output", "Action", "Closing")
 
 DEFAULT_DOC_BUDGET = 8000
 
@@ -190,7 +184,7 @@ def build_controller_prompt(
     task: str,
     docs: DocCorpus,
     tree: WidgetNode,
-    log: list[ActionLogEntry],
+    log: ActionLog | Iterable[ActionLogEntry],
     screenshot: ImageRef | None = None,
     doc_budget: int = DEFAULT_DOC_BUDGET,
 ) -> PromptDocument:
@@ -206,11 +200,6 @@ def build_controller_prompt(
     )
     attachments = (screenshot,) if screenshot is not None else ()
     return PromptDocument(sections=sections, attachments=attachments)
-
-
-def gui_tree_text(prompt: PromptDocument) -> str:
-    """The serialized tree in a controller prompt's GUI section; KeyError if it has none."""
-    return prompt.section("GUI").removeprefix(GUI_HEADER)
 
 
 def build_evaluator_prompt(

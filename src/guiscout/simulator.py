@@ -7,6 +7,16 @@ wizard state, so every run is exactly reproducible from the fault set and the
 action sequence. Control ids are assigned in a fixed order (see
 ``SimWizard._build_slots``); the record fingerprints in
 ``tests/fixtures/record_fingerprints.json`` pin it.
+
+Each step builds only what changed. For each control id (a slot, an input
+list item, the modal dialog, the root) the wizard keeps the node it built last
+and the values it built it from: the node's fields. A snapshot returns that
+same node, shared with the snapshots before it, when every one of those values
+is equal, and builds a new node otherwise. There are no dirty flags to forget,
+so a kept node never goes stale; ``extra_state`` is never mutated after a node
+is built, so a shared node stays what it was. What is derived from a node (its
+JSON text, its possible actions, where and what it draws) is derived once per
+node object, and a render of the same root reuses the canvas text and digest.
 """
 
 from __future__ import annotations
@@ -454,6 +464,12 @@ class SimWizard:
         self.modal_message: str | None = None
         self.finished = False
 
+        # Per control id: the node built last and its fields; what that node
+        # draws (node, row, col, line); and the last render (root, text, digest).
+        self._nodes: dict[int, tuple[tuple, WidgetNode]] = {}
+        self._drawn: dict[int, tuple[WidgetNode, int, int, str]] = {}
+        self._canvas: tuple[WidgetNode, str, str] | None = None
+
         self._slots_by_id: dict[int, _Slot] = {}
         # Each list is in tree order; a page's list ends with the shared slots.
         self._page_slots: dict[str, list[_Slot]] = {}
@@ -784,17 +800,28 @@ class SimWizard:
             elif kind is WidgetKind.CONTAINER:
                 text, base = "", slot.rect
                 item_state = {"enabled": False} if disabled else {}
-                children = tuple(WidgetNode(
-                    class_name="ListItem", kind=WidgetKind.LIST_ITEM, control_id=record.item_id,
-                    rectangle=Rect(base.left + 10, base.top + 24 * index,
-                                   base.right - 10, base.top + 24 * index + 20),
-                    text=record.name, extra_state={"selected": record.selected, **item_state})
+                children = tuple(self._reuse(
+                    "ListItem", WidgetKind.LIST_ITEM, record.item_id,
+                    Rect(base.left + 10, base.top + 24 * index,
+                         base.right - 10, base.top + 24 * index + 20),
+                    record.name, {"selected": record.selected, **item_state}, ())
                     for index, record in enumerate(self.inputs, start=1))
             if (kind is WidgetKind.STATIC or kind is WidgetKind.EDIT) and \
                     (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
                 text = text[:_FAULT_TRUNCATE_AT]
-        return WidgetNode(class_name=class_name, kind=kind, control_id=slot.control_id,
-                          rectangle=rect, text=text, extra_state=extra, sub_elements=children)
+        return self._reuse(class_name, kind, slot.control_id, rect, text, extra, children)
+
+    def _reuse(self, *fields) -> WidgetNode:
+        """The node with ``fields`` (WidgetNode's, in order): the node built
+        last for its control id if it was built from equal fields, else a new
+        one, which is kept in its place."""
+        control_id = fields[2]
+        last = self._nodes.get(control_id)
+        if last is not None and last[0] == fields:
+            return last[1]
+        node = WidgetNode(*fields)
+        self._nodes[control_id] = (fields, node)
+        return node
 
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
@@ -804,16 +831,12 @@ class SimWizard:
             key = self.dialog_stack[-1]
             # The modal's dialog node is never actionable; its id only needs
             # to be unique.
-            children.append(WidgetNode(
-                class_name="Dialog", kind=WidgetKind.DIALOG,
-                control_id=900_000 + sorted(self.modals).index(key), rectangle=_MODAL_RECT,
-                text=self.modals[key].title,
-                sub_elements=tuple(self._node(slot) for slot in self._modal_slots[key]
-                                   if self._shown(slot))))
-        return WidgetNode(
-            class_name="Dialog", kind=WidgetKind.DIALOG, control_id=0, rectangle=ROOT_RECT,
-            text=self.title, extra_state={"active_page": page.key},
-            sub_elements=tuple(children))
+            children.append(self._reuse(
+                "Dialog", WidgetKind.DIALOG, 900_000 + sorted(self.modals).index(key),
+                _MODAL_RECT, self.modals[key].title, {},
+                tuple(self._node(slot) for slot in self._modal_slots[key] if self._shown(slot))))
+        return self._reuse("Dialog", WidgetKind.DIALOG, 0, ROOT_RECT, self.title,
+                           {"active_page": page.key}, tuple(children))
 
     # -- rendering ---------------------------------------------------------
 
@@ -870,22 +893,29 @@ class SimWizard:
         if node.kind is WidgetKind.DIALOG:
             top, left, _, _ = self._draw_box(canvas, node.rectangle)
             self._draw(canvas, top, left + 2, f" {node.text} ")
-        elif line := self._widget_line(node):
-            row, col = self._cell(node.rectangle, ROOT_RECT)
-            self._draw(canvas, row, col, line)
+        else:
+            drawn = self._drawn.get(node.control_id)
+            if drawn is None or drawn[0] is not node:
+                drawn = (node, *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))
+                self._drawn[node.control_id] = drawn
+            _, row, col, line = drawn
+            if line:
+                self._draw(canvas, row, col, line)
         for child in node.sub_elements:
             self._draw_node(canvas, child)
 
     def render(self) -> SimScreenshot:
         """Deterministic text render of the current state; digest is stable."""
         tree = self.snapshot()
-        canvas = [_CANVAS_BODY] * CANVAS_HEIGHT
-        canvas[0] = canvas[-1] = _CANVAS_EDGE
-        self._draw(canvas, 1, 2, tree.text)
-        for child in tree.sub_elements:
-            self._draw_node(canvas, child)
-        rendered = "\n".join(canvas)
-        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        if self._canvas is None or self._canvas[0] is not tree:
+            canvas = [_CANVAS_BODY] * CANVAS_HEIGHT
+            canvas[0] = canvas[-1] = _CANVAS_EDGE
+            self._draw(canvas, 1, 2, tree.text)
+            for child in tree.sub_elements:
+                self._draw_node(canvas, child)
+            rendered = "\n".join(canvas)
+            self._canvas = (tree, rendered, hashlib.sha256(rendered.encode("utf-8")).hexdigest())
+        _, rendered, digest = self._canvas
         return SimScreenshot(page_key=self.pages[self.current_page].key, rendered=rendered,
                              digest=digest, tree=tree,
                              visible_faults=self._observable_fault_indices())

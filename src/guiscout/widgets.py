@@ -12,12 +12,21 @@ the object ``class_name``, ``control_type``, ``control_id``, ``rectangle``,
 :func:`serialize_tree` writes it directly, escaping strings with the same
 function ``json.dumps`` uses, because the indenting encoder is pure Python.
 A property test in ``tests/test_widgets.py`` checks the two against each other.
+
+Nodes are shared between snapshots: the simulator hands out the node it built
+before for a widget whenever every value the node is built from is equal.
+So :func:`serialize_tree` and :func:`possible_actions` derive their product
+once per node object (its JSON text at each indent, the control ids and the
+possible actions of its subtree) and keep it on the node. That is sound
+because a node never changes: its fields are frozen, and its ``extra_state``
+dict is never mutated after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
@@ -140,6 +149,44 @@ class WidgetNode:
             return ()
         return tuple(raw.split(ITEMS_SEPARATOR))
 
+    # Products derived once per node object; see the module docstring.
+
+    @cached_property
+    def _subtree_ids(self) -> frozenset[int] | None:
+        """The control ids in this subtree, or None if one of them occurs twice."""
+        ids = {self.control_id}
+        count = 1
+        for child in self.sub_elements:
+            below = child._subtree_ids
+            if below is None:
+                return None
+            ids.update(below)
+            count += len(below)
+        return frozenset(ids) if len(ids) == count else None
+
+    @cached_property
+    def _json_by_pad(self) -> dict[str, str]:
+        """This node's JSON text by the pad it was written at; see ``_encode_node``."""
+        return {}
+
+    @cached_property
+    def _subtree_actions(self) -> tuple[PossibleAction, ...]:
+        """The possible actions of this subtree, in depth-first document order."""
+        actions: list[PossibleAction] = []
+        verbs = KIND_VERBS.get(self.kind)
+        if verbs is not None and self.enabled:
+            for verb in verbs:
+                if verb is ActionVerb.WRITE:
+                    arg = ARG_FREE_TEXT
+                elif verb is ActionVerb.SELECT:
+                    arg = ArgSpec("one_of", self.combo_items())
+                else:
+                    arg = ARG_NONE
+                actions.append(PossibleAction(self.control_id, verb, arg))
+        for child in self.sub_elements:
+            actions.extend(child._subtree_actions)
+        return tuple(actions)
+
 
 @dataclass(frozen=True)
 class ArgSpec:
@@ -165,28 +212,35 @@ class PossibleAction:
 def serialize_tree(tree: WidgetNode) -> str:
     """Encode a widget tree as the canonical JSON text used in prompts.
 
-    A duplicate control id raises TreeIntegrityError; no text is returned then.
+    A duplicate control id raises TreeIntegrityError naming the first id, in
+    document order, that occurs again; no text is returned then.
     """
-    parts: list[str] = []
-    _encode_node(tree, "\n  ", parts, set())
-    return "".join(parts)
+    if tree._subtree_ids is None:
+        seen: set[int] = set()
+        for node in tree.iter_nodes():
+            if node.control_id in seen:
+                raise TreeIntegrityError(f"duplicate control_id {node.control_id}")
+            seen.add(node.control_id)
+    return _encode_node(tree, "\n  ")
 
 
-def _encode_node(node: WidgetNode, pad: str, parts: list[str], seen: set[int]) -> None:
-    """Append ``node`` as ``json.dumps(..., indent=2)`` would write it at the
-    depth whose keys start on ``pad`` (a newline and their indent)."""
-    if node.control_id in seen:
-        raise TreeIntegrityError(f"duplicate control_id {node.control_id}")
-    seen.add(node.control_id)
+def _encode_node(node: WidgetNode, pad: str) -> str:
+    """``node`` as ``json.dumps(..., indent=2)`` would write it at the depth
+    whose keys start on ``pad`` (a newline and their indent); written once per
+    node and pad."""
+    memo = node._json_by_pad
+    text = memo.get(pad)
+    if text is not None:
+        return text
     inner = pad + "  "
     rect = node.rectangle
-    parts.append(
+    parts = [
         f'{{{pad}"class_name": {_quote(node.class_name)},'
         f'{pad}"control_type": {_quote(node.kind.value)},'
         f'{pad}"control_id": {node.control_id},'
         f'{pad}"rectangle": [{inner}"L{rect.left}",{inner}"T{rect.top}",'
         f'{inner}"R{rect.right}",{inner}"B{rect.bottom}"{pad}],'
-        f'{pad}"text": {_quote(node.text)},')
+        f'{pad}"text": {_quote(node.text)},']
     state = node.extra_state
     for key in sorted(state):
         value = state[key]
@@ -194,14 +248,14 @@ def _encode_node(node: WidgetNode, pad: str, parts: list[str], seen: set[int]) -
         parts.append(f"{pad}{_quote(key)}: {encoded},")
     if not node.sub_elements:
         parts.append(f'{pad}"sub_elements": []{pad[:-2]}}}')
-        return
-    parts.append(f'{pad}"sub_elements": [{inner}')
-    child_pad = inner + "  "
-    for index, child in enumerate(node.sub_elements):
-        if index:
-            parts.append("," + inner)
-        _encode_node(child, child_pad, parts, seen)
-    parts.append(f"{pad}]{pad[:-2]}}}")
+    else:
+        child_pad = inner + "  "
+        parts.append(f'{pad}"sub_elements": [{inner}')
+        parts.append(("," + inner).join(
+            _encode_node(child, child_pad) for child in node.sub_elements))
+        parts.append(f"{pad}]{pad[:-2]}}}")
+    text = memo[pad] = "".join(parts)
+    return text
 
 
 def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
@@ -210,20 +264,7 @@ def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
     Non-actionable kinds contribute nothing; widgets with extra_state
     ``enabled=false`` contribute nothing.
     """
-    actions: list[PossibleAction] = []
-    for node in tree.iter_nodes():
-        verbs = KIND_VERBS.get(node.kind)
-        if verbs is None or not node.enabled:
-            continue
-        for verb in verbs:
-            if verb is ActionVerb.WRITE:
-                arg = ARG_FREE_TEXT
-            elif verb is ActionVerb.SELECT:
-                arg = ArgSpec("one_of", node.combo_items())
-            else:
-                arg = ARG_NONE
-            actions.append(PossibleAction(node.control_id, verb, arg))
-    return actions
+    return list(tree._subtree_actions)
 
 
 def find_widget(tree: WidgetNode, control_id: int) -> WidgetNode | None:

@@ -59,12 +59,13 @@ def test_criterion_2_golden_prompts():
 
     controller = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE,
                                          FIXTURE_LOG)
-    assert controller.section_names == ("Role", "Task", "Documentation", "GUI",
-                                        "Action", "ActionLog", "Closing")
+    assert tuple(name for name, _ in controller.sections) == (
+        "Role", "Task", "Documentation", "GUI", "Action", "ActionLog", "Closing")
     assert controller.text() == (GOLDEN_DIR / "controller_prompt.txt").read_text("utf-8")
 
     evaluator = build_evaluator_prompt(EVALUATOR_EXPLANATION, shot("before"), shot("after"))
-    assert evaluator.section_names == ("Role", "Task", "Output", "Action", "Closing")
+    assert tuple(name for name, _ in evaluator.sections) == (
+        "Role", "Task", "Output", "Action", "Closing")
     assert evaluator.text() == (GOLDEN_DIR / "evaluator_prompt.txt").read_text("utf-8")
     print("\nACCEPTANCE 2 PASS: controller and evaluator prompts byte-match the goldens")
 

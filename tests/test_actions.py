@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from guiscout.actions import (
     ActionCommand,
+    ActionLog,
     ActionLogEntry,
     LOG_STATUSES,
     ActionParseError,
@@ -242,6 +243,12 @@ _LOG_ENTRIES = st.lists(st.builds(ActionLogEntry, _LOG_TEXT, _LOG_TEXT,
 @settings(max_examples=300)
 @given(_LOG_ENTRIES)
 def test_log_rendering_equals_indented_json_dump(entries):
+    log = ActionLog()
+    assert format_log(log) == "[]"
+    for count, entry in enumerate(entries, start=1):
+        log.append(entry)  # extends the text in place
+        assert format_log(log) == json.dumps(
+            [logged.to_json_obj() for logged in entries[:count]], indent=2)
     expected = json.dumps([entry.to_json_obj() for entry in entries], indent=2)
     assert format_log(entries) == expected
     assert format_log(entries) == expected  # again, from the cached fragments

@@ -6,8 +6,6 @@ import pytest
 from guiscout.actions import ActionLogEntry
 from guiscout.harness import DEFAULT_TASK
 from guiscout.prompts import (
-    CONTROLLER_SECTIONS,
-    EVALUATOR_SECTIONS,
     DocCorpus,
     DocEntry,
     ImageRef,
@@ -72,12 +70,14 @@ def test_evaluator_prompt_matches_golden_bytes():
 
 def test_controller_section_order_is_fixed():
     prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [])
-    assert prompt.section_names == CONTROLLER_SECTIONS
+    assert tuple(name for name, _ in prompt.sections) == (
+        "Role", "Task", "Documentation", "GUI", "Action", "ActionLog", "Closing")
 
 
 def test_evaluator_section_order_is_fixed():
     prompt = build_evaluator_prompt("x", shot(), shot())
-    assert prompt.section_names == EVALUATOR_SECTIONS
+    assert tuple(name for name, _ in prompt.sections) == (
+        "Role", "Task", "Output", "Action", "Closing")
 
 
 def test_empty_log_section_body():

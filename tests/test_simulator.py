@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from guiscout.actions import ActionCommand, parse_action
+from guiscout.actions import ARG_VERBS, ActionCommand, parse_action, parse_controller_output
 from guiscout.agents import VerdictState
 from guiscout.simulator import (
     CANVAS_HEIGHT,
@@ -19,7 +19,14 @@ from guiscout.simulator import (
     full_traversal_script,
     new_wizard,
 )
-from guiscout.widgets import ActionVerb, Rect, WidgetKind, find_widget, possible_actions
+from guiscout.widgets import (
+    ActionVerb,
+    Rect,
+    WidgetKind,
+    find_widget,
+    possible_actions,
+    serialize_tree,
+)
 
 PAGES = ("tool_description", "inputs_outputs", "launch_settings",
          "cpacs_properties", "review", "finish")
@@ -615,6 +622,129 @@ def test_row_string_drawing_matches_per_character_drawing(ops):
         assert rows == ["".join(row) for row in cells]
 
 
+# --- node reuse between snapshots ---------------------------------------------
+
+def test_an_unchanged_widget_is_the_same_node_in_the_next_snapshot():
+    sim = new_wizard(default_fault_set())
+    write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
+    first = sim.snapshot()
+    assert sim.snapshot() is first
+    assert sim.render().tree is first
+    described = sim.control_id_of("Tool Description", page="tool_description")
+    write(sim, described, "computes")
+    second = sim.snapshot()
+    assert second is not first
+    old = {node.control_id: node for node in first.sub_elements}
+    rebuilt = [node.control_id for node in second.sub_elements
+               if old[node.control_id] is not node]
+    assert rebuilt == [described]
+    assert find_widget(second, described).text == "computes"
+
+
+CUSTOM_WIZARD = {
+    "title": "Custom Wizard",
+    "pages": [
+        {"key": "first", "title": "First", "fields": [
+            {"label": "Summary", "kind": "Static", "computed": "summary"},
+            {"label": "Name", "kind": "Edit", "validator": "non_empty"},
+            {"label": "Flag", "kind": "CheckBox", "validator": "require_checked"},
+            {"label": "A", "kind": "RadioButton", "default": True, "group": "g"},
+            {"label": "B", "kind": "RadioButton", "group": "g"},
+            {"label": "Add...", "kind": "Button", "opens": "add"},
+            {"label": "Items", "kind": "List", "validator": "at_least_one_item"}]},
+        {"key": "second", "title": "Second", "fields": [
+            {"label": "Pick", "kind": "ComboBox", "items_from": "inputs"},
+            {"label": "Path", "kind": "Edit", "validator": "absolute_path"},
+            {"label": "Count", "kind": "Edit", "validator": "optional_positive_int"}]},
+    ],
+    "modals": {"add": {"title": "Add", "fields": [
+        {"label": "Item name", "kind": "Edit", "validator": "non_empty"},
+        {"label": "Type", "kind": "ComboBox", "items": ["x", "y"], "default": "x"}]}},
+}
+
+CUSTOM_FAULTS = [
+    FaultSpec(FaultKind.TRUNCATED_TEXT, "first", "Summary"),
+    FaultSpec(FaultKind.STALE_ERROR, "first", "Name"),
+    FaultSpec(FaultKind.MISALIGNED_RECT, "first", "Flag"),
+    FaultSpec(FaultKind.GENERIC_ERROR_MESSAGE, "second", "Path"),
+    FaultSpec(FaultKind.MISSING_TITLE, "second", "title"),
+]
+
+_TEXTS = ["", "a", "airfoil", "/var/work", "relative", "7", "-1", "x", "y",
+          "a very long text that the truncation fault cuts off somewhere"]
+
+
+def _custom_script() -> list[ActionCommand]:
+    """Commands that walk CUSTOM_WIZARD to its last page, adding one item."""
+    sim = new_wizard(config=CUSTOM_WIZARD)
+    first = {label: sim.control_id_of(label, page="first")
+             for label in ("Name", "Flag", "B", "Add...")}
+    second = {label: sim.control_id_of(label, page="second") for label in ("Pick", "Path")}
+    return [
+        ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
+        ActionCommand(ActionVerb.WRITE, first["Name"], "tool"),
+        ActionCommand(ActionVerb.CHECK, first["Flag"]),
+        ActionCommand(ActionVerb.CLICK, first["B"]),
+        ActionCommand(ActionVerb.CLICK, first["Add..."]),
+        ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add", "OK")),
+        ActionCommand(ActionVerb.WRITE, sim.control_id_of("Item name", modal="add"), "i1"),
+        ActionCommand(ActionVerb.SELECT, sim.control_id_of("Type", modal="add"), "y"),
+        ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add", "OK")),
+        ActionCommand(ActionVerb.CLICK, sim.first_dynamic_id),
+        ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
+        ActionCommand(ActionVerb.SELECT, second["Pick"], "i1"),
+        ActionCommand(ActionVerb.WRITE, second["Path"], "relative"),
+        ActionCommand(ActionVerb.WRITE, second["Path"], "/var/work"),
+    ]
+
+
+def _command(sim: SimWizard, choice: int, text: str) -> ActionCommand:
+    """The command that one generated step stands for. Four steps in five take
+    one of the possible actions, the fifth an arbitrary verb and id, which
+    may fail in any way."""
+    actions = possible_actions(sim.snapshot())
+    if choice % 5 == 0 or not actions:
+        verb = list(ActionVerb)[choice // 5 % len(ActionVerb)]
+        control_id = choice // 25 % (sim.first_dynamic_id + 2)
+        return ActionCommand(verb, control_id, text if verb in ARG_VERBS else None)
+    action = actions[choice // 5 % len(actions)]
+    if action.arg.kind == "one_of" and action.arg.choices and choice % 2:
+        text = action.arg.choices[choice // 2 % len(action.arg.choices)]
+    return ActionCommand(action.verb, action.control_id,
+                         text if action.verb in ARG_VERBS else None)
+
+
+@pytest.mark.parametrize("config, faults, script", [
+    (None, default_fault_set(),
+     [parse_controller_output(line).action for line in full_traversal_script()]),
+    (CUSTOM_WIZARD, CUSTOM_FAULTS, _custom_script()),
+], ids=["default", "custom"])
+@settings(max_examples=40)
+@given(head=st.integers(0, 40),
+       steps=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(_TEXTS)), max_size=20))
+def test_reused_nodes_give_what_a_fresh_wizard_gives(config, faults, script, head, steps):
+    """A run of the script's first ``head`` commands, then generated ones: after
+    every command, the wizard that reuses its nodes shows what a fresh wizard
+    shows after the same commands."""
+    sim = new_wizard(faults, config)
+    commands: list[ActionCommand] = []
+    for step in [*script[:head], *steps]:
+        command = step if isinstance(step, ActionCommand) else _command(sim, *step)
+        commands.append(command)
+        sim.execute(command)
+        shot = sim.render()
+        assert sim.snapshot() is shot.tree  # nothing changed since the render
+        fresh = new_wizard(faults, config)
+        for replayed in commands:
+            fresh.execute(replayed)
+        expected = fresh.render()
+        assert serialize_tree(shot.tree) == serialize_tree(expected.tree)
+        assert possible_actions(shot.tree) == possible_actions(expected.tree)
+        assert shot.rendered == expected.rendered
+        assert shot.digest == expected.digest
+        assert shot.visible_faults == expected.visible_faults
+
+
 # --- the canned traversal script -------------------------------------------
 
 def test_full_traversal_script_reaches_finish():
@@ -628,7 +758,5 @@ def test_full_traversal_script_reaches_finish():
 
 
 def test_script_commands_parse():
-    from guiscout.actions import parse_controller_output
-
     for line in full_traversal_script():
         parse_controller_output(line)

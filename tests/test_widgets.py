@@ -323,3 +323,50 @@ def test_serialize_tree_rejects_a_duplicate_id_anywhere(tree, data):
                       sub_elements=data.draw(st.sampled_from([(tree, copy), (copy, tree)])))
     with pytest.raises(TreeIntegrityError, match=f"duplicate control_id {duplicate}"):
         serialize_tree(root)
+
+
+# --- what serialize_tree keeps per node ---------------------------------------
+
+@settings(max_examples=50)
+@given(escaping_trees(), st.data())
+def test_a_duplicate_id_is_caught_in_a_subtree_that_was_serialized_before(tree, data):
+    serialize_tree(tree)  # fills the memo of every node in it
+    duplicate = data.draw(st.sampled_from(list(tree.iter_nodes()))).control_id
+    copy = leaf(WidgetKind.BUTTON, duplicate)
+    root = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=2**42,
+                      rectangle=Rect(0, 0, 10, 10),
+                      sub_elements=data.draw(st.sampled_from([(tree, copy), (copy, tree)])))
+    with pytest.raises(TreeIntegrityError, match=f"duplicate control_id {duplicate}"):
+        serialize_tree(root)
+    twice = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=2**42,
+                       rectangle=Rect(0, 0, 10, 10), sub_elements=(tree, tree))
+    with pytest.raises(TreeIntegrityError,
+                       match=f"duplicate control_id {tree.control_id}"):
+        serialize_tree(twice)
+    assert serialize_tree(tree) == json.dumps(reference_obj(tree), indent=2)
+
+
+def test_the_first_repeated_id_in_document_order_is_named():
+    inner = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=3,
+                       rectangle=Rect(0, 0, 10, 10),
+                       sub_elements=(leaf(WidgetKind.BUTTON, 1), leaf(WidgetKind.BUTTON, 2),
+                                     leaf(WidgetKind.BUTTON, 2)))
+    root = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=0,
+                      rectangle=Rect(0, 0, 10, 10),
+                      sub_elements=(leaf(WidgetKind.BUTTON, 1), inner))
+    with pytest.raises(TreeIntegrityError, match="duplicate control_id 1$"):
+        serialize_tree(root)
+
+
+@settings(max_examples=100)
+@given(escaping_trees(), st.integers(1, 3), st.booleans())
+def test_a_node_serialized_at_one_depth_encodes_correctly_at_another(tree, depth, inner_first):
+    wrapped = tree
+    for level in range(depth):
+        wrapped = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG,
+                             control_id=2**42 + level, rectangle=Rect(0, 0, 10, 10),
+                             sub_elements=(wrapped,))
+    first, second = (tree, wrapped) if inner_first else (wrapped, tree)
+    for node in (first, second, first):
+        assert serialize_tree(node) == json.dumps(reference_obj(node), indent=2)
+
