@@ -81,7 +81,6 @@ from .widgets import (
     Rect,
     WidgetKind,
     WidgetNode,
-    find_widget,
     possible_actions,
     serialize_tree,
 )

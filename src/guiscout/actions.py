@@ -13,9 +13,8 @@ import json
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
-from .widgets import ActionVerb, ArgSpec, PossibleAction
+from .widgets import ActionVerb, ArgSpec, PossibleAction, cached_once
 
 
 class ActionParseError(ValueError):
@@ -72,6 +71,9 @@ class ValidationResult:
             raise ValueError("a rejection needs a reason")
 
 
+_ACCEPTED = ValidationResult(True)  # shared: a result never changes
+
+
 @dataclass(frozen=True)
 class ActionLogEntry:
     """One attempted action as remembered between iterations.
@@ -90,7 +92,7 @@ class ActionLogEntry:
     def to_json_obj(self) -> dict[str, str]:
         return {"action": self.action, "explanation": self.explanation, "status": self.status}
 
-    @cached_property
+    @cached_once
     def log_fragment(self) -> str:
         """This entry as an element of ``json.dumps(log, indent=2)``, rendered once.
 
@@ -263,4 +265,4 @@ def validate_action(cmd: ActionCommand, allowed: Sequence[PossibleAction]) -> Va
         return ValidationResult(
             False, f"{cmd.arg!r} is not a valid item; valid items: {listing}"
         )
-    return ValidationResult(True)
+    return _ACCEPTED

@@ -59,6 +59,7 @@ class AgentRequest:
 
 
 class VerdictState(Enum):
+    __hash__ = object.__hash__  # see the widgets module docstring
     OKAY = "okay"
     PROBLEM = "problem"
 
@@ -102,7 +103,12 @@ def verdict_to_obj(verdict: Verdict) -> dict:
     return {"state": "problem", "reason": verdict.reason}
 
 
+_OKAY_JSON = json.dumps({"state": "okay"})  # built once: every okay verdict reads so
+
+
 def verdict_to_json(verdict: Verdict) -> str:
+    if verdict.state is VerdictState.OKAY:
+        return _OKAY_JSON
     return json.dumps(verdict_to_obj(verdict))
 
 

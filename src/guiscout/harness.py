@@ -341,6 +341,7 @@ class RunSession:
         if config.out_dir is not None:
             self.writer = RunWriter(config.out_dir, config.run_id, echo, time.time())
         self.prev_shot: SimScreenshot = self.sim.render()
+        self.prev_ref = _screenshot_ref(self.prev_shot)  # one per screenshot
         if self.writer:
             self.writer.write_shot(self.prev_shot)
         self.record = RunRecord(run_id=config.run_id, config=echo)
@@ -348,9 +349,9 @@ class RunSession:
     def run_iteration(self, index: int) -> IterationRecord:
         """Execute one full controller/executor/evaluator iteration."""
         started = time.time()
-        before = self.prev_shot
+        before, before_ref = self.prev_shot, self.prev_ref
         tree = before.tree
-        attachment = _screenshot_ref(before) if self.config.attach_screenshot else None
+        attachment = before_ref if self.config.attach_screenshot else None
         controller_prompt = build_controller_prompt(
             self.config.task, self.docs, tree, self.log,
             screenshot=attachment, doc_budget=self.config.doc_budget)
@@ -407,8 +408,8 @@ class RunSession:
         if self.writer:
             self.writer.write_shot(after)
 
-        evaluator_prompt = build_evaluator_prompt(
-            explanation, _screenshot_ref(before), _screenshot_ref(after))
+        after_ref = _screenshot_ref(after)
+        evaluator_prompt = build_evaluator_prompt(explanation, before_ref, after_ref)
         rec.evaluator_prompt_digest = self._prompt_digest(evaluator_prompt)
 
         verdict: Verdict | None = None
@@ -425,7 +426,7 @@ class RunSession:
         if verdict is not None:
             rec.verdict = verdict_to_obj(verdict)
 
-        self.prev_shot = after
+        self.prev_shot, self.prev_ref = after, after_ref
         rec.finished_at = time.time()
         return rec
 

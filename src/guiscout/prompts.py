@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .actions import ActionLog, ActionLogEntry, format_log
-from .widgets import WidgetKind, WidgetNode, serialize_tree
+from .widgets import WidgetKind, WidgetNode, cached_once, serialize_tree
 
 
 class MissingAttachmentError(ValueError):
@@ -45,11 +44,11 @@ class PromptDocument:
         """The section bodies joined by blank lines; joined once per document."""
         return self._text
 
-    @cached_property
+    @cached_once
     def _text(self) -> str:
         return "\n\n".join(body for _, body in self.sections)
 
-    @cached_property
+    @cached_once
     def digest(self) -> str:
         """The sha256 hex digest of the UTF-8 text; hashed once per document."""
         return hashlib.sha256(self._text.encode("utf-8")).hexdigest()

@@ -16,7 +16,9 @@ is equal, and builds a new node otherwise. There are no dirty flags to forget,
 so a kept node never goes stale; ``extra_state`` is never mutated after a node
 is built, so a shared node stays what it was. What is derived from a node (its
 JSON text, its possible actions, where and what it draws) is derived once per
-node object, and a render of the same root reuses the canvas text and digest.
+node object, without a lock (see ``widgets``), and a render of the same root
+reuses the canvas text and digest. A run makes one image reference per
+screenshot, and every prompt that shows that screenshot carries that object.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ _FAULT_TRUNCATE_AT = 40
 
 
 class FaultKind(Enum):
+    __hash__ = object.__hash__  # see the widgets module docstring
     TRUNCATED_TEXT = "truncated_text"
     GENERIC_ERROR_MESSAGE = "generic_error_message"
     MISALIGNED_RECT = "misaligned_rect"

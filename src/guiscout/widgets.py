@@ -19,14 +19,16 @@ So :func:`serialize_tree` and :func:`possible_actions` derive their product
 once per node object (its JSON text at each indent, the control ids and the
 possible actions of its subtree) and keep it on the node. That is sound
 because a node never changes: its fields are frozen, and its ``extra_state``
-dict is never mutated after construction.
+dict is never mutated after construction. :class:`cached_once` keeps it without
+a lock: a node is reached from one run's thread only, and a race would at worst
+derive the same value twice. Enum members hash by identity, as they compare,
+not by their name in Python (``Enum.__hash__``); no output reads a set's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
@@ -36,6 +38,7 @@ class TreeIntegrityError(ValueError):
 
 
 class ActionVerb(Enum):
+    __hash__ = object.__hash__  # see the module docstring
     CLICK = "click"
     WRITE = "write"
     SELECT = "select"
@@ -46,6 +49,7 @@ class ActionVerb(Enum):
 class WidgetKind(Enum):
     """Widget kinds; the enum value is the on-the-wire control_type string."""
 
+    __hash__ = object.__hash__  # see the module docstring
     BUTTON = "ButtonWrapper"
     EDIT = "EditWrapper"
     COMBO_BOX = "ComboBoxWrapper"
@@ -77,6 +81,20 @@ RESERVED_KEYS = frozenset(
 
 #: Separator used to pack combo-box item lists into the "items" extra_state value.
 ITEMS_SEPARATOR = "|"
+
+
+class cached_once:
+    """``functools.cached_property`` without the lock that Python 3.11 takes on
+    each first read (3.12 dropped it): the value is kept in the ``__dict__``."""
+
+    def __init__(self, derive):
+        self.derive, self.name, self.__doc__ = derive, derive.__name__, derive.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -151,7 +169,7 @@ class WidgetNode:
 
     # Products derived once per node object; see the module docstring.
 
-    @cached_property
+    @cached_once
     def _subtree_ids(self) -> frozenset[int] | None:
         """The control ids in this subtree, or None if one of them occurs twice."""
         ids = {self.control_id}
@@ -164,12 +182,12 @@ class WidgetNode:
             count += len(below)
         return frozenset(ids) if len(ids) == count else None
 
-    @cached_property
+    @cached_once
     def _json_by_pad(self) -> dict[str, str]:
         """This node's JSON text by the pad it was written at; see ``_encode_node``."""
         return {}
 
-    @cached_property
+    @cached_once
     def _subtree_actions(self) -> tuple[PossibleAction, ...]:
         """The possible actions of this subtree, in depth-first document order."""
         actions: list[PossibleAction] = []
@@ -265,11 +283,3 @@ def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
     ``enabled=false`` contribute nothing.
     """
     return list(tree._subtree_actions)
-
-
-def find_widget(tree: WidgetNode, control_id: int) -> WidgetNode | None:
-    """Return the unique node with the given id, or None."""
-    for node in tree.iter_nodes():
-        if node.control_id == control_id:
-            return node
-    return None

@@ -20,9 +20,20 @@ from hypothesis import settings
 
 from guiscout.harness import IterationRecord, RunRecord, RunWriter
 from guiscout.triage import FALSE_POSITIVE, TRUE_POSITIVE, Label, LabelFile
+from guiscout.widgets import WidgetNode
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def find_widget(tree: WidgetNode, control_id: int) -> WidgetNode | None:
+    """The node of ``tree`` with the given id, or None: a reference scan in
+    document order."""
+    for node in tree.iter_nodes():
+        if node.control_id == control_id:
+            return node
+    return None
+
 
 RUN_SIZES = [84] * 8 + [80]  # 752 total
 POSITIVES_PER_RUN = 8  # 72 total

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import threading
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from guiscout import harness
 from guiscout.actions import ActionCommand, format_action
+from guiscout.agents import RemoteAgent, RemoteAgentConfig, ScriptedAgent
 from guiscout.harness import (
     CampaignError,
     ConfigError,
@@ -124,6 +126,31 @@ def test_evaluator_prompt_uses_surrounding_renders():
     first = session.run_iteration(0)
     second = session.run_iteration(1)
     assert first.after_digest == second.before_digest
+
+
+def test_each_screenshot_gets_one_image_reference(tmp_path, monkeypatch):
+    requests = []
+    respond = ScriptedAgent.respond
+    monkeypatch.setattr(ScriptedAgent, "respond",
+                        lambda agent, request: requests.append(request) or respond(agent, request))
+    script = full_traversal_script()
+    record = run(scripted_config(evaluator="scripted", faults=default_fault_set(),
+                                 evaluator_script=['{"state": "okay"}'] * len(script),
+                                 out_dir=tmp_path, run_id="run-refs"))
+    controller = [request.prompt for request in requests if request.role == "controller"]
+    evaluator = [request.prompt for request in requests if request.role == "evaluator"]
+    assert len(controller) == len(evaluator) == len(record.iterations) == len(script)
+    blobs = load_blobs(tmp_path / "run-refs")
+    body = RemoteAgent(RemoteAgentConfig("http://localhost", "m"))._build_body
+    for index, iteration in enumerate(record.iterations):
+        before, after = evaluator[index].attachments
+        assert controller[index].attachments[0] is before
+        if index:  # the after image of the step before, the same object
+            assert before is evaluator[index - 1].attachments[1]
+        assert before.name == iteration.before_digest and after.name == iteration.after_digest
+        assert after.data == blobs[iteration.after_digest].encode("utf-8")
+    sent = body(requests[-1])["messages"][0]["content"][-1]["image_url"]["url"]
+    assert base64.b64decode(sent.partition("base64,")[2]) == after.data
 
 
 # --- run -------------------------------------------------------------------

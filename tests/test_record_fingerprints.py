@@ -12,12 +12,16 @@ record contract) with
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from guiscout.harness import RunConfig, run
 from guiscout.simulator import FaultKind, FaultSpec, default_fault_set
 
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "record_fingerprints.json"
+TESTS = Path(__file__).resolve().parent
+FIXTURE = TESTS / "fixtures" / "record_fingerprints.json"
 
 RANDOM_ITERATIONS = 120
 
@@ -59,6 +63,32 @@ def compute_fingerprints() -> dict:
 def test_record_fingerprints_match_the_fixture():
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert compute_fingerprints() == expected
+
+
+# The 31-step scripted run and a 100-iteration random run, default faults.
+_HASH_SEED_PROBE = """
+import json
+from guiscout.harness import RunConfig, run
+from guiscout.simulator import default_fault_set
+from test_record_fingerprints import fingerprint_digest
+print(json.dumps([fingerprint_digest(run(RunConfig(faults=default_fault_set()))),
+                  fingerprint_digest(run(RunConfig(controller="random", max_iterations=100,
+                                                   faults=default_fault_set())))]))
+"""
+
+
+def test_fingerprints_do_not_depend_on_the_process():
+    """Strings hash by a per-process seed and enum members by their address,
+    so the order of a set differs between processes; no recorded byte may."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                            os.environ.get("PYTHONPATH", "")])
+    digests = [json.loads(subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE], capture_output=True, text=True, check=True,
+        timeout=300, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout)
+        for seed in ("0", "1")]
+    assert digests[0] == digests[1]
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert digests[0][0] == expected["scripted_subsets"][str(2 ** len(default_fault_set()) - 1)]
 
 
 if __name__ == "__main__":

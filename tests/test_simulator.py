@@ -23,10 +23,11 @@ from guiscout.widgets import (
     ActionVerb,
     Rect,
     WidgetKind,
-    find_widget,
     possible_actions,
     serialize_tree,
 )
+
+from conftest import find_widget
 
 PAGES = ("tool_description", "inputs_outputs", "launch_settings",
          "cpacs_properties", "review", "finish")

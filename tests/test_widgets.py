@@ -13,10 +13,11 @@ from guiscout.widgets import (
     TreeIntegrityError,
     WidgetKind,
     WidgetNode,
-    find_widget,
     possible_actions,
     serialize_tree,
 )
+
+from conftest import find_widget
 
 DIALOG_ROOT = WidgetNode(
     class_name="Dialog",
