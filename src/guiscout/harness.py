@@ -326,6 +326,10 @@ def _build_evaluator(config: RunConfig) -> Agent | None:
     return RemoteAgent(config.remote_evaluator)
 
 
+# Immutable, so every session shares it.
+_DOCS = default_doc_corpus()
+
+
 class RunSession:
     """One sequential run: owns the simulator, the agents, and the log."""
 
@@ -334,7 +338,7 @@ class RunSession:
         self.sim: SimWizard = new_wizard(config.faults, config.wizard_config)
         self.controller = _build_controller(config)
         self.evaluator = _build_evaluator(config)
-        self.docs = default_doc_corpus()
+        self.docs = _DOCS
         self.log = ActionLog()
         self.writer: RunWriter | None = None
         echo = config.echo()

@@ -5,7 +5,7 @@ modal dialog level, and injectable UI defects. Snapshots are widget trees,
 screenshots are fixed-size text renders, and both are pure functions of the
 wizard state, so every run is exactly reproducible from the fault set and the
 action sequence. Control ids are assigned in a fixed order (see
-``SimWizard._build_slots``); the record fingerprints in
+``_lay_out``); the record fingerprints in
 ``tests/fixtures/record_fingerprints.json`` pin it.
 
 Each step builds only what changed. For each control id (a slot, an input
@@ -19,6 +19,17 @@ JSON text, its possible actions, where and what it draws) is derived once per
 node object, without a lock (see ``widgets``), and a render of the same root
 reuses the canvas text and digest. A run makes one image reference per
 screenshot, and every prompt that shows that screenshot carries that object.
+
+A wizard config is compiled into an immutable layout: the pages and modals,
+every slot with its control id (slots are frozen, their sequences tuples, the
+tables read-only), and each field's default value. The default wizard is
+compiled once per process, and every session, replay, traversal script and
+``guiscout run`` config check shares that layout. A custom ``wizard`` config is
+compiled for each wizard, so a malformed one fails every time. A wizard owns
+only its state: its values (a copy of the defaults), inputs, dialog stack,
+messages, faults, reported faults and its node, draw and canvas caches. The
+one value derived on a shared slot, its misaligned rectangle, is derived like
+a node's (a race between two runs' threads would derive it twice).
 """
 
 from __future__ import annotations
@@ -26,13 +37,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from types import MappingProxyType
 
 from .actions import ActionCommand, format_action
 from .agents import Verdict, VerdictState
 from .prompts import DocCorpus, DocEntry
-from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode
+from .widgets import (ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode,
+                      cached_once)
 
 
 class WizardConfigError(ValueError):
@@ -420,7 +434,7 @@ VALIDATORS = {
 _NAV_ROLES = ("back", "next", "finish")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Slot:
     """One concrete widget instance with a stable control id.
 
@@ -439,6 +453,118 @@ class _Slot:
     page: str | None = None
     modal: str | None = None
 
+    @cached_once
+    def misaligned_rect(self) -> Rect:
+        """Where the slot is drawn under a misaligned-rectangle fault."""
+        return self.rect.shifted(dx=_MISALIGN_SHIFT)
+
+
+def _find_slot(slots: tuple[_Slot, ...], role: str | None, label: str | None = None) -> _Slot:
+    """The first of ``slots`` with ``role`` and, if given, ``label``."""
+    for slot in slots:
+        if slot.role == role and (label is None or slot.label == label):
+            return slot
+    raise KeyError(label if label is not None else role)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A wizard config, compiled: its pages and modals, every slot with its
+    control id, and each field's default value. It never changes, so every
+    wizard built from one config shares it; each slot sequence is in tree
+    order, and a page's ends with the shared slots."""
+
+    title: str
+    pages: tuple[PageSpec, ...]
+    modals: Mapping[str, PageSpec]
+    slots_by_id: Mapping[int, _Slot]
+    page_slots: Mapping[str, tuple[_Slot, ...]]
+    modal_slots: Mapping[str, tuple[_Slot, ...]]
+    defaults: Mapping[int, str | bool]
+    # Input list items take the ids after the last slot, in the order added.
+    first_item_id: int
+
+    def control_id_of(self, label: str, page: str | None = None,
+                      modal: str | None = None, nav: str | None = None) -> int:
+        """Look up a stable control id for script authoring and tests."""
+        if nav is not None:
+            if nav not in _NAV_ROLES:
+                raise KeyError(nav)
+            return _find_slot(self.page_slots[self.pages[0].key], nav).control_id
+        if modal is not None:
+            return _find_slot(self.modal_slots[modal], "field", label).control_id
+        if page is not None:
+            return _find_slot(self.page_slots[page], "field", label).control_id
+        raise KeyError(label)
+
+    def modal_button_id(self, modal: str, label: str) -> int:
+        role = {"OK": "ok", "Cancel": "cancel"}.get(label)
+        return _find_slot(self.modal_slots[modal], role, label).control_id
+
+
+def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec]) -> _Layout:
+    """Assign control ids in a fixed order: each page (title, then a label
+    and a control per field), the shared slots, then each modal (a label
+    and a control per field, message, OK, Cancel)."""
+    ids = itertools.count(1)
+    slots_by_id: dict[int, _Slot] = {}
+
+    def add(kind: WidgetKind, label: str, rect: Rect, role: str,
+            field: FieldSpec | None = None, **owner: str) -> _Slot:
+        slot = _Slot(next(ids), kind, label, rect, role, field, **owner)
+        slots_by_id[slot.control_id] = slot
+        return slot
+
+    def rows(fields: tuple[FieldSpec, ...], top: int, label_x: tuple[int, int],
+             control_x: tuple[int, int], wide_x: tuple[int, int], list_height: int,
+             **owner: str) -> list[_Slot]:
+        slots = []
+        for row, field in enumerate(fields):
+            y = top + _ROW_STEP * row
+            x, height = wide_x, 24
+            if field.has_label_widget:
+                slots.append(add(WidgetKind.STATIC, f"{field.label}:",
+                                 Rect(label_x[0], y, label_x[1], y + 24), "label", **owner))
+                x = control_x
+                if field.kind is WidgetKind.CONTAINER:
+                    height = list_height
+            slots.append(add(field.kind, field.label, Rect(x[0], y, x[1], y + height),
+                             "field", field, **owner))
+        return slots
+
+    page_slots = {}
+    for page in pages:
+        page_slots[page.key] = [
+            add(WidgetKind.STATIC, page.title, _TITLE_RECT, "title", page=page.key),
+            *rows(page.fields, _FIELD_TOP, (_LABEL_LEFT, _LABEL_RIGHT),
+                  (_CONTROL_LEFT, _CONTROL_RIGHT), (_FULL_LEFT, _FULL_RIGHT), 96,
+                  page=page.key)]
+    shared = (add(WidgetKind.STATIC, "message", _MESSAGE_RECT, "message"),
+              add(WidgetKind.STATIC, "Tool integration completed.", _COMPLETION_RECT,
+                  "completion"),
+              add(WidgetKind.BUTTON, "< Back", _NAV_BACK_RECT, "back"),
+              add(WidgetKind.BUTTON, "Next >", _NAV_NEXT_RECT, "next"),
+              add(WidgetKind.BUTTON, "Finish", _NAV_NEXT_RECT, "finish"))
+    modal_slots = {}
+    for key, modal in modals.items():
+        control_x = (_MODAL_CONTROL_LEFT, _MODAL_CONTROL_RIGHT)
+        slots = rows(modal.fields, _MODAL_FIELD_TOP, (_MODAL_LABEL_LEFT, _MODAL_LABEL_RIGHT),
+                     control_x, control_x, 24, modal=key)
+        message = add(WidgetKind.STATIC, "message", _MODAL_MESSAGE_RECT, "message", modal=key)
+        modal_slots[key] = (*slots,
+                            add(WidgetKind.BUTTON, "OK", _MODAL_OK_RECT, "ok", modal=key),
+                            add(WidgetKind.BUTTON, "Cancel", _MODAL_CANCEL_RECT, "cancel",
+                                modal=key),
+                            message)
+    return _Layout(
+        title=title, pages=pages, modals=MappingProxyType(modals),
+        slots_by_id=MappingProxyType(slots_by_id),
+        page_slots=MappingProxyType({key: (*slots, *shared) for key, slots in page_slots.items()}),
+        modal_slots=MappingProxyType(modal_slots),
+        defaults=MappingProxyType({slot.control_id: slot.field.default
+                                   for slot in slots_by_id.values() if slot.field is not None}),
+        first_item_id=next(ids))
+
 
 @dataclass
 class _InputRecord:
@@ -449,17 +575,20 @@ class _InputRecord:
 
 
 class SimWizard:
-    """Mutable wizard state, owned by a single run. Snapshots are immutable."""
+    """Mutable wizard state, owned by a single run. Snapshots are immutable.
+    The layout is shared with every wizard built from the same config; the
+    wizard owns its values, inputs, dialogs, messages, faults and caches."""
 
-    def __init__(self, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec],
-                 faults: list[FaultSpec], title: str = WIZARD_TITLE):
-        self.pages = pages
-        self.modals = modals
+    def __init__(self, layout: _Layout, faults: list[FaultSpec]):
+        self._layout = layout
+        self.pages, self.modals, self.title = layout.pages, layout.modals, layout.title
+        self._slots_by_id = layout.slots_by_id
+        self._page_slots = layout.page_slots
+        self._modal_slots = layout.modal_slots
         self.faults = list(faults)
-        self.title = title
 
         self.current_page = 0
-        self.values: dict[int, str | bool] = {}
+        self.values: dict[int, str | bool] = layout.defaults.copy()  # every field at its default
         self.dialog_stack: list[str] = []
         self.inputs: list[_InputRecord] = []
         self.message: str | None = None
@@ -469,15 +598,11 @@ class SimWizard:
 
         # Per control id: the node built last and its fields; what that node
         # draws (node, row, col, line); and the last render (root, text, digest).
+        # Per (list slot id, index): where that input item is drawn.
         self._nodes: dict[int, tuple[tuple, WidgetNode]] = {}
         self._drawn: dict[int, tuple[WidgetNode, int, int, str]] = {}
         self._canvas: tuple[WidgetNode, str, str] | None = None
-
-        self._slots_by_id: dict[int, _Slot] = {}
-        # Each list is in tree order; a page's list ends with the shared slots.
-        self._page_slots: dict[str, list[_Slot]] = {}
-        self._modal_slots: dict[str, list[_Slot]] = {}
-        self._build_slots()
+        self._item_rects: dict[tuple[int, int], Rect] = {}
 
         for fault in self.faults:
             if fault.page not in self._page_slots or fault.label != "title" and not any(
@@ -487,74 +612,6 @@ class SimWizard:
         self._active = {(fault.kind, fault.page, fault.label)
                         for fault in self.faults if fault.active}
         self._reported: set[int] = set()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_slots(self) -> None:
-        """Assign control ids in a fixed order: each page (title, then a label
-        and a control per field), the shared slots, then each modal (a label
-        and a control per field, message, OK, Cancel). Every field starts at
-        its default value."""
-        ids = itertools.count(1)
-
-        def add(kind: WidgetKind, label: str, rect: Rect, role: str,
-                field: FieldSpec | None = None, **owner: str) -> _Slot:
-            slot = _Slot(next(ids), kind, label, rect, role, field, **owner)
-            self._slots_by_id[slot.control_id] = slot
-            if field is not None:
-                self.values[slot.control_id] = field.default
-            return slot
-
-        def rows(fields: tuple[FieldSpec, ...], top: int, label_x: tuple[int, int],
-                 control_x: tuple[int, int], wide_x: tuple[int, int], list_height: int,
-                 **owner: str) -> list[_Slot]:
-            slots = []
-            for row, field in enumerate(fields):
-                y = top + _ROW_STEP * row
-                x, height = wide_x, 24
-                if field.has_label_widget:
-                    slots.append(add(WidgetKind.STATIC, f"{field.label}:",
-                                     Rect(label_x[0], y, label_x[1], y + 24), "label", **owner))
-                    x = control_x
-                    if field.kind is WidgetKind.CONTAINER:
-                        height = list_height
-                slots.append(add(field.kind, field.label, Rect(x[0], y, x[1], y + height),
-                                 "field", field, **owner))
-            return slots
-
-        for page in self.pages:
-            title = add(WidgetKind.STATIC, page.title, _TITLE_RECT, "title", page=page.key)
-            self._page_slots[page.key] = [title, *rows(
-                page.fields, _FIELD_TOP, (_LABEL_LEFT, _LABEL_RIGHT),
-                (_CONTROL_LEFT, _CONTROL_RIGHT), (_FULL_LEFT, _FULL_RIGHT), 96,
-                page=page.key)]
-        shared = [add(WidgetKind.STATIC, "message", _MESSAGE_RECT, "message"),
-                  add(WidgetKind.STATIC, "Tool integration completed.", _COMPLETION_RECT,
-                      "completion"),
-                  add(WidgetKind.BUTTON, "< Back", _NAV_BACK_RECT, "back"),
-                  add(WidgetKind.BUTTON, "Next >", _NAV_NEXT_RECT, "next"),
-                  add(WidgetKind.BUTTON, "Finish", _NAV_NEXT_RECT, "finish")]
-        for slots in self._page_slots.values():
-            slots.extend(shared)
-        for key, modal in self.modals.items():
-            control_x = (_MODAL_CONTROL_LEFT, _MODAL_CONTROL_RIGHT)
-            slots = rows(modal.fields, _MODAL_FIELD_TOP, (_MODAL_LABEL_LEFT, _MODAL_LABEL_RIGHT),
-                         control_x, control_x, 24, modal=key)
-            message = add(WidgetKind.STATIC, "message", _MODAL_MESSAGE_RECT, "message", modal=key)
-            slots += [add(WidgetKind.BUTTON, "OK", _MODAL_OK_RECT, "ok", modal=key),
-                      add(WidgetKind.BUTTON, "Cancel", _MODAL_CANCEL_RECT, "cancel", modal=key),
-                      message]
-            self._modal_slots[key] = slots
-        # Input list items take the ids after the last slot, in the order added.
-        self._first_item_id = next(ids)
-
-    @staticmethod
-    def _slot(slots: list[_Slot], role: str | None, label: str | None = None) -> _Slot:
-        """The first of ``slots`` with ``role`` and, if given, ``label``."""
-        for slot in slots:
-            if slot.role == role and (label is None or slot.label == label):
-                return slot
-        raise KeyError(label if label is not None else role)
 
     # -- fault helpers -----------------------------------------------------
 
@@ -566,8 +623,8 @@ class SimWizard:
             return f"The {fault.label} control is misaligned with the other controls on the page."
         slots = self._page_slots[fault.page]
         if fault.kind is FaultKind.MISSING_TITLE:
-            return f"The title of the {self._slot(slots, 'title').label} page is missing."
-        noun = self._slot(slots, "field", fault.label).field.noun_text
+            return f"The title of the {_find_slot(slots, 'title').label} page is missing."
+        noun = _find_slot(slots, "field", fault.label).field.noun_text
         if fault.kind is FaultKind.GENERIC_ERROR_MESSAGE:
             return (f"The error message 'Invalid path to {noun}' is shown although "
                     f"no {noun} was entered.")
@@ -575,7 +632,7 @@ class SimWizard:
 
     # -- validation --------------------------------------------------------
 
-    def _first_failure(self, slots: list[_Slot]) -> tuple[str | None, str | None]:
+    def _first_failure(self, slots: tuple[_Slot, ...]) -> tuple[str | None, str | None]:
         """Message and label of the first failing field of a page or a modal,
         in declaration order: validation is top to bottom."""
         for slot in slots:
@@ -602,7 +659,7 @@ class SimWizard:
     def execute(self, cmd: ActionCommand) -> ExecOutcome:
         """Apply one command. Failure is a status value, never an exception."""
         slot = self._slots_by_id.get(cmd.control_id)
-        index = cmd.control_id - self._first_item_id
+        index = cmd.control_id - self._layout.first_item_id
         record = self.inputs[index] if 0 <= index < len(self.inputs) else None
         if slot is None and record is None:
             return ExecOutcome.failed(f"no widget with control_id {cmd.control_id}")
@@ -718,24 +775,15 @@ class SimWizard:
     def control_id_of(self, label: str, page: str | None = None,
                       modal: str | None = None, nav: str | None = None) -> int:
         """Look up a stable control id for script authoring and tests."""
-        if nav is not None:
-            if nav not in _NAV_ROLES:
-                raise KeyError(nav)
-            return self._slot(self._page_slots[self.pages[0].key], nav).control_id
-        if modal is not None:
-            return self._slot(self._modal_slots[modal], "field", label).control_id
-        if page is not None:
-            return self._slot(self._page_slots[page], "field", label).control_id
-        raise KeyError(label)
+        return self._layout.control_id_of(label, page, modal, nav)
 
     def modal_button_id(self, modal: str, label: str) -> int:
-        role = {"OK": "ok", "Cancel": "cancel"}.get(label)
-        return self._slot(self._modal_slots[modal], role, label).control_id
+        return self._layout.modal_button_id(modal, label)
 
     @property
     def first_dynamic_id(self) -> int:
         """The control id the next added input item gets."""
-        return self._first_item_id + len(self.inputs)
+        return self._layout.first_item_id + len(self.inputs)
 
     def _computed_text(self, field: FieldSpec) -> str:
         if field.computed != "summary":
@@ -743,8 +791,7 @@ class SimWizard:
 
         def value(page: str, label: str) -> str:
             try:
-                return str(self.values[self._slot(self._page_slots[page], "field",
-                                                  label).control_id])
+                return str(self.values[self._layout.control_id_of(label, page)])
             except KeyError:
                 return ""
 
@@ -787,7 +834,7 @@ class SimWizard:
         elif field is not None:
             value = self.values[slot.control_id]
             if (FaultKind.MISALIGNED_RECT, slot.page, slot.label) in self._active:
-                rect = rect.shifted(dx=_MISALIGN_SHIFT)
+                rect = slot.misaligned_rect
             if kind is WidgetKind.STATIC:
                 text = self._computed_text(field)
             elif kind is WidgetKind.EDIT:
@@ -801,18 +848,26 @@ class SimWizard:
             elif kind is WidgetKind.RADIO_BUTTON:
                 extra["selected"] = bool(value)
             elif kind is WidgetKind.CONTAINER:
-                text, base = "", slot.rect
+                text = ""
                 item_state = {"enabled": False} if disabled else {}
                 children = tuple(self._reuse(
                     "ListItem", WidgetKind.LIST_ITEM, record.item_id,
-                    Rect(base.left + 10, base.top + 24 * index,
-                         base.right - 10, base.top + 24 * index + 20),
+                    self._item_rect(slot, index),
                     record.name, {"selected": record.selected, **item_state}, ())
                     for index, record in enumerate(self.inputs, start=1))
             if (kind is WidgetKind.STATIC or kind is WidgetKind.EDIT) and \
                     (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
                 text = text[:_FAULT_TRUNCATE_AT]
         return self._reuse(class_name, kind, slot.control_id, rect, text, extra, children)
+
+    def _item_rect(self, slot: _Slot, index: int) -> Rect:
+        """Where the ``index``-th input item of a list slot is drawn."""
+        rect = self._item_rects.get((slot.control_id, index))
+        if rect is None:
+            base = slot.rect
+            rect = self._item_rects[slot.control_id, index] = Rect(
+                base.left + 10, base.top + 24 * index, base.right - 10, base.top + 24 * index + 20)
+        return rect
 
     def _reuse(self, *fields) -> WidgetNode:
         """The node with ``fields`` (WidgetNode's, in order): the node built
@@ -955,13 +1010,8 @@ class SimWizard:
         return Verdict(VerdictState.OKAY)
 
 
-def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
-    """A wizard for a config in the schema of :func:`default_wizard_config`.
-
-    A config of the wrong shape, two pages with one key, two fields with one
-    label on a page or in a modal, or a fault naming no field of it, raises
-    WizardConfigError.
-    """
+def _compile(config: object) -> _Layout:
+    """The layout of a config in the schema of :func:`default_wizard_config`."""
     page_objs = _config_value(config, "pages", list, "wizard config")
     if not page_objs:
         raise WizardConfigError("wizard config has no pages")
@@ -982,31 +1032,47 @@ def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
             raise WizardConfigError(f"{where} has no fields")
         modals[key] = PageSpec(key=key, title=_config_value(modal_obj, "title", str, where),
                                 fields=fields)
-    return SimWizard(pages=tuple(pages), modals=modals, faults=faults,
-                     title=_config_value(config, "title", str, "wizard config", WIZARD_TITLE))
+    return _lay_out(_config_value(config, "title", str, "wizard config", WIZARD_TITLE),
+                    tuple(pages), modals)
+
+
+# Compiled once per process; every wizard built without a config shares it.
+_DEFAULT_LAYOUT = _compile(default_wizard_config())
+
+
+def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
+    """A wizard for a config in the schema of :func:`default_wizard_config`,
+    compiled for this wizard alone.
+
+    A config of the wrong shape, two pages with one key, two fields with one
+    label on a page or in a modal, or a fault naming no field of it, raises
+    WizardConfigError.
+    """
+    return SimWizard(_compile(config), faults)
 
 
 def new_wizard(faults: list[FaultSpec] | None = None,
                config: dict | None = None) -> SimWizard:
-    """Fresh wizard at page 0 with deterministic control-id assignment."""
-    return build_wizard(config or default_wizard_config(), list(faults or []))
+    """Fresh wizard at page 0 with deterministic control-id assignment: the
+    default wizard's shared layout, or ``config`` compiled for this wizard."""
+    return SimWizard(_compile(config) if config else _DEFAULT_LAYOUT, faults or [])
 
 
 def full_traversal_script() -> list[str]:
     """Controller responses that walk all six pages of the default fixture and
     touch every interactive widget. Authored against stable control ids."""
-    sim = new_wizard()
+    layout = _DEFAULT_LAYOUT
 
     def cid(label: str, page: str) -> int:
-        return sim.control_id_of(label, page=page)
+        return layout.control_id_of(label, page=page)
 
     def nav(which: str) -> int:
-        return sim.control_id_of("", nav=which)
+        return layout.control_id_of("", nav=which)
 
     def modal(label: str) -> int:
-        return sim.control_id_of(label, modal="add_input")
+        return layout.control_id_of(label, modal="add_input")
 
-    first_item = sim.first_dynamic_id
+    first_item = layout.first_item_id
     steps: list[tuple[ActionCommand, str]] = [
         (ActionCommand(ActionVerb.CLICK, cid("CPACS tool", "tool_description")),
          "try the CPACS tool type to see how the form reacts"),
@@ -1025,17 +1091,17 @@ def full_traversal_script() -> list[str]:
          "go to the Inputs and Outputs page"),
         (ActionCommand(ActionVerb.CLICK, cid("Add Input...", "inputs_outputs")),
          "open the dialog for defining a new input"),
-        (ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add_input", "Cancel")),
+        (ActionCommand(ActionVerb.CLICK, layout.modal_button_id("add_input", "Cancel")),
          "close the input dialog again without adding anything"),
         (ActionCommand(ActionVerb.CLICK, cid("Add Input...", "inputs_outputs")),
          "reopen the dialog to actually add an input"),
-        (ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add_input", "OK")),
+        (ActionCommand(ActionVerb.CLICK, layout.modal_button_id("add_input", "OK")),
          "confirm the dialog to see how it handles an empty name"),
         (ActionCommand(ActionVerb.WRITE, modal("Input name"), "airfoil"),
          "name the input after the airfoil geometry file"),
         (ActionCommand(ActionVerb.SELECT, modal("Data type"), "File"),
          "the airfoil geometry is exchanged as a file"),
-        (ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add_input", "OK")),
+        (ActionCommand(ActionVerb.CLICK, layout.modal_button_id("add_input", "OK")),
          "add the input and close the dialog"),
         (ActionCommand(ActionVerb.CLICK, first_item),
          "select the new input in the list"),

@@ -24,7 +24,7 @@ from guiscout.harness import (
     run,
     run_many,
 )
-from guiscout.simulator import FaultKind, FaultSpec, default_fault_set, \
+from guiscout.simulator import FaultKind, FaultSpec, SimWizard, default_fault_set, \
     full_traversal_script, new_wizard
 from guiscout.widgets import ActionVerb
 from test_record_fingerprints import OTHER_FAULTS
@@ -162,6 +162,21 @@ def test_full_traversal_covers_all_pages_and_ends_on_finish():
     assert {it.page_key for it in record.iterations} == {
         "tool_description", "inputs_outputs", "launch_settings",
         "cpacs_properties", "review", "finish"}
+
+
+def test_a_scripted_run_builds_one_wizard(monkeypatch):
+    """The built-in script reads its control ids from the default layout."""
+    built = []
+    init = SimWizard.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimWizard, "__init__", counting)
+    record = run(scripted_config())
+    assert len(built) == 1
+    assert len(record.iterations) == len(full_traversal_script())
 
 
 def test_zero_max_iterations_gives_an_empty_record():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -744,6 +746,75 @@ def test_reused_nodes_give_what_a_fresh_wizard_gives(config, faults, script, hea
         assert shot.rendered == expected.rendered
         assert shot.digest == expected.digest
         assert shot.visible_faults == expected.visible_faults
+
+
+# --- the compiled default layout ----------------------------------------------
+
+def _view(sim: SimWizard) -> tuple:
+    shot = sim.render()
+    return shot.rendered, shot.digest, shot.visible_faults, serialize_tree(sim.snapshot())
+
+
+def test_default_wizards_share_the_layout_but_not_the_state():
+    faults = default_fault_set()
+    driven = new_wizard(faults)
+    for line in full_traversal_script():
+        driven.execute(parse_controller_output(line).action)
+    assert driven.finished and driven.inputs
+    second = new_wizard(faults)
+    # A wizard compiled from its own copy of the config shares nothing.
+    assert _view(second) == _view(build_wizard(default_wizard_config(), faults))
+    assert second.values != driven.values
+    assert second._slots_by_id.keys() == driven._slots_by_id.keys()
+    assert all(second._slots_by_id[control_id] is slot
+               for control_id, slot in driven._slots_by_id.items())
+    # What is shared is immutable by type.
+    layout = second._layout
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.slots_by_id[1].label = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.first_item_id = 0
+    for table in (layout.slots_by_id, layout.page_slots, layout.modal_slots, layout.defaults,
+                  layout.modals):
+        with pytest.raises(TypeError):
+            table[1] = None
+    assert all(type(slots) is tuple
+               for slots in (*layout.page_slots.values(), *layout.modal_slots.values()))
+
+
+def test_a_custom_config_is_compiled_for_each_wizard():
+    new_wizard()  # the default layout is in use
+    malformed = _config_with(("pages", 0, "fields", 1, "validator"), "no_such_check")
+    for _ in range(2):
+        with pytest.raises(WizardConfigError, match="no_such_check"):
+            new_wizard(config=malformed)
+    relabelled = _config_with(("pages", 0, "fields", 1, "label"), "Component Name")
+    texts = [node.text for node in new_wizard(config=relabelled).snapshot().sub_elements]
+    assert "Component Name:" in texts and "Name:" not in texts
+    assert "Name:" in [node.text for node in new_wizard().snapshot().sub_elements]
+
+
+def test_an_unchanged_page_builds_no_rect(monkeypatch):
+    """Input items and a misaligned control keep their rectangles."""
+    sim = new_wizard(default_fault_set())  # Add Input... is misaligned
+    for name in ("a", "b", "c"):
+        open_modal(sim)
+        write(sim, sim.control_id_of("Input name", modal="add_input"), name)
+        click(sim, sim.modal_button_id("add_input", "OK"))
+    shot = sim.render()
+    assert len(find_widget(shot.tree, sim.control_id_of("Inputs", page="inputs_outputs"))
+               .sub_elements) == 3
+    built = []
+    init = Rect.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rect, "__init__", counting)
+    assert sim.snapshot() is shot.tree
+    assert sim.render().digest == shot.digest
+    assert built == []
 
 
 # --- the canned traversal script -------------------------------------------
