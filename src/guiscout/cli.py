@@ -214,7 +214,10 @@ def cmd_label(args: argparse.Namespace) -> int:
     records = _load_run_dirs(args.runs)
     existing = _load_labels(args.labels) if Path(args.labels).is_file() else None
     labels = prefill_labels(collect_positives(records), existing)
-    labels.save(args.labels)
+    try:
+        labels.save(args.labels)
+    except OSError as exc:
+        raise CliUsageError(f"cannot write label file {args.labels}: {exc}") from exc
     unlabeled = sum(1 for label in labels.entries.values() if label.value == "unknown")
     print(f"{len(labels.entries)} finding(s) in {args.labels}, {unlabeled} unlabeled")
     return EXIT_OK

@@ -20,16 +20,20 @@ node object, without a lock (see ``widgets``), and a render of the same root
 reuses the canvas text and digest. A run makes one image reference per
 screenshot, and every prompt that shows that screenshot carries that object.
 
-A wizard config is compiled into an immutable layout: the pages and modals,
-every slot with its control id (slots are frozen, their sequences tuples, the
-tables read-only), and each field's default value. The default wizard is
-compiled once per process, and every session, replay, traversal script and
-``guiscout run`` config check shares that layout. A custom ``wizard`` config is
-compiled for each wizard, so a malformed one fails every time. A wizard owns
-only its state: its values (a copy of the defaults), inputs, dialog stack,
-messages, faults, reported faults and its node, draw and canvas caches. The
-one value derived on a shared slot, its misaligned rectangle, is derived like
-a node's (a race between two runs' threads would derive it twice).
+A wizard config is compiled into an immutable layout, the one owner of
+everything a config settles: the pages and modals; every slot with its control
+id, its rectangle and the rectangle a misaligned-rectangle fault draws it at;
+the field slots keyed by (page, modal, label) and every other slot but a
+field's label keyed by (page, modal, role); each modal's dialog node id; and
+each field's default value. Slots are frozen, their sequences tuples, the
+tables read-only. The default wizard is compiled once per process, and every
+session, replay, traversal script and ``guiscout run`` config check shares
+that layout. A custom ``wizard`` config is compiled for each wizard, so a
+malformed one fails every time. A wizard holds only what changes during a
+run: the current page, its values (a copy of the defaults), its inputs (a name
+and a data type each; an item's control id is the layout's first item id plus
+its position), the selected input, the dialog stack, messages, faults,
+reported faults and its node, draw and canvas caches.
 """
 
 from __future__ import annotations
@@ -41,12 +45,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .actions import ActionCommand, format_action
 from .agents import Verdict, VerdictState
 from .prompts import DocCorpus, DocEntry
-from .widgets import (ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode,
-                      cached_once)
+from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode
 
 
 class WizardConfigError(ValueError):
@@ -344,6 +348,8 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     items = _config_value(obj, "items", list, where, [])
     if not all(isinstance(item, str) for item in items):
         raise WizardConfigError(f"{where} 'items' must all be text: {items!r}")
+    if any(ITEMS_SEPARATOR in item for item in items):
+        raise WizardConfigError(f"{where} 'items' must not contain {ITEMS_SEPARATOR!r}: {items!r}")
     toggles = kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON
     return FieldSpec(
         label=_config_value(obj, "label", str, where),
@@ -396,10 +402,11 @@ def _v_absolute_path(sim: "SimWizard", field: FieldSpec, value: object) -> str |
 
 
 def _v_optional_positive_int(sim: "SimWizard", field: FieldSpec, value: object) -> str | None:
-    text = value if isinstance(value, str) else ""
-    if not text.strip():
+    text = value.strip() if isinstance(value, str) else ""
+    if not text:
         return None
-    if text.strip().isdigit() and int(text) > 0:
+    # int() takes only decimal digits and strips less than str.strip() does.
+    if text.isdecimal() and int(text) > 0:
         return None
     return f"The {field.noun_text} must be a positive integer."
 
@@ -442,37 +449,25 @@ class _Slot:
     neither (the validation message, the completion note and the navigation
     buttons) is shared by every page. ``role`` is one of ``title``, ``label``,
     ``field``, ``message``, ``completion``, ``back``, ``next``, ``finish``,
-    ``ok`` and ``cancel``; only a ``field`` slot has a ``field``."""
+    ``ok`` and ``cancel``; only a ``field`` slot has a ``field``.
+    ``misaligned_rect`` is where a misaligned-rectangle fault draws it."""
 
     control_id: int
     kind: WidgetKind
     label: str
     rect: Rect
+    misaligned_rect: Rect
     role: str
     field: FieldSpec | None = None
     page: str | None = None
     modal: str | None = None
 
-    @cached_once
-    def misaligned_rect(self) -> Rect:
-        """Where the slot is drawn under a misaligned-rectangle fault."""
-        return self.rect.shifted(dx=_MISALIGN_SHIFT)
-
-
-def _find_slot(slots: tuple[_Slot, ...], role: str | None, label: str | None = None) -> _Slot:
-    """The first of ``slots`` with ``role`` and, if given, ``label``."""
-    for slot in slots:
-        if slot.role == role and (label is None or slot.label == label):
-            return slot
-    raise KeyError(label if label is not None else role)
-
 
 @dataclass(frozen=True)
 class _Layout:
-    """A wizard config, compiled: its pages and modals, every slot with its
-    control id, and each field's default value. It never changes, so every
-    wizard built from one config shares it; each slot sequence is in tree
-    order, and a page's ends with the shared slots."""
+    """A wizard config, compiled (see the module docstring). Each slot
+    sequence is in tree order, and a page's ends with the shared slots. The
+    tables key a slot by its page and its modal: the two may share a key."""
 
     title: str
     pages: tuple[PageSpec, ...]
@@ -480,6 +475,9 @@ class _Layout:
     slots_by_id: Mapping[int, _Slot]
     page_slots: Mapping[str, tuple[_Slot, ...]]
     modal_slots: Mapping[str, tuple[_Slot, ...]]
+    field_slots: Mapping[tuple[str | None, str | None, str], _Slot]
+    role_slots: Mapping[tuple[str | None, str | None, str], _Slot]
+    dialog_ids: Mapping[str, int]
     defaults: Mapping[int, str | bool]
     # Input list items take the ids after the last slot, in the order added.
     first_item_id: int
@@ -490,16 +488,14 @@ class _Layout:
         if nav is not None:
             if nav not in _NAV_ROLES:
                 raise KeyError(nav)
-            return _find_slot(self.page_slots[self.pages[0].key], nav).control_id
-        if modal is not None:
-            return _find_slot(self.modal_slots[modal], "field", label).control_id
-        if page is not None:
-            return _find_slot(self.page_slots[page], "field", label).control_id
-        raise KeyError(label)
+            return self.role_slots[None, None, nav].control_id
+        if modal is None and page is None:
+            raise KeyError(label)
+        return self.field_slots[None if modal is not None else page, modal, label].control_id
 
     def modal_button_id(self, modal: str, label: str) -> int:
         role = {"OK": "ok", "Cancel": "cancel"}.get(label)
-        return _find_slot(self.modal_slots[modal], role, label).control_id
+        return self.role_slots[None, modal, role].control_id
 
 
 def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec]) -> _Layout:
@@ -511,7 +507,8 @@ def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec
 
     def add(kind: WidgetKind, label: str, rect: Rect, role: str,
             field: FieldSpec | None = None, **owner: str) -> _Slot:
-        slot = _Slot(next(ids), kind, label, rect, role, field, **owner)
+        slot = _Slot(next(ids), kind, label, rect, rect.shifted(dx=_MISALIGN_SHIFT), role, field,
+                     **owner)
         slots_by_id[slot.control_id] = slot
         return slot
 
@@ -556,41 +553,44 @@ def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec
                             add(WidgetKind.BUTTON, "Cancel", _MODAL_CANCEL_RECT, "cancel",
                                 modal=key),
                             message)
+    field_slots = {(slot.page, slot.modal, slot.label): slot
+                   for slot in slots_by_id.values() if slot.field is not None}
     return _Layout(
         title=title, pages=pages, modals=MappingProxyType(modals),
         slots_by_id=MappingProxyType(slots_by_id),
         page_slots=MappingProxyType({key: (*slots, *shared) for key, slots in page_slots.items()}),
         modal_slots=MappingProxyType(modal_slots),
+        field_slots=MappingProxyType(field_slots),
+        role_slots=MappingProxyType({(slot.page, slot.modal, slot.role): slot
+                                     for slot in slots_by_id.values()
+                                     if slot.field is None and slot.role != "label"}),
+        # A modal's dialog node is never actionable; its id only needs to be unique.
+        dialog_ids=MappingProxyType({key: 900_000 + index
+                                     for index, key in enumerate(sorted(modals))}),
         defaults=MappingProxyType({slot.control_id: slot.field.default
-                                   for slot in slots_by_id.values() if slot.field is not None}),
+                                   for slot in field_slots.values()}),
         first_item_id=next(ids))
 
 
-@dataclass
-class _InputRecord:
+class _InputRecord(NamedTuple):
     name: str
     data_type: str
-    item_id: int
-    selected: bool = False
 
 
 class SimWizard:
     """Mutable wizard state, owned by a single run. Snapshots are immutable.
-    The layout is shared with every wizard built from the same config; the
-    wizard owns its values, inputs, dialogs, messages, faults and caches."""
+    ``layout`` is shared with every wizard built from the same config and
+    answers every lookup; the wizard holds only what changes during a run."""
 
     def __init__(self, layout: _Layout, faults: list[FaultSpec]):
-        self._layout = layout
-        self.pages, self.modals, self.title = layout.pages, layout.modals, layout.title
-        self._slots_by_id = layout.slots_by_id
-        self._page_slots = layout.page_slots
-        self._modal_slots = layout.modal_slots
+        self.layout = layout
         self.faults = list(faults)
 
         self.current_page = 0
         self.values: dict[int, str | bool] = layout.defaults.copy()  # every field at its default
         self.dialog_stack: list[str] = []
         self.inputs: list[_InputRecord] = []
+        self.selected_input: int | None = None  # an index into ``inputs``
         self.message: str | None = None
         self.message_label: str | None = None
         self.modal_message: str | None = None
@@ -598,17 +598,24 @@ class SimWizard:
 
         # Per control id: the node built last and its fields; what that node
         # draws (node, row, col, line); and the last render (root, text, digest).
-        # Per (list slot id, index): where that input item is drawn.
+        # Per (list slot id, position): where that input item is drawn.
         self._nodes: dict[int, tuple[tuple, WidgetNode]] = {}
         self._drawn: dict[int, tuple[WidgetNode, int, int, str]] = {}
         self._canvas: tuple[WidgetNode, str, str] | None = None
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
+        # A fault must change what is shown: a missing title targets a page's
+        # title, truncated text a Static or Edit field, any other kind a field.
         for fault in self.faults:
-            if fault.page not in self._page_slots or fault.label != "title" and not any(
-                    slot.field is not None and slot.label == fault.label
-                    for slot in self._page_slots[fault.page]):
-                raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label}")
+            if fault.kind is FaultKind.MISSING_TITLE:
+                legal = fault.label == "title" and (fault.page, None, "title") in layout.role_slots
+            else:
+                slot = layout.field_slots.get((fault.page, None, fault.label))
+                legal = slot is not None and (fault.kind is not FaultKind.TRUNCATED_TEXT
+                                              or slot.kind in (WidgetKind.STATIC, WidgetKind.EDIT))
+            if not legal:
+                raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label} for "
+                                        f"{fault.kind.value}")
         self._active = {(fault.kind, fault.page, fault.label)
                         for fault in self.faults if fault.active}
         self._reported: set[int] = set()
@@ -621,10 +628,10 @@ class SimWizard:
             return f"The text of the {fault.label} is not fully visible."
         if fault.kind is FaultKind.MISALIGNED_RECT:
             return f"The {fault.label} control is misaligned with the other controls on the page."
-        slots = self._page_slots[fault.page]
         if fault.kind is FaultKind.MISSING_TITLE:
-            return f"The title of the {_find_slot(slots, 'title').label} page is missing."
-        noun = _find_slot(slots, "field", fault.label).field.noun_text
+            title = self.layout.role_slots[fault.page, None, "title"].label
+            return f"The title of the {title} page is missing."
+        noun = self.layout.field_slots[fault.page, None, fault.label].field.noun_text
         if fault.kind is FaultKind.GENERIC_ERROR_MESSAGE:
             return (f"The error message 'Invalid path to {noun}' is shown although "
                     f"no {noun} was entered.")
@@ -646,9 +653,12 @@ class SimWizard:
                 return message, slot.label
         return None, None
 
+    def _page_key(self) -> str:
+        return self.layout.pages[self.current_page].key
+
     def _revalidate_page(self) -> None:
-        page_key = self.pages[self.current_page].key
-        message, label = self._first_failure(self._page_slots[page_key])
+        page_key = self._page_key()
+        message, label = self._first_failure(self.layout.page_slots[page_key])
         if (message is None and self.message is not None
                 and (FaultKind.STALE_ERROR, page_key, self.message_label) in self._active):
             return  # the defect: the old message refuses to clear
@@ -658,10 +668,9 @@ class SimWizard:
 
     def execute(self, cmd: ActionCommand) -> ExecOutcome:
         """Apply one command. Failure is a status value, never an exception."""
-        slot = self._slots_by_id.get(cmd.control_id)
-        index = cmd.control_id - self._layout.first_item_id
-        record = self.inputs[index] if 0 <= index < len(self.inputs) else None
-        if slot is None and record is None:
+        slot = self.layout.slots_by_id.get(cmd.control_id)
+        item = cmd.control_id - self.layout.first_item_id
+        if slot is None and not 0 <= item < len(self.inputs):
             return ExecOutcome.failed(f"no widget with control_id {cmd.control_id}")
 
         owner = slot.modal if slot is not None else None
@@ -669,14 +678,13 @@ class SimWizard:
             return ExecOutcome.failed("blocked by an open dialog" if owner is None
                                       else "not visible on the current page")
 
-        if record is not None:
+        if slot is None:  # an input list item
             if cmd.verb is not ActionVerb.CLICK:
                 return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
-            for item in self.inputs:
-                item.selected = item is record
+            self.selected_input = item
             return ExecOutcome.executed()
 
-        if slot.page is not None and slot.page != self.pages[self.current_page].key:
+        if slot.page is not None and slot.page != self._page_key():
             return ExecOutcome.failed("not visible on the current page")
         permitted = KIND_VERBS.get(slot.kind)
         if permitted is None:
@@ -701,11 +709,11 @@ class SimWizard:
             self.current_page -= 1
             self.message = self.message_label = None
             return ExecOutcome.executed()
-        if (role == "finish") != (self.current_page == len(self.pages) - 1):
+        if (role == "finish") != (self.current_page == len(self.layout.pages) - 1):
             return ExecOutcome.failed("not visible on the current page")
         if role == "finish" and self.finished:
             return ExecOutcome.failed("the integration is already completed")
-        message, label = self._first_failure(self._page_slots[self.pages[self.current_page].key])
+        message, label = self._first_failure(self.layout.page_slots[self._page_key()])
         if message is not None:
             self.message, self.message_label = message, label
             return ExecOutcome.failed(message)
@@ -717,16 +725,18 @@ class SimWizard:
         return ExecOutcome.executed()
 
     def _execute_modal_ok(self, key: str) -> ExecOutcome:
-        """Add an input named by the modal's first field, typed by its second."""
-        slots = self._modal_slots[key]
+        """Add an input named by the modal's first field, typed by its second.
+        A name holding the combo-box item separator could never be selected."""
+        slots = self.layout.modal_slots[key]
+        fields = [slot for slot in slots if slot.field is not None]
+        values = [str(self.values[slot.control_id]) for slot in fields]
         message = self._first_failure(slots)[0]
+        if message is None and ITEMS_SEPARATOR in values[0]:
+            message = f"The {fields[0].field.noun_text} must not contain {ITEMS_SEPARATOR!r}."
         if message is not None:
             self.modal_message = message
             return ExecOutcome.failed(message)
-        values = [str(self.values[slot.control_id]) for slot in slots if slot.field is not None]
-        self.inputs.append(_InputRecord(name=values[0],
-                                        data_type=values[1] if len(values) > 1 else "",
-                                        item_id=self.first_dynamic_id))
+        self.inputs.append(_InputRecord(values[0], values[1] if len(values) > 1 else ""))
         self.dialog_stack.clear()
         self.modal_message = None
         self._revalidate_page()
@@ -745,22 +755,22 @@ class SimWizard:
         elif kind is WidgetKind.CHECK_BOX:
             self.values[slot.control_id] = cmd.verb is ActionVerb.CHECK
         elif kind is WidgetKind.RADIO_BUTTON:
-            siblings = (self._modal_slots[slot.modal] if slot.modal is not None
-                        else self._page_slots[slot.page])
+            siblings = (self.layout.modal_slots[slot.modal] if slot.modal is not None
+                        else self.layout.page_slots[slot.page])
             for other in siblings:
                 if other.kind is WidgetKind.RADIO_BUTTON and other.field.group == field.group:
                     self.values[other.control_id] = other is slot
         else:  # a button: it opens a modal, or does nothing
-            if field.opens not in self.modals:
+            if field.opens not in self.layout.modals:
                 return ExecOutcome.failed("this button has no effect")
             self.dialog_stack.append(field.opens)
             self.modal_message = None
-            for other in self._modal_slots[field.opens]:
+            for other in self.layout.modal_slots[field.opens]:
                 if other.field is not None:
                     self.values[other.control_id] = other.field.default
             return ExecOutcome.executed()
         if slot.modal is not None:
-            self.modal_message = self._first_failure(self._modal_slots[slot.modal])[0]
+            self.modal_message = self._first_failure(self.layout.modal_slots[slot.modal])[0]
         else:
             self._revalidate_page()
         return ExecOutcome.executed()
@@ -775,25 +785,23 @@ class SimWizard:
     def control_id_of(self, label: str, page: str | None = None,
                       modal: str | None = None, nav: str | None = None) -> int:
         """Look up a stable control id for script authoring and tests."""
-        return self._layout.control_id_of(label, page, modal, nav)
+        return self.layout.control_id_of(label, page, modal, nav)
 
     def modal_button_id(self, modal: str, label: str) -> int:
-        return self._layout.modal_button_id(modal, label)
+        return self.layout.modal_button_id(modal, label)
 
     @property
     def first_dynamic_id(self) -> int:
         """The control id the next added input item gets."""
-        return self._layout.first_item_id + len(self.inputs)
+        return self.layout.first_item_id + len(self.inputs)
 
     def _computed_text(self, field: FieldSpec) -> str:
         if field.computed != "summary":
             return field.text
 
         def value(page: str, label: str) -> str:
-            try:
-                return str(self.values[self._layout.control_id_of(label, page)])
-            except KeyError:
-                return ""
+            slot = self.layout.field_slots.get((page, None, label))
+            return "" if slot is None else str(self.values[slot.control_id])
 
         return (f"Name: {value('tool_description', 'Name') or '-'} | "
                 f"Version: {value('launch_settings', 'Version') or '-'} | "
@@ -809,7 +817,7 @@ class SimWizard:
         if role == "completion":
             return self.finished
         if role == "next" or role == "finish":
-            return (role == "finish") == (self.current_page == len(self.pages) - 1)
+            return (role == "finish") == (self.current_page == len(self.layout.pages) - 1)
         return True
 
     def _node(self, slot: _Slot) -> WidgetNode:
@@ -822,7 +830,7 @@ class SimWizard:
             disabled = disabled or self.current_page == 0
         elif role == "next":
             disabled = disabled or self._first_failure(
-                self._page_slots[self.pages[self.current_page].key])[0] is not None
+                self.layout.page_slots[self._page_key()])[0] is not None
         elif role == "finish":
             disabled = disabled or self.finished
         extra: dict[str, str | bool] = {"enabled": False} if disabled and kind in KIND_VERBS \
@@ -851,22 +859,22 @@ class SimWizard:
                 text = ""
                 item_state = {"enabled": False} if disabled else {}
                 children = tuple(self._reuse(
-                    "ListItem", WidgetKind.LIST_ITEM, record.item_id,
-                    self._item_rect(slot, index),
-                    record.name, {"selected": record.selected, **item_state}, ())
-                    for index, record in enumerate(self.inputs, start=1))
-            if (kind is WidgetKind.STATIC or kind is WidgetKind.EDIT) and \
-                    (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
+                    "ListItem", WidgetKind.LIST_ITEM, self.layout.first_item_id + position,
+                    self._item_rect(slot, position), record.name,
+                    {"selected": position == self.selected_input, **item_state}, ())
+                    for position, record in enumerate(self.inputs))
+            # Only a Static or Edit field can have this fault (see __init__).
+            if (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
                 text = text[:_FAULT_TRUNCATE_AT]
         return self._reuse(class_name, kind, slot.control_id, rect, text, extra, children)
 
-    def _item_rect(self, slot: _Slot, index: int) -> Rect:
-        """Where the ``index``-th input item of a list slot is drawn."""
-        rect = self._item_rects.get((slot.control_id, index))
+    def _item_rect(self, slot: _Slot, position: int) -> Rect:
+        """Where the input item at ``position`` of a list slot is drawn."""
+        rect = self._item_rects.get((slot.control_id, position))
         if rect is None:
-            base = slot.rect
-            rect = self._item_rects[slot.control_id, index] = Rect(
-                base.left + 10, base.top + 24 * index, base.right - 10, base.top + 24 * index + 20)
+            base, top = slot.rect, slot.rect.top + 24 * (position + 1)
+            rect = self._item_rects[slot.control_id, position] = Rect(
+                base.left + 10, top, base.right - 10, top + 20)
         return rect
 
     def _reuse(self, *fields) -> WidgetNode:
@@ -883,18 +891,16 @@ class SimWizard:
 
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
-        page = self.pages[self.current_page]
-        children = [self._node(slot) for slot in self._page_slots[page.key] if self._shown(slot)]
+        layout, page_key = self.layout, self._page_key()
+        children = [self._node(slot) for slot in layout.page_slots[page_key] if self._shown(slot)]
         if self.dialog_stack:
             key = self.dialog_stack[-1]
-            # The modal's dialog node is never actionable; its id only needs
-            # to be unique.
             children.append(self._reuse(
-                "Dialog", WidgetKind.DIALOG, 900_000 + sorted(self.modals).index(key),
-                _MODAL_RECT, self.modals[key].title, {},
-                tuple(self._node(slot) for slot in self._modal_slots[key] if self._shown(slot))))
-        return self._reuse("Dialog", WidgetKind.DIALOG, 0, ROOT_RECT, self.title,
-                           {"active_page": page.key}, tuple(children))
+                "Dialog", WidgetKind.DIALOG, layout.dialog_ids[key], _MODAL_RECT,
+                layout.modals[key].title, {},
+                tuple(self._node(slot) for slot in layout.modal_slots[key] if self._shown(slot))))
+        return self._reuse("Dialog", WidgetKind.DIALOG, 0, ROOT_RECT, layout.title,
+                           {"active_page": page_key}, tuple(children))
 
     # -- rendering ---------------------------------------------------------
 
@@ -974,14 +980,14 @@ class SimWizard:
             rendered = "\n".join(canvas)
             self._canvas = (tree, rendered, hashlib.sha256(rendered.encode("utf-8")).hexdigest())
         _, rendered, digest = self._canvas
-        return SimScreenshot(page_key=self.pages[self.current_page].key, rendered=rendered,
+        return SimScreenshot(page_key=self._page_key(), rendered=rendered,
                              digest=digest, tree=tree,
                              visible_faults=self._observable_fault_indices())
 
     # -- the deterministic evaluator stand-in -------------------------------
 
     def _observable_fault_indices(self) -> frozenset[int]:
-        page_key = self.pages[self.current_page].key
+        page_key = self._page_key()
         out: set[int] = set()
         for index, fault in enumerate(self.faults):
             if not fault.active or fault.page != page_key:
@@ -991,7 +997,7 @@ class SimWizard:
                         and self.message_label == fault.label)
             elif fault.kind is FaultKind.STALE_ERROR:
                 seen = (self.message is not None and self.message_label == fault.label
-                        and self._first_failure(self._page_slots[page_key])[0] is None)
+                        and self._first_failure(self.layout.page_slots[page_key])[0] is None)
             else:
                 seen = True
             if seen:
@@ -1040,22 +1046,17 @@ def _compile(config: object) -> _Layout:
 _DEFAULT_LAYOUT = _compile(default_wizard_config())
 
 
-def build_wizard(config: dict, faults: list[FaultSpec]) -> SimWizard:
-    """A wizard for a config in the schema of :func:`default_wizard_config`,
-    compiled for this wizard alone.
-
-    A config of the wrong shape, two pages with one key, two fields with one
-    label on a page or in a modal, or a fault naming no field of it, raises
-    WizardConfigError.
-    """
-    return SimWizard(_compile(config), faults)
-
-
 def new_wizard(faults: list[FaultSpec] | None = None,
                config: dict | None = None) -> SimWizard:
     """Fresh wizard at page 0 with deterministic control-id assignment: the
-    default wizard's shared layout, or ``config`` compiled for this wizard."""
-    return SimWizard(_compile(config) if config else _DEFAULT_LAYOUT, faults or [])
+    default wizard's shared layout, or ``config`` (in the schema of
+    :func:`default_wizard_config`) compiled for this wizard alone.
+
+    A config of the wrong shape (an empty one too), two pages with one key,
+    two fields with one label on a page or in a modal, or a fault that
+    targets no field of the kind it changes, raises WizardConfigError.
+    """
+    return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 
 
 def full_traversal_script() -> list[str]:

@@ -113,6 +113,7 @@ def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, valu
     {"pages": [{"key": "a"}]},
     {"pages": []},
     {"pages": [{"key": "a", "title": "A", "fields": [{"label": "Name"}]}]},
+    {},
 ])
 def test_replay_malformed_wizard_config_exits_one(tmp_path, capsys, wizard_config):
     out = tmp_path / "runs"
@@ -123,6 +124,18 @@ def test_replay_malformed_wizard_config_exits_one(tmp_path, capsys, wizard_confi
     header_path.write_text(json.dumps(header), encoding="utf-8")
     assert main(["replay", "--record", str(out / "run-000")]) == 1
     assert "error: " in capsys.readouterr().err
+
+
+def test_replay_of_a_fault_that_changes_nothing_shown_exits_one(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["config"]["faults"] = [{"kind": "missing_title", "page": "tool_description",
+                                   "label": "Name", "active": True}]
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    assert "error: unusable header config: unknown fault target" in capsys.readouterr().err
 
 
 def test_replay_with_altered_faults_exits_four(tmp_path, capsys):
@@ -215,6 +228,15 @@ def test_label_creates_prefilled_file(tmp_path, capsys):
     content = labels.read_text("utf-8")
     assert "unknown" in content
     assert "1 unlabeled" in capsys.readouterr().out
+
+
+def test_label_into_a_missing_directory_exits_one(tmp_path, capsys):
+    runs_dir, _ = write_funnel_dirs(tmp_path)
+    labels = tmp_path / "no-such-dir" / "labels.txt"
+    assert main(["label", "--runs", str(runs_dir), "--labels", str(labels)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write label file {labels}: ")
+    assert "Traceback" not in err
 
 
 MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive"]
@@ -317,9 +339,13 @@ def test_run_with_custom_wizard_config(tmp_path):
 
 @pytest.mark.parametrize("cfg", [
     {"wizard": {"pages": 5}},
+    # With a script of its own, so that only the empty wizard is at fault.
+    {"wizard": {}, "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
     {"faults": [{"kind": "truncated_text", "page": "tool_description",
                  "label": "No Such Field"}]},
-], ids=["malformed-wizard", "fault-naming-no-field"])
+    {"faults": [{"kind": "missing_title", "page": "tool_description", "label": "Name"}]},
+], ids=["malformed-wizard", "empty-wizard", "fault-naming-no-field",
+        "fault-changing-nothing-shown"])
 def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")

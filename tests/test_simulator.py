@@ -1,21 +1,24 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from guiscout.actions import ARG_VERBS, ActionCommand, parse_action, parse_controller_output
+from guiscout.actions import (ARG_VERBS, ActionCommand, format_action, parse_action,
+                              parse_controller_output)
 from guiscout.agents import VerdictState
 from guiscout.simulator import (
     CANVAS_HEIGHT,
     CANVAS_WIDTH,
     DESCRIPTION_HELP,
     ROOT_RECT,
+    VALIDATORS,
     FaultKind,
     FaultSpec,
+    FieldSpec,
     SimWizard,
     WizardConfigError,
-    build_wizard,
     default_fault_set,
     default_wizard_config,
     full_traversal_script,
@@ -64,11 +67,24 @@ def test_same_arguments_twice_give_identical_snapshots_and_digests():
     assert a.render().digest == b.render().digest
 
 
-def test_unknown_fault_target_is_a_construction_error():
+@pytest.mark.parametrize("fault", [
+    FaultSpec(FaultKind.TRUNCATED_TEXT, "tool_description", "No Such Field"),
+    FaultSpec(FaultKind.MISSING_TITLE, "no_such_page", "title"),
+    # Each of these would change nothing on screen.
+    FaultSpec(FaultKind.TRUNCATED_TEXT, "tool_description", "Group"),
+    FaultSpec(FaultKind.TRUNCATED_TEXT, "tool_description", "title"),
+    FaultSpec(FaultKind.MISSING_TITLE, "tool_description", "Name"),
+    FaultSpec(FaultKind.MISALIGNED_RECT, "tool_description", "title"),
+], ids=lambda fault: f"{fault.kind.value}-{fault.page}-{fault.label}")
+def test_unknown_fault_target_is_a_construction_error(fault):
     with pytest.raises(WizardConfigError, match="unknown fault target"):
-        new_wizard([FaultSpec(FaultKind.TRUNCATED_TEXT, "tool_description", "No Such Field")])
-    with pytest.raises(WizardConfigError, match="unknown fault target"):
-        new_wizard([FaultSpec(FaultKind.MISSING_TITLE, "no_such_page", "title")])
+        new_wizard([fault])
+
+
+def test_every_fault_kind_builds_on_a_target_it_changes():
+    new_wizard(default_fault_set())
+    new_wizard(CUSTOM_FAULTS, CUSTOM_WIZARD)
+    new_wizard([FaultSpec(FaultKind.TRUNCATED_TEXT, "cpacs_properties", "Input mapping file")])
 
 
 # --- snapshot --------------------------------------------------------------
@@ -101,10 +117,12 @@ def _config_with(path: tuple, value) -> dict:
     _config_with(("pages", 0, "fields", 2, "label"), "Name"),
     _config_with(("modals", "add_input", "fields", 1, "label"), "Input name"),
     _config_with(("pages", 1, "key"), "tool_description"),
+    _config_with(("pages", 0, "fields", 3, "items"), ["Analysis", "a|b"]),
+    {},
 ], ids=lambda config: repr(config)[:40])
 def test_malformed_wizard_config_is_a_config_error(config):
     with pytest.raises(WizardConfigError):
-        build_wizard(config, [])
+        new_wizard(config=config)
 
 
 def test_fresh_snapshot_has_page_one_edits_and_next_button():
@@ -384,6 +402,32 @@ def test_added_inputs_feed_the_endpoint_combo():
     assert find_widget(sim.snapshot(), combo).combo_items() == ("airfoil",)
 
 
+def test_an_input_name_with_the_item_separator_is_refused():
+    sim = new_wizard()
+    open_modal(sim)
+    write(sim, sim.control_id_of("Input name", modal="add_input"), "a|b")
+    outcome = click(sim, sim.modal_button_id("add_input", "OK"))
+    assert outcome.reason == "The input name must not contain '|'."
+    assert sim.modal_message == outcome.reason and sim.inputs == []
+
+
+def test_every_offered_item_of_the_inputs_combo_box_can_be_selected():
+    sim = new_wizard()
+    for name in ("airfoil", "a|b", "wing mesh", "x"):
+        open_modal(sim)
+        write(sim, sim.control_id_of("Input name", modal="add_input"), name)
+        click(sim, sim.modal_button_id("add_input", "OK"))
+        click(sim, sim.modal_button_id("add_input", "Cancel"))
+    sim.current_page = 3
+    combo = sim.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
+    offered = [choice for action in possible_actions(sim.snapshot())
+               if action.control_id == combo and action.verb is ActionVerb.SELECT
+               for choice in action.arg.choices]
+    assert offered == ["airfoil", "wing mesh", "x"]
+    for choice in offered:
+        assert sim.execute(ActionCommand(ActionVerb.SELECT, combo, choice)).status == "executed"
+
+
 def test_each_modal_owns_its_controls_and_message():
     config = default_wizard_config()
     config["pages"][1]["fields"].insert(2, {"label": "Add Output...", "kind": "Button",
@@ -392,7 +436,7 @@ def test_each_modal_owns_its_controls_and_message():
         {"label": "Output name", "kind": "Edit", "validator": "non_empty"},
         {"label": "Kind A", "kind": "RadioButton", "default": True, "group": "kind"},
         {"label": "Kind B", "kind": "RadioButton", "default": False, "group": "kind"}]}
-    sim = build_wizard(config, [])
+    sim = new_wizard(config=config)
     sim.current_page = 1
 
     def message_ids(modal):
@@ -437,6 +481,36 @@ def test_validation_reports_the_first_failing_field_top_to_bottom():
     assert sim.message == "The maximal number of instances must be a positive integer."
     write(sim, ids["Maximal Number of Instances"], "4")
     assert sim.message is None
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(), st.booleans()))
+@example("\u00b2")  # a digit to str.isdigit, but not to int()
+@example("0\x1f")  # whitespace to str.strip, but not to int()
+def test_every_validator_returns_a_message_or_none(value):
+    sim, field = new_wizard(), FieldSpec("Count", WidgetKind.EDIT)
+    for validator in VALIDATORS.values():
+        message = validator(sim, field, value)
+        assert message is None or isinstance(message, str) and message
+
+
+def test_a_superscript_two_in_a_scripted_run_is_a_validation_message(tmp_path):
+    from guiscout.harness import RunConfig, load_blobs, run
+
+    instances = new_wizard().control_id_of("Maximal Number of Instances", page="launch_settings")
+    script = []
+    for line in full_traversal_script():
+        command = parse_controller_output(line).action
+        if command.control_id == instances:
+            line = json.dumps({"action": format_action(dataclasses.replace(command, arg="\u00b2")),
+                               "explanation": "allow up to two parallel executions"})
+        script.append(line)
+    record = run(RunConfig(controller="scripted", evaluator="oracle", controller_script=script,
+                           out_dir=tmp_path))
+    written = next(it for it in record.iterations if it.action == f"write({instances}, '\u00b2')")
+    assert written.status == "executed"
+    assert "! The maximal number of instances must be a positive integer." in \
+        load_blobs(tmp_path / record.run_id)[written.after_digest]
 
 
 def test_stale_error_fault_keeps_the_message_after_the_fix():
@@ -763,19 +837,17 @@ def test_default_wizards_share_the_layout_but_not_the_state():
     assert driven.finished and driven.inputs
     second = new_wizard(faults)
     # A wizard compiled from its own copy of the config shares nothing.
-    assert _view(second) == _view(build_wizard(default_wizard_config(), faults))
+    assert _view(second) == _view(new_wizard(faults, default_wizard_config()))
     assert second.values != driven.values
-    assert second._slots_by_id.keys() == driven._slots_by_id.keys()
-    assert all(second._slots_by_id[control_id] is slot
-               for control_id, slot in driven._slots_by_id.items())
+    assert second.layout is driven.layout
     # What is shared is immutable by type.
-    layout = second._layout
+    layout = second.layout
     with pytest.raises(dataclasses.FrozenInstanceError):
         layout.slots_by_id[1].label = "changed"
     with pytest.raises(dataclasses.FrozenInstanceError):
         layout.first_item_id = 0
     for table in (layout.slots_by_id, layout.page_slots, layout.modal_slots, layout.defaults,
-                  layout.modals):
+                  layout.modals, layout.field_slots, layout.role_slots, layout.dialog_ids):
         with pytest.raises(TypeError):
             table[1] = None
     assert all(type(slots) is tuple
