@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .widgets import ActionVerb, ArgSpec, PossibleAction, cached_once
+from .widgets import ActionVerb, ArgSpec, PossibleAction
 
 
 class ActionParseError(ValueError):
@@ -88,25 +88,22 @@ class ActionLogEntry:
     def __post_init__(self) -> None:
         if self.status not in LOG_STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+        # This entry as an element of ``json.dumps(log, indent=2)``, rendered
+        # once. ``json.dumps(str)`` escapes as the indenting encoder does
+        # (``ensure_ascii``).
+        object.__setattr__(self, "log_fragment", (
+            '  {\n    "action": ' + json.dumps(self.action)
+            + ',\n    "explanation": ' + json.dumps(self.explanation)
+            + ',\n    "status": ' + json.dumps(self.status) + "\n  }"))
 
     def to_json_obj(self) -> dict[str, str]:
         return {"action": self.action, "explanation": self.explanation, "status": self.status}
-
-    @cached_once
-    def log_fragment(self) -> str:
-        """This entry as an element of ``json.dumps(log, indent=2)``, rendered once.
-
-        ``json.dumps(str)`` escapes as the indenting encoder does (``ensure_ascii``).
-        """
-        return ('  {\n    "action": ' + json.dumps(self.action)
-                + ',\n    "explanation": ' + json.dumps(self.explanation)
-                + ',\n    "status": ' + json.dumps(self.status) + "\n  }")
 
 
 class ActionLog:
     """The action log of a run and its text as embedded in controller prompts:
     the bytes of ``json.dumps([entry.to_json_obj() ...], indent=2)``. An
-    append extends the text by the entry's cached fragment, so no step joins
+    append extends the text by the entry's fragment, so no step joins
     the whole log again."""
 
     def __init__(self, entries: Iterable[ActionLogEntry] = ()) -> None:

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .actions import ActionLog, ActionLogEntry, format_log
-from .widgets import WidgetKind, WidgetNode, cached_once, serialize_tree
+from .widgets import WidgetKind, WidgetNode, serialize_tree
 
 
 class MissingAttachmentError(ValueError):
@@ -39,19 +39,16 @@ class PromptDocument:
     def __post_init__(self) -> None:
         if len(self.attachments) > 2:
             raise ValueError("a prompt carries at most two attachments")
+        # Every prompt is written and hashed, so both are derived once, here:
+        # the section bodies joined by blank lines, and the sha256 hex digest
+        # of their UTF-8 bytes.
+        text = "\n\n".join(body for _, body in self.sections)
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "digest", hashlib.sha256(text.encode("utf-8")).hexdigest())
 
     def text(self) -> str:
-        """The section bodies joined by blank lines; joined once per document."""
+        """The section bodies joined by blank lines."""
         return self._text
-
-    @cached_once
-    def _text(self) -> str:
-        return "\n\n".join(body for _, body in self.sections)
-
-    @cached_once
-    def digest(self) -> str:
-        """The sha256 hex digest of the UTF-8 text; hashed once per document."""
-        return hashlib.sha256(self._text.encode("utf-8")).hexdigest()
 
     def section(self, name: str) -> str:
         for section_name, body in self.sections:

@@ -14,11 +14,13 @@ and the values it built it from: the node's fields. A snapshot returns that
 same node, shared with the snapshots before it, when every one of those values
 is equal, and builds a new node otherwise. There are no dirty flags to forget,
 so a kept node never goes stale; ``extra_state`` is never mutated after a node
-is built, so a shared node stays what it was. What is derived from a node (its
-JSON text, its possible actions, where and what it draws) is derived once per
-node object, without a lock (see ``widgets``), and a render of the same root
-reuses the canvas text and digest. A run makes one image reference per
-screenshot, and every prompt that shows that screenshot carries that object.
+is built, so a shared node stays what it was. What is derived from a node is
+derived when the node is built: its JSON text and possible actions by its
+constructor (see ``widgets``), where and what it draws next to it in the
+wizard's node table, which a render can read because it draws only the
+wizard's own snapshot. A render of the same root reuses the canvas text and
+digest. A run makes one image reference per screenshot, and every prompt that
+shows that screenshot carries that object.
 
 A wizard config is compiled into an immutable layout, the one owner of
 everything a config settles: the pages and modals; every slot with its control
@@ -33,7 +35,7 @@ malformed one fails every time. A wizard holds only what changes during a
 run: the current page, its values (a copy of the defaults), its inputs (a name
 and a data type each; an item's control id is the layout's first item id plus
 its position), the selected input, the dialog stack, messages, faults,
-reported faults and its node, draw and canvas caches.
+reported faults and its node and canvas caches.
 """
 
 from __future__ import annotations
@@ -596,11 +598,10 @@ class SimWizard:
         self.modal_message: str | None = None
         self.finished = False
 
-        # Per control id: the node built last and its fields; what that node
-        # draws (node, row, col, line); and the last render (root, text, digest).
+        # Per control id: the fields of the node built last, that node, and
+        # what it draws (row, col, line). The last render (root, text, digest).
         # Per (list slot id, position): where that input item is drawn.
-        self._nodes: dict[int, tuple[tuple, WidgetNode]] = {}
-        self._drawn: dict[int, tuple[WidgetNode, int, int, str]] = {}
+        self._nodes: dict[int, tuple[tuple, WidgetNode, int, int, str]] = {}
         self._canvas: tuple[WidgetNode, str, str] | None = None
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
@@ -678,7 +679,10 @@ class SimWizard:
             return ExecOutcome.failed("blocked by an open dialog" if owner is None
                                       else "not visible on the current page")
 
-        if slot is None:  # an input list item
+        if slot is None:  # an input list item, drawn by a list of the current page
+            if not any(other.kind is WidgetKind.CONTAINER
+                       for other in self.layout.page_slots[self._page_key()]):
+                return ExecOutcome.failed("not visible on the current page")
             if cmd.verb is not ActionVerb.CLICK:
                 return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
             self.selected_input = item
@@ -880,13 +884,14 @@ class SimWizard:
     def _reuse(self, *fields) -> WidgetNode:
         """The node with ``fields`` (WidgetNode's, in order): the node built
         last for its control id if it was built from equal fields, else a new
-        one, which is kept in its place."""
+        one, which is kept in its place with where and what it draws."""
         control_id = fields[2]
         last = self._nodes.get(control_id)
         if last is not None and last[0] == fields:
             return last[1]
         node = WidgetNode(*fields)
-        self._nodes[control_id] = (fields, node)
+        self._nodes[control_id] = (fields, node, *self._cell(node.rectangle, ROOT_RECT),
+                                   self._widget_line(node))
         return node
 
     def snapshot(self) -> WidgetNode:
@@ -958,11 +963,8 @@ class SimWizard:
             top, left, _, _ = self._draw_box(canvas, node.rectangle)
             self._draw(canvas, top, left + 2, f" {node.text} ")
         else:
-            drawn = self._drawn.get(node.control_id)
-            if drawn is None or drawn[0] is not node:
-                drawn = (node, *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))
-                self._drawn[node.control_id] = drawn
-            _, row, col, line = drawn
+            # Only the wizard's own snapshot is drawn, so ``node`` is the one kept.
+            _, _, row, col, line = self._nodes[node.control_id]
             if line:
                 self._draw(canvas, row, col, line)
         for child in node.sub_elements:
@@ -1017,7 +1019,9 @@ class SimWizard:
 
 
 def _compile(config: object) -> _Layout:
-    """The layout of a config in the schema of :func:`default_wizard_config`."""
+    """The layout of a config in the schema of :func:`default_wizard_config`.
+    Every list draws the inputs with the same item ids, so at most one list
+    may be shown at a time: one per page, and none in a modal."""
     page_objs = _config_value(config, "pages", list, "wizard config")
     if not page_objs:
         raise WizardConfigError("wizard config has no pages")
@@ -1025,6 +1029,8 @@ def _compile(config: object) -> _Layout:
     for index, page_obj in enumerate(page_objs):
         where = f"wizard page {index}"
         fields = _parse_fields(page_obj, where)
+        if sum(field.kind is WidgetKind.CONTAINER for field in fields) > 1:
+            raise WizardConfigError(f"{where} has more than one List field")
         pages.append(PageSpec(key=_config_value(page_obj, "key", str, where),
                               title=_config_value(page_obj, "title", str, where),
                               fields=fields))
@@ -1036,6 +1042,8 @@ def _compile(config: object) -> _Layout:
         fields = _parse_fields(modal_obj, where)
         if not fields:
             raise WizardConfigError(f"{where} has no fields")
+        if any(field.kind is WidgetKind.CONTAINER for field in fields):
+            raise WizardConfigError(f"{where} has a List field; only a page may have one")
         modals[key] = PageSpec(key=key, title=_config_value(modal_obj, "title", str, where),
                                 fields=fields)
     return _lay_out(_config_value(config, "title", str, "wizard config", WIZARD_TITLE),
@@ -1053,15 +1061,21 @@ def new_wizard(faults: list[FaultSpec] | None = None,
     :func:`default_wizard_config`) compiled for this wizard alone.
 
     A config of the wrong shape (an empty one too), two pages with one key,
-    two fields with one label on a page or in a modal, or a fault that
-    targets no field of the kind it changes, raises WizardConfigError.
+    two fields with one label on a page or in a modal, two lists on a page, a
+    list in a modal, or a fault that targets no field of the kind it changes,
+    raises WizardConfigError.
     """
     return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 
 
 def full_traversal_script() -> list[str]:
     """Controller responses that walk all six pages of the default fixture and
-    touch every interactive widget. Authored against stable control ids."""
+    touch every interactive widget. Authored against stable control ids, built
+    once per process; each call returns a new list."""
+    return list(_TRAVERSAL_SCRIPT)
+
+
+def _traversal_script() -> tuple[str, ...]:
     layout = _DEFAULT_LAYOUT
 
     def cid(label: str, page: str) -> int:
@@ -1145,5 +1159,8 @@ def full_traversal_script() -> list[str]:
         (ActionCommand(ActionVerb.CLICK, nav("finish")),
          "complete the tool integration"),
     ]
-    return [json.dumps({"action": format_action(cmd), "explanation": explanation})
-            for cmd, explanation in steps]
+    return tuple(json.dumps({"action": format_action(cmd), "explanation": explanation})
+                 for cmd, explanation in steps)
+
+
+_TRAVERSAL_SCRIPT = _traversal_script()

@@ -15,14 +15,16 @@ A property test in ``tests/test_widgets.py`` checks the two against each other.
 
 Nodes are shared between snapshots: the simulator hands out the node it built
 before for a widget whenever every value the node is built from is equal.
-So :func:`serialize_tree` and :func:`possible_actions` derive their product
-once per node object (its JSON text at each indent, the control ids and the
-possible actions of its subtree) and keep it on the node. That is sound
-because a node never changes: its fields are frozen, and its ``extra_state``
-dict is never mutated after construction. :class:`cached_once` keeps it without
-a lock: a node is reached from one run's thread only, and a race would at worst
-derive the same value twice. Enum members hash by identity, as they compare,
-not by their name in Python (``Enum.__hash__``); no output reads a set's order.
+Every value derived from a node is needed in every step, so the constructor
+derives it once, from its children, which are built first: the control ids of
+its subtree, its possible actions and its JSON text at the top level. That is
+sound because a node never changes: its fields are frozen, and its
+``extra_state`` dict is never mutated after construction. A child's text
+inside its parent is its own text with every newline followed by four more
+spaces; ``json.dumps`` escapes a newline inside a string, so each raw newline
+is a line break of the layout. Enum members hash by identity, as they
+compare, not by their name in Python (``Enum.__hash__``); no output reads a
+set's order.
 """
 
 from __future__ import annotations
@@ -83,20 +85,6 @@ RESERVED_KEYS = frozenset(
 ITEMS_SEPARATOR = "|"
 
 
-class cached_once:
-    """``functools.cached_property`` without the lock that Python 3.11 takes on
-    each first read (3.12 dropped it): the value is kept in the ``__dict__``."""
-
-    def __init__(self, derive):
-        self.derive, self.name, self.__doc__ = derive, derive.__name__, derive.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.derive(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Rect:
     """Screen rectangle in pixels."""
@@ -149,6 +137,10 @@ class WidgetNode:
                 raise TreeIntegrityError(
                     f"extra_state value for {key!r} must be text or boolean, got {type(value).__name__}"
                 )
+        # Derived once, from the children; see the module docstring.
+        object.__setattr__(self, "_subtree_ids", _subtree_ids(self))
+        object.__setattr__(self, "_subtree_actions", _subtree_actions(self))
+        object.__setattr__(self, "_json", _encode_node(self))
 
     @property
     def enabled(self) -> bool:
@@ -166,44 +158,6 @@ class WidgetNode:
         if not isinstance(raw, str) or raw == "":
             return ()
         return tuple(raw.split(ITEMS_SEPARATOR))
-
-    # Products derived once per node object; see the module docstring.
-
-    @cached_once
-    def _subtree_ids(self) -> frozenset[int] | None:
-        """The control ids in this subtree, or None if one of them occurs twice."""
-        ids = {self.control_id}
-        count = 1
-        for child in self.sub_elements:
-            below = child._subtree_ids
-            if below is None:
-                return None
-            ids.update(below)
-            count += len(below)
-        return frozenset(ids) if len(ids) == count else None
-
-    @cached_once
-    def _json_by_pad(self) -> dict[str, str]:
-        """This node's JSON text by the pad it was written at; see ``_encode_node``."""
-        return {}
-
-    @cached_once
-    def _subtree_actions(self) -> tuple[PossibleAction, ...]:
-        """The possible actions of this subtree, in depth-first document order."""
-        actions: list[PossibleAction] = []
-        verbs = KIND_VERBS.get(self.kind)
-        if verbs is not None and self.enabled:
-            for verb in verbs:
-                if verb is ActionVerb.WRITE:
-                    arg = ARG_FREE_TEXT
-                elif verb is ActionVerb.SELECT:
-                    arg = ArgSpec("one_of", self.combo_items())
-                else:
-                    arg = ARG_NONE
-                actions.append(PossibleAction(self.control_id, verb, arg))
-        for child in self.sub_elements:
-            actions.extend(child._subtree_actions)
-        return tuple(actions)
 
 
 @dataclass(frozen=True)
@@ -239,41 +193,7 @@ def serialize_tree(tree: WidgetNode) -> str:
             if node.control_id in seen:
                 raise TreeIntegrityError(f"duplicate control_id {node.control_id}")
             seen.add(node.control_id)
-    return _encode_node(tree, "\n  ")
-
-
-def _encode_node(node: WidgetNode, pad: str) -> str:
-    """``node`` as ``json.dumps(..., indent=2)`` would write it at the depth
-    whose keys start on ``pad`` (a newline and their indent); written once per
-    node and pad."""
-    memo = node._json_by_pad
-    text = memo.get(pad)
-    if text is not None:
-        return text
-    inner = pad + "  "
-    rect = node.rectangle
-    parts = [
-        f'{{{pad}"class_name": {_quote(node.class_name)},'
-        f'{pad}"control_type": {_quote(node.kind.value)},'
-        f'{pad}"control_id": {node.control_id},'
-        f'{pad}"rectangle": [{inner}"L{rect.left}",{inner}"T{rect.top}",'
-        f'{inner}"R{rect.right}",{inner}"B{rect.bottom}"{pad}],'
-        f'{pad}"text": {_quote(node.text)},']
-    state = node.extra_state
-    for key in sorted(state):
-        value = state[key]
-        encoded = "true" if value is True else "false" if value is False else _quote(value)
-        parts.append(f"{pad}{_quote(key)}: {encoded},")
-    if not node.sub_elements:
-        parts.append(f'{pad}"sub_elements": []{pad[:-2]}}}')
-    else:
-        child_pad = inner + "  "
-        parts.append(f'{pad}"sub_elements": [{inner}')
-        parts.append(("," + inner).join(
-            _encode_node(child, child_pad) for child in node.sub_elements))
-        parts.append(f"{pad}]{pad[:-2]}}}")
-    text = memo[pad] = "".join(parts)
-    return text
+    return tree._json
 
 
 def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
@@ -283,3 +203,64 @@ def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
     ``enabled=false`` contribute nothing.
     """
     return list(tree._subtree_actions)
+
+
+# What a node derives from its fields and its children's derived values.
+
+def _subtree_ids(node: WidgetNode) -> frozenset[int] | None:
+    """The control ids in the subtree, or None if one of them occurs twice."""
+    ids = {node.control_id}
+    count = 1
+    for child in node.sub_elements:
+        below = child._subtree_ids
+        if below is None:
+            return None
+        ids.update(below)
+        count += len(below)
+    return frozenset(ids) if len(ids) == count else None
+
+
+def _subtree_actions(node: WidgetNode) -> tuple[PossibleAction, ...]:
+    """The possible actions of the subtree, in depth-first document order."""
+    actions: list[PossibleAction] = []
+    verbs = KIND_VERBS.get(node.kind)
+    if verbs is not None and node.enabled:
+        for verb in verbs:
+            if verb is ActionVerb.WRITE:
+                arg = ARG_FREE_TEXT
+            elif verb is ActionVerb.SELECT:
+                arg = ArgSpec("one_of", node.combo_items())
+            else:
+                arg = ARG_NONE
+            actions.append(PossibleAction(node.control_id, verb, arg))
+    for child in node.sub_elements:
+        actions.extend(child._subtree_actions)
+    return tuple(actions)
+
+
+def _encode_node(node: WidgetNode) -> str:
+    """``node`` as ``json.dumps(..., indent=2)`` writes it at the top level."""
+    rect = node.rectangle
+    parts = [
+        f'{{\n  "class_name": {_quote(node.class_name)},'
+        f'\n  "control_type": {_quote(node.kind.value)},'
+        f'\n  "control_id": {node.control_id},'
+        f'\n  "rectangle": [\n    "L{rect.left}",\n    "T{rect.top}",'
+        f'\n    "R{rect.right}",\n    "B{rect.bottom}"\n  ],'
+        f'\n  "text": {_quote(node.text)},']
+    state = node.extra_state
+    for key in sorted(state):
+        value = state[key]
+        encoded = "true" if value is True else "false" if value is False else _quote(value)
+        parts.append(f"\n  {_quote(key)}: {encoded},")
+    if not node.sub_elements:
+        parts.append('\n  "sub_elements": []\n}')
+    else:
+        # A child sits two levels deeper. Every raw newline in its text is a
+        # line break of the layout (_quote escapes one inside a string), so
+        # indenting each line by four spaces nests it.
+        parts.append('\n  "sub_elements": [\n    ')
+        parts.append(",\n    ".join(
+            child._json.replace("\n", "\n    ") for child in node.sub_elements))
+        parts.append("\n  ]\n}")
+    return "".join(parts)

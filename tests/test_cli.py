@@ -337,6 +337,14 @@ def test_run_with_custom_wizard_config(tmp_path):
         "Component Name"
 
 
+def _two_lists_wizard() -> dict:
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    wizard["pages"][1]["fields"].append({"label": "More Inputs", "kind": "List"})
+    return wizard
+
+
 @pytest.mark.parametrize("cfg", [
     {"wizard": {"pages": 5}},
     # With a script of its own, so that only the empty wizard is at fault.
@@ -344,8 +352,10 @@ def test_run_with_custom_wizard_config(tmp_path):
     {"faults": [{"kind": "truncated_text", "page": "tool_description",
                  "label": "No Such Field"}]},
     {"faults": [{"kind": "missing_title", "page": "tool_description", "label": "Name"}]},
+    {"wizard": _two_lists_wizard(),
+     "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
 ], ids=["malformed-wizard", "empty-wizard", "fault-naming-no-field",
-        "fault-changing-nothing-shown"])
+        "fault-changing-nothing-shown", "two-lists-on-a-page"])
 def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")

@@ -118,6 +118,10 @@ def _config_with(path: tuple, value) -> dict:
     _config_with(("modals", "add_input", "fields", 1, "label"), "Input name"),
     _config_with(("pages", 1, "key"), "tool_description"),
     _config_with(("pages", 0, "fields", 3, "items"), ["Analysis", "a|b"]),
+    # Every list draws the inputs with the same item ids: two lists on a page,
+    # or a list in a modal, could show two items with one id.
+    _config_with(("pages", 1, "fields", 0, "kind"), "List"),
+    _config_with(("modals", "add_input", "fields", 1, "kind"), "List"),
     {},
 ], ids=lambda config: repr(config)[:40])
 def test_malformed_wizard_config_is_a_config_error(config):
@@ -370,6 +374,24 @@ def test_modal_ok_adds_the_input_and_closes():
     items = [node for node in sim.snapshot().iter_nodes()
              if node.kind is WidgetKind.LIST_ITEM]
     assert [node.text for node in items] == ["airfoil"]
+
+
+def test_an_input_item_is_clickable_only_on_a_page_that_shows_a_list():
+    sim = new_wizard()
+    open_modal(sim)
+    write(sim, sim.control_id_of("Input name", modal="add_input"), "airfoil")
+    assert click(sim, sim.modal_button_id("add_input", "OK")).status == "executed"
+    item = sim.layout.first_item_id
+    for page in (0, 2, 5):
+        sim.current_page = page
+        assert item not in {pa.control_id for pa in possible_actions(sim.snapshot())}
+        outcome = click(sim, item)
+        assert (outcome.status, outcome.reason) == ("failed", "not visible on the current page")
+        assert sim.selected_input is None
+    sim.current_page = 1
+    assert item in {pa.control_id for pa in possible_actions(sim.snapshot())}
+    assert click(sim, item).status == "executed"
+    assert sim.selected_input == 0
 
 
 def test_modal_cancel_discards():
@@ -904,3 +926,12 @@ def test_full_traversal_script_reaches_finish():
 def test_script_commands_parse():
     for line in full_traversal_script():
         parse_controller_output(line)
+
+
+def test_each_traversal_script_is_a_list_of_its_own():
+    first = full_traversal_script()
+    expected = list(first)
+    first.clear()
+    second = full_traversal_script()
+    assert second == expected and len(second) == 31
+    assert second is not full_traversal_script()

@@ -331,7 +331,7 @@ def test_serialize_tree_rejects_a_duplicate_id_anywhere(tree, data):
 @settings(max_examples=50)
 @given(escaping_trees(), st.data())
 def test_a_duplicate_id_is_caught_in_a_subtree_that_was_serialized_before(tree, data):
-    serialize_tree(tree)  # fills the memo of every node in it
+    serialize_tree(tree)
     duplicate = data.draw(st.sampled_from(list(tree.iter_nodes()))).control_id
     copy = leaf(WidgetKind.BUTTON, duplicate)
     root = WidgetNode(class_name="Dialog", kind=WidgetKind.DIALOG, control_id=2**42,
@@ -371,3 +371,27 @@ def test_a_node_serialized_at_one_depth_encodes_correctly_at_another(tree, depth
     for node in (first, second, first):
         assert serialize_tree(node) == json.dumps(reference_obj(node), indent=2)
 
+
+
+def test_a_scripted_run_encodes_each_node_once_when_it_is_built(monkeypatch):
+    """Every node's JSON text is written by its constructor, and never again."""
+    from guiscout import widgets
+    from guiscout.harness import RunConfig, run
+
+    built, encoded = [], []
+    post_init, encode = WidgetNode.__post_init__, widgets._encode_node
+
+    def building(node):
+        built.append(node)
+        post_init(node)
+
+    def encoding(node, *args):
+        encoded.append(node)
+        return encode(node, *args)
+
+    monkeypatch.setattr(WidgetNode, "__post_init__", building)
+    monkeypatch.setattr(widgets, "_encode_node", encoding)
+    record = run(RunConfig(controller="scripted", evaluator="oracle"))
+    assert len(record.iterations) == 31
+    assert built and len(encoded) == len(built)
+    assert all(a is b for a, b in zip(encoded, built))
