@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import random
 import time
@@ -213,6 +214,15 @@ class RemoteAgentConfig:
                 raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
+        # Out of range, requests or time.sleep would fail inside the run, and
+        # a negative retry count would make no request at all.
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be at least 0, got {self.max_retries}")
+        if not 0.0 <= self.retry_backoff < math.inf:
+            raise ValueError(f"retry_backoff must be a finite number of seconds >= 0, "
+                             f"got {self.retry_backoff}")
 
     def to_json_obj(self) -> dict:
         return {

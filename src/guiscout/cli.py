@@ -195,12 +195,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _load_run_dirs(runs_dir: Path) -> list:
-    records = []
-    if runs_dir.is_dir():
-        for child in sorted(runs_dir.iterdir()):
-            if (child / "header.json").is_file():
-                records.append(load_record(child))
-    return records
+    # A mistyped --runs must not read as a campaign with no findings: label
+    # would overwrite the label file with an empty one.
+    if not runs_dir.is_dir():
+        raise CliUsageError(f"--runs {runs_dir} is not a directory")
+    return [load_record(child) for child in sorted(runs_dir.iterdir())
+            if (child / "header.json").is_file()]
 
 
 def _load_labels(path: Path) -> LabelFile:

@@ -9,18 +9,25 @@ action sequence. Control ids are assigned in a fixed order (see
 ``tests/fixtures/record_fingerprints.json`` pin it.
 
 Each step builds only what changed. For each control id (a slot, an input
-list item, the modal dialog, the root) the wizard keeps the node it built last
-and the values it built it from: the node's fields. A snapshot returns that
-same node, shared with the snapshots before it, when every one of those values
-is equal, and builds a new node otherwise. There are no dirty flags to forget,
-so a kept node never goes stale; ``extra_state`` is never mutated after a node
-is built, so a shared node stays what it was. What is derived from a node is
-derived when the node is built: its JSON text and possible actions by its
-constructor (see ``widgets``), where and what it draws next to it in the
-wizard's node table, which a render can read because it draws only the
-wizard's own snapshot. A render of the same root reuses the canvas text and
-digest. A run makes one image reference per screenshot, and every prompt that
-shows that screenshot carries that object.
+list item, the modal dialog, the root) a wizard keeps, for its own run only,
+its last two nodes, each with the values it was built from: the node's
+fields. A snapshot returns the one whose values all equal the current ones,
+shared with the snapshots before it, and builds a new node only when neither
+does. Two, because a step often undoes the one before (check then uncheck,
+open a modal then cancel it, Next then Back). Nodes built per iteration when
+keeping 1 / 2 / 4 / 8 / 16 / all per id: 3.02 / 1.62 / 1.13 / 0.91 / 0.81 /
+0.72 in random 800-iteration runs with the default faults (seeds 0-3), and
+4.05 / 3.34 / 3.34 / 3.32 / 3.32 / 3.32 in the scripted traversal of the 32
+default-fault subsets; keeping all makes a table that grows with the run.
+There are no dirty flags to forget, so a kept node never goes stale;
+``extra_state`` is never mutated after a node is built, so a shared node stays
+what it was. What is derived from a node is derived when the node is built:
+its JSON text and possible actions by its constructor (see ``widgets``), where
+and what it draws next to it in the wizard's node table, which a render can
+read because it draws only the wizard's own snapshot, made of current nodes. A
+render of the same root reuses the canvas text and digest. A run makes one
+image reference per screenshot, and every prompt that shows that screenshot
+carries that object.
 
 A wizard config is compiled into an immutable layout, the one owner of
 everything a config settles: the pages and modals; every slot with its control
@@ -598,10 +605,12 @@ class SimWizard:
         self.modal_message: str | None = None
         self.finished = False
 
-        # Per control id: the fields of the node built last, that node, and
-        # what it draws (row, col, line). The last render (root, text, digest).
+        # Per control id: the entry of its current node, then that of the node
+        # before it (see the module docstring), each the node's fields, the
+        # node, and what it draws (row, col, line). The last render (root,
+        # text, digest).
         # Per (list slot id, position): where that input item is drawn.
-        self._nodes: dict[int, tuple[tuple, WidgetNode, int, int, str]] = {}
+        self._nodes: dict[int, tuple[tuple[tuple, WidgetNode, int, int, str], ...]] = {}
         self._canvas: tuple[WidgetNode, str, str] | None = None
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
@@ -882,17 +891,21 @@ class SimWizard:
         return rect
 
     def _reuse(self, *fields) -> WidgetNode:
-        """The node with ``fields`` (WidgetNode's, in order): the node built
-        last for its control id if it was built from equal fields, else a new
-        one, which is kept in its place with where and what it draws."""
+        """The node with ``fields`` (WidgetNode's, in order): the current or
+        the previous node of its control id if it was built from equal
+        fields, else a new one, kept with where and what it draws. Either
+        way it becomes the current node, and the one it replaces the previous."""
         control_id = fields[2]
-        last = self._nodes.get(control_id)
-        if last is not None and last[0] == fields:
-            return last[1]
-        node = WidgetNode(*fields)
-        self._nodes[control_id] = (fields, node, *self._cell(node.rectangle, ROOT_RECT),
-                                   self._widget_line(node))
-        return node
+        kept = self._nodes.get(control_id, ())
+        if kept and kept[0][0] == fields:
+            return kept[0][1]
+        if len(kept) == 2 and kept[1][0] == fields:
+            entry = kept[1]
+        else:
+            node = WidgetNode(*fields)
+            entry = (fields, node, *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))
+        self._nodes[control_id] = (entry, *kept[:1])
+        return entry[1]
 
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
@@ -963,8 +976,8 @@ class SimWizard:
             top, left, _, _ = self._draw_box(canvas, node.rectangle)
             self._draw(canvas, top, left + 2, f" {node.text} ")
         else:
-            # Only the wizard's own snapshot is drawn, so ``node`` is the one kept.
-            _, _, row, col, line = self._nodes[node.control_id]
+            # Only the wizard's own snapshot is drawn, so ``node`` is the current one.
+            _, _, row, col, line = self._nodes[node.control_id][0]
             if line:
                 self._draw(canvas, row, col, line)
         for child in node.sub_elements:

@@ -239,6 +239,26 @@ def test_label_into_a_missing_directory_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("runs", ["runz", "runs/run-000/header.json"])
+def test_label_with_runs_not_a_directory_exits_one_and_keeps_the_labels(tmp_path, capsys, runs):
+    _, labels_path = write_funnel_dirs(tmp_path)  # a file under runs/ is not a directory either
+    labels_path.write_text("run-000 19 true_positive\n", encoding="utf-8")
+    before = labels_path.read_bytes()
+    missing = tmp_path / runs
+    assert main(["label", "--runs", str(missing), "--labels", str(labels_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --runs {missing} is not a directory\n"
+    assert labels_path.read_bytes() == before
+
+
+def test_report_with_a_missing_runs_dir_exits_one(tmp_path, capsys):
+    missing = tmp_path / "runz"
+    assert main(["report", "--runs", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --runs {missing} is not a directory\n"
+    assert captured.out == ""
+
+
 MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive"]
 
 
@@ -431,6 +451,12 @@ def test_scripted_run_on_a_custom_wizard_without_a_script_exits_one(tmp_path, ca
     ("max_retries", 1.5),
     ("retry_backoff", None),
     ("api_key_env", 5),
+    ("timeout", 0),
+    ("timeout", -1.5),
+    ("timeout", float("inf")),
+    ("max_retries", -1),
+    ("retry_backoff", -0.5),
+    ("retry_backoff", float("nan")),
 ])
 def test_run_remote_setting_out_of_range_or_not_a_number_exits_one(tmp_path, capsys,
                                                                     key, value):

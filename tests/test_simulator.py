@@ -28,6 +28,7 @@ from guiscout.widgets import (
     ActionVerb,
     Rect,
     WidgetKind,
+    WidgetNode,
     possible_actions,
     serialize_tree,
 )
@@ -738,6 +739,53 @@ def test_an_unchanged_widget_is_the_same_node_in_the_next_snapshot():
                if old[node.control_id] is not node]
     assert rebuilt == [described]
     assert find_widget(second, described).text == "computes"
+
+
+def _add_input_and_cancel(sim):
+    sim.current_page = PAGES.index("inputs_outputs")
+    return (ActionCommand(ActionVerb.CLICK, sim.control_id_of("Add Input...",
+                                                              page="inputs_outputs")),
+            ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add_input", "Cancel")))
+
+
+def _check_and_uncheck(sim):
+    # Unchecking the review box would show a validation message; this one has no validator.
+    sim.current_page = PAGES.index("cpacs_properties")
+    xslt = sim.control_id_of("Use advanced XSLT mapping", page="cpacs_properties")
+    return ActionCommand(ActionVerb.CHECK, xslt), ActionCommand(ActionVerb.UNCHECK, xslt)
+
+
+def _next_and_back(sim):
+    write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
+    return (ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
+            ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="back")))
+
+
+@pytest.mark.parametrize("toggle", [_add_input_and_cancel, _check_and_uncheck, _next_and_back],
+                         ids=["add-input-cancel", "check-uncheck", "next-back"])
+def test_a_step_that_undoes_the_one_before_builds_no_node(monkeypatch, toggle):
+    """Going A -> B -> A gives back the A nodes, and A -> B again the B nodes."""
+    sim = new_wizard(default_fault_set())
+    forth, back = toggle(sim)
+    first = sim.render().tree
+    assert sim.execute(forth).status == "executed"
+    second = sim.render().tree
+    assert second is not first
+    assert sim.execute(back).status == "executed"
+    assert sim.render().tree is first
+    built = []
+    init = WidgetNode.__post_init__
+
+    def counting(self):
+        built.append(self.control_id)
+        init(self)
+
+    monkeypatch.setattr(WidgetNode, "__post_init__", counting)
+    assert sim.execute(forth).status == "executed"
+    assert sim.render().tree is second
+    assert sim.execute(back).status == "executed"
+    assert sim.render().tree is first
+    assert built == []
 
 
 CUSTOM_WIZARD = {
