@@ -44,7 +44,7 @@ from .agents import (
     verdict_to_json,
     verdict_to_obj,
 )
-from .prompts import DEFAULT_DOC_BUDGET, ImageRef, PromptDocument, \
+from .prompts import DEFAULT_DOC_BUDGET, HashedPrefix, ImageRef, PromptDocument, \
     build_controller_prompt, build_evaluator_prompt
 from .simulator import (
     FaultSpec,
@@ -340,6 +340,10 @@ class RunSession:
         self.evaluator = _build_evaluator(config)
         self.docs = _DOCS
         self.log = ActionLog()
+        # Tree digest -> the resume point of the last controller prompt shown
+        # with that GUI. It is exact because the task, docs and budget are
+        # fixed here and the log only grows (see the prompts module).
+        self._prompt_prefixes: dict[str, HashedPrefix] = {}
         self.writer: RunWriter | None = None
         echo = config.echo()
         if config.out_dir is not None:
@@ -356,13 +360,16 @@ class RunSession:
         before, before_ref = self.prev_shot, self.prev_ref
         tree = before.tree
         attachment = before_ref if self.config.attach_screenshot else None
+        tree_digest = _sha256(serialize_tree(tree))
         controller_prompt = build_controller_prompt(
             self.config.task, self.docs, tree, self.log,
-            screenshot=attachment, doc_budget=self.config.doc_budget)
+            screenshot=attachment, doc_budget=self.config.doc_budget,
+            resume=self._prompt_prefixes.get(tree_digest))
+        self._prompt_prefixes[tree_digest] = controller_prompt.resume_point
         rec = IterationRecord(
             index=index,
             page_key=before.page_key,
-            tree_digest=_sha256(serialize_tree(tree)),
+            tree_digest=tree_digest,
             before_digest=before.digest,
             started_at=started,
         )

@@ -4,13 +4,33 @@ Both prompts are built from fixed sections in a fixed order (controller:
 Role, Task, Documentation, GUI, Action, ActionLog, Closing; evaluator: Role,
 Task, Output, Action, Closing). Rendered text is the section bodies joined by
 blank lines, and golden files in the test suite pin the bytes.
+
+A prompt's digest is the sha256 of its UTF-8 text. SHA-256 is a streaming
+hash, so a prompt need not hash a prefix of its text whose state it is given
+(a ``HashedPrefix``): it copies that state and feeds only the rest. Every
+prompt starts from the state of its constant head (the controller's Role and
+task header; the evaluator's Role, Task, Output and action header). A
+controller prompt can also start from the state of an earlier one, cut just
+after that prompt's last log entry, and that is exact when the earlier
+prompt's text up to the cut is a prefix of the new text:
+
+- Within one run the task, the documentation corpus and the budget are
+  fixed, so every character before the log is a function of the widget
+  tree: the page, and with it the documentation, is in the tree. Two prompts
+  with the same tree digest agree up to the log.
+- The log only grows, by whole entries, and the cut comes before its closing
+  ``]`` (and the newline before it), so the later log text extends the cut.
+- A state counts the characters it covers, and the text is cut by
+  characters, never inside one, so a non-ASCII task works too. What is fed
+  after a cut, log fragments and the closing, is ASCII anyway, because
+  ``json.dumps`` escapes every other character.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .actions import ActionLog, ActionLogEntry, format_log
 from .widgets import WidgetKind, WidgetNode, serialize_tree
@@ -29,22 +49,52 @@ class ImageRef:
     data: bytes
 
 
+#: ``(state, length)``: the sha256 state of a text's first ``length``
+#: characters. The state is never updated; whoever goes on from it hashes a copy.
+HashedPrefix = tuple["hashlib._Hash", int]
+
+
+def _hashed_prefix(text: str) -> HashedPrefix:
+    return hashlib.sha256(text.encode("utf-8")), len(text)
+
+
+_EMPTY_PREFIX = _hashed_prefix("")
+
+
 @dataclass(frozen=True)
 class PromptDocument:
-    """An ordered list of named sections plus up to two image attachments."""
+    """An ordered list of named sections plus up to two image attachments.
+
+    ``hashed`` is the state of a prefix of the text, which the digest goes on
+    from; the caller vouches that the text starts with what it covers.
+    ``resume_point`` is the state of the whole text but its last ``tail``
+    characters, for a later prompt whose text extends that much of this one.
+    """
 
     sections: tuple[tuple[str, str], ...]
     attachments: tuple[ImageRef, ...] = ()
+    hashed: InitVar[HashedPrefix] = _EMPTY_PREFIX
+    tail: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, hashed: HashedPrefix, tail: int) -> None:
         if len(self.attachments) > 2:
             raise ValueError("a prompt carries at most two attachments")
         # Every prompt is written and hashed, so both are derived once, here:
         # the section bodies joined by blank lines, and the sha256 hex digest
-        # of their UTF-8 bytes.
+        # of their UTF-8 bytes, fed from the end of ``hashed`` on.
         text = "\n\n".join(body for _, body in self.sections)
+        prefix, start = hashed
+        cut = len(text) - tail
+        state = prefix.copy()
+        state.update(text[start:cut].encode("utf-8"))
+        # The tail goes to a copy, so that ``state`` stays at the cut. (The
+        # copy is also faster to feed: a state once fed 2 KiB or more at a
+        # time takes a lock on every later call.)
+        final = state.copy() if tail else state
+        final.update(text[cut:].encode("utf-8"))
+        object.__setattr__(self, "resume_point", (state, cut))
         object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "digest", hashlib.sha256(text.encode("utf-8")).hexdigest())
+        object.__setattr__(self, "digest", final.hexdigest())
 
     def text(self) -> str:
         """The section bodies joined by blank lines."""
@@ -119,6 +169,8 @@ example 2:
     "explanation": "write a display name into the text field to make the key human-readable"
 }"""
 
+TASK_HEADER = "Your task:\n"
+
 GUI_HEADER = "The current state of the GUI:\n"
 
 CONTROLLER_CLOSING = (
@@ -155,6 +207,13 @@ EVALUATOR_ACTION_HEADER = "The action performed between the two images was was:"
 
 EVALUATOR_CLOSING = "Are there any problems with the GUI after the action was performed?"
 
+_CLOSING_LENGTH = len("\n\n" + CONTROLLER_CLOSING)
+
+# The constant head of each prompt's text, hashed once per process.
+_CONTROLLER_HEAD = _hashed_prefix(CONTROLLER_ROLE + "\n\n" + TASK_HEADER)
+_EVALUATOR_HEAD = _hashed_prefix("\n\n".join(
+    (EVALUATOR_ROLE, EVALUATOR_TASK, EVALUATOR_OUTPUT, EVALUATOR_ACTION_HEADER + "\n")))
+
 
 def select_documentation(
     docs: DocCorpus, tree: WidgetNode, budget: int = DEFAULT_DOC_BUDGET
@@ -183,19 +242,31 @@ def build_controller_prompt(
     log: ActionLog | Iterable[ActionLogEntry],
     screenshot: ImageRef | None = None,
     doc_budget: int = DEFAULT_DOC_BUDGET,
+    resume: HashedPrefix | None = None,
 ) -> PromptDocument:
-    """Assemble the controller prompt for one iteration."""
+    """Assemble the controller prompt for one iteration.
+
+    Its ``resume_point`` ends just after the log's last entry, or after the
+    ``[`` of an empty log. ``resume`` is the ``resume_point`` of an earlier
+    prompt with the same task, documentation, budget and tree, whose log this
+    log extends; the digest then hashes only the entries appended since and
+    the closing. Without it, the digest goes on from the constant head.
+    """
+    log_text = format_log(log)
     sections = (
         ("Role", CONTROLLER_ROLE),
-        ("Task", "Your task:\n" + task),
+        ("Task", TASK_HEADER + task),
         ("Documentation", "Documentation:\n" + select_documentation(docs, tree, doc_budget)),
         ("GUI", GUI_HEADER + serialize_tree(tree)),
         ("Action", CONTROLLER_ACTION),
-        ("ActionLog", "The previous actions:\n" + format_log(log)),
+        ("ActionLog", "The previous actions:\n" + log_text),
         ("Closing", CONTROLLER_CLOSING),
     )
     attachments = (screenshot,) if screenshot is not None else ()
-    return PromptDocument(sections=sections, attachments=attachments)
+    # The log text ends in "[]" when empty and in "\n]" otherwise.
+    tail = (1 if log_text == "[]" else 2) + _CLOSING_LENGTH
+    return PromptDocument(sections=sections, attachments=attachments,
+                          hashed=resume or _CONTROLLER_HEAD, tail=tail)
 
 
 def build_evaluator_prompt(
@@ -213,4 +284,4 @@ def build_evaluator_prompt(
         ("Action", EVALUATOR_ACTION_HEADER + "\n" + action_explanation),
         ("Closing", EVALUATOR_CLOSING),
     )
-    return PromptDocument(sections=sections, attachments=(before, after))
+    return PromptDocument(sections=sections, attachments=(before, after), hashed=_EVALUATOR_HEAD)

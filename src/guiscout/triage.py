@@ -194,8 +194,23 @@ def normalize_reason(reason: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
+def _check_labels_name_findings(labels: LabelFile, finding_keys: set[tuple[str, int]]) -> None:
+    """TriageError naming the first label, in entry (file line) order, that
+    names no finding."""
+    for key in labels.entries:
+        if key not in finding_keys:
+            raise TriageError(
+                f"label references missing finding (run {key[0]}, iteration {key[1]})")
+
+
 def prefill_labels(findings: list[PositiveFinding], existing: LabelFile | None = None) -> LabelFile:
-    """Label-file template: every finding present, new ones marked unknown."""
+    """Label-file template: every finding present, new ones marked unknown.
+
+    A label in ``existing`` whose finding is not among ``findings`` raises
+    TriageError: the template would drop it, and with it a human decision.
+    """
+    if existing is not None:
+        _check_labels_name_findings(existing, {finding.key for finding in findings})
     merged = LabelFile()
     for finding in findings:
         label = None
@@ -218,11 +233,7 @@ def build_report(records: list[RunRecord], labels: LabelFile,
                  if labels.entries.get(finding.key, Label(UNLABELED)).value == UNLABELED]
     if unlabeled and not assume_unlabeled_false:
         raise UnlabeledFindingsError(sorted(unlabeled))
-    finding_keys = {finding.key for finding in findings}
-    for key in labels.entries:
-        if key not in finding_keys:
-            raise TriageError(
-                f"label references missing finding (run {key[0]}, iteration {key[1]})")
+    _check_labels_name_findings(labels, {finding.key for finding in findings})
     per_run = {record.run_id: {"run_id": record.run_id, "actions": len(record.iterations),
                                "positives": 0, "true_positives": 0}
                for record in sorted(records, key=lambda r: r.run_id)}

@@ -251,6 +251,39 @@ def test_label_with_runs_not_a_directory_exits_one_and_keeps_the_labels(tmp_path
     assert labels_path.read_bytes() == before
 
 
+@pytest.mark.parametrize("campaign", ["empty", "other"])
+def test_label_against_runs_without_the_labelled_findings_exits_one_and_keeps_the_labels(
+        tmp_path, capsys, campaign):
+    _, labels_path = write_funnel_dirs(tmp_path)
+    before = labels_path.read_bytes()
+    runs = tmp_path / campaign
+    runs.mkdir()
+    if campaign == "other":
+        assert main(["run", "--out", str(runs), "--runs", "2", "--max-iterations", "2"]) == 0
+        capsys.readouterr()
+    assert main(["label", "--runs", str(runs), "--labels", str(labels_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: label references missing finding (run run-000, iteration 0)\n"
+    assert captured.out == ""
+    assert labels_path.read_bytes() == before
+
+
+def test_label_refreshes_a_grown_campaign_keeping_every_label(tmp_path, capsys):
+    runs_dir, labels_path = write_funnel_dirs(tmp_path)
+    full = labels_path.read_text("utf-8")
+    assert main(["label", "--runs", str(runs_dir), "--labels", str(labels_path)]) == 0
+    assert labels_path.read_text("utf-8") == full
+    # Labels made before run-008 was added: the refresh adds its findings as unknown.
+    labels_path.write_text("".join(line for line in full.splitlines(keepends=True)
+                                   if not line.startswith("run-008 ")), encoding="utf-8")
+    assert main(["label", "--runs", str(runs_dir), "--labels", str(labels_path)]) == 0
+    refreshed = labels_path.read_text("utf-8").splitlines()
+    assert len(refreshed) == len(full.splitlines())
+    for old, new in zip(full.splitlines(), refreshed):
+        run_id, iteration, _ = old.split(" ", 2)
+        assert new == (f"{run_id} {iteration} unknown" if run_id == "run-008" else old)
+
+
 def test_report_with_a_missing_runs_dir_exits_one(tmp_path, capsys):
     missing = tmp_path / "runz"
     assert main(["report", "--runs", str(missing)]) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiscout import harness
+from guiscout import harness, prompts
 from guiscout.actions import ActionCommand, format_action
 from guiscout.agents import RemoteAgent, RemoteAgentConfig, ScriptedAgent
 from guiscout.harness import (
@@ -24,6 +24,7 @@ from guiscout.harness import (
     run,
     run_many,
 )
+from guiscout.prompts import DEFAULT_DOC_BUDGET
 from guiscout.simulator import FaultKind, FaultSpec, SimWizard, default_fault_set, \
     full_traversal_script, new_wizard
 from guiscout.widgets import ActionVerb
@@ -108,6 +109,80 @@ def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_pat
         for digest in (iteration.controller_prompt_digest, iteration.evaluator_prompt_digest):
             text = blobs[digest]
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def assert_every_prompt_resolves(run_dir, record) -> None:
+    """load_blobs rejects a text that does not hash to its digest, so every
+    prompt digest that resolves is the sha256 of the prompt's text."""
+    blobs = load_blobs(run_dir)
+    for it in record.iterations:
+        assert it.controller_prompt_digest in blobs
+        assert it.evaluator_prompt_digest in blobs
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), length=st.integers(1, 200),
+       task=st.one_of(st.just(harness.DEFAULT_TASK), st.text(max_size=40),
+                      st.just("Prüfe den Assistenten — Überblick ✓ 中文")),
+       doc_budget=st.sampled_from([0, DEFAULT_DOC_BUDGET]))
+def test_resumed_prompt_digests_are_the_sha256_of_their_texts(tmp_path_factory, seed, length,
+                                                               task, doc_budget):
+    out = tmp_path_factory.mktemp("runs")
+    record = run(RunConfig(controller="random", evaluator="oracle", seed=seed,
+                           max_iterations=length, task=task, doc_budget=doc_budget,
+                           faults=default_fault_set(), out_dir=out))
+    assert len(record.iterations) == length
+    assert_every_prompt_resolves(out / "run-000", record)
+
+
+def test_a_prompt_resumes_from_a_state_stored_with_an_empty_log(tmp_path):
+    sim = new_wizard()
+    back = sim.control_id_of("", nav="back")
+    script = [json.dumps({"action": format_action(ActionCommand(ActionVerb.CLICK, back)),
+                          "explanation": "go back from the first page"})] + mini_script()
+    record = run(scripted_config(controller_script=script, out_dir=tmp_path, run_id="run-back"))
+    first, second = record.iterations[:2]
+    assert first.status == "rejected"  # Back is disabled on the first page
+    assert second.tree_digest == first.tree_digest
+    assert second.controller_prompt_digest != first.controller_prompt_digest
+    assert_every_prompt_resolves(tmp_path / "run-back", record)
+
+
+class _CountingSha256:
+    """A sha256 state that adds every byte fed to it, and to its copies, to ``fed``."""
+
+    def __init__(self, state, fed: list[int]):
+        self.state, self.fed = state, fed
+
+    def update(self, data) -> None:
+        self.fed[0] += len(data)
+        self.state.update(data)
+
+    def copy(self) -> "_CountingSha256":
+        return _CountingSha256(self.state.copy(), self.fed)
+
+    def hexdigest(self) -> str:
+        return self.state.hexdigest()
+
+
+def test_a_long_random_run_hashes_at_most_half_its_controller_prompt_bytes(monkeypatch):
+    fed, total = [0], [0]
+    head = prompts._CONTROLLER_HEAD
+    monkeypatch.setattr(prompts, "_CONTROLLER_HEAD", (_CountingSha256(head[0], fed), head[1]))
+    build = harness.build_controller_prompt
+
+    def counted(*args, **kwargs):
+        prompt = build(*args, **kwargs)
+        data = prompt.text().encode("utf-8")
+        assert prompt.digest == hashlib.sha256(data).hexdigest()
+        total[0] += len(data)
+        return prompt
+
+    monkeypatch.setattr(harness, "build_controller_prompt", counted)
+    record = run(RunConfig(controller="random", evaluator="oracle", seed=0, max_iterations=800,
+                           faults=default_fault_set()))
+    assert len(record.iterations) == 800
+    assert fed[0] <= total[0] / 2, (fed[0], total[0])
 
 
 def test_evaluator_gets_only_the_current_explanation(tmp_path):

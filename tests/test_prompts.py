@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from guiscout.actions import ActionLogEntry
+from guiscout.actions import ActionLog, ActionLogEntry
 from guiscout.harness import DEFAULT_TASK
+from guiscout import prompts
 from guiscout.prompts import (
     DocCorpus,
     DocEntry,
@@ -156,6 +157,42 @@ def test_prompt_text_is_joined_once_and_digest_hashes_it():
     text = prompt.text()
     assert prompt.text() is text
     assert prompt.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("task", [DEFAULT_TASK, "Prüfe den Assistenten — Überblick ✓ 中文"])
+def test_a_prompt_resumed_from_an_earlier_one_has_the_digest_of_its_text(task):
+    log = ActionLog()
+    first = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log)
+    point = first.resume_point
+    # Cut after the "[" of the empty log: the state covers the text up to it.
+    assert first.text()[:point[1]].endswith("The previous actions:\n[")
+    for step in range(3):
+        log.append(ActionLogEntry(f"click({step})", f"step {step} → „next“", "executed"))
+        resumed = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log, resume=point)
+        fresh = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log)
+        assert resumed.text() == fresh.text()
+        assert resumed.digest == fresh.digest == sha256_hex(fresh.text())
+        assert resumed.text()[:resumed.resume_point[1]].endswith("\n  }")
+        point = resumed.resume_point
+    # The same log again, as after a controller that gave no answer.
+    again = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log, resume=point)
+    assert again.digest == sha256_hex(again.text())
+
+
+@pytest.mark.parametrize("task, docs", [(DEFAULT_TASK, FIXTURE_CORPUS), ("", DocCorpus())])
+def test_each_constant_head_state_is_the_state_of_its_prompts_first_characters(task, docs):
+    controller = build_controller_prompt(task, docs, FIXTURE_TREE, [], doc_budget=0)
+    evaluator = build_evaluator_prompt("", shot(), shot())
+    for prompt, (state, length) in ((controller, prompts._CONTROLLER_HEAD),
+                                    (evaluator, prompts._EVALUATOR_HEAD)):
+        assert state.hexdigest() == sha256_hex(prompt.text()[:length])
+        assert prompt.digest == sha256_hex(prompt.text())
+    hand_built = PromptDocument(sections=(("Role", "x"), ("Task", "ü")))
+    assert hand_built.digest == sha256_hex("x\n\nü")
 
 
 def test_prompt_document_caps_attachments():

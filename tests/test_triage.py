@@ -196,6 +196,14 @@ def test_prefill_keeps_existing_labels():
     assert merged.entries[findings[1].key].value == UNLABELED
 
 
+def test_prefill_refuses_a_label_with_no_finding():
+    findings = [finding(iteration=0)]
+    existing = LabelFile({findings[0].key: Label(TRUE_POSITIVE),
+                          ("run-000", 5): Label(FALSE_POSITIVE)})
+    with pytest.raises(TriageError, match=r"missing finding \(run run-000, iteration 5\)"):
+        prefill_labels(findings, existing)
+
+
 def test_unlabeled_findings_block_the_report(funnel_records):
     records, labels = funnel_records
     incomplete = LabelFile(dict(labels.entries))
