@@ -25,6 +25,7 @@ from .agents import (
     Agent,
     AgentError,
     AgentRequest,
+    OracleAgent,
     RandomAgent,
     RemoteAgent,
     RemoteAgentConfig,

@@ -1,8 +1,9 @@
 """Agent implementations behind one interface, plus evaluator verdict parsing.
 
-Three agents ship: scripted playback for deterministic tests, a seeded random
+Four agents ship: scripted playback for deterministic tests, a seeded random
 policy over the possible actions the request carries (a monkey-testing
-baseline), and a remote chat-completion client for real models.
+baseline), the fault-aware oracle evaluator, and a remote chat-completion
+client for real models.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from enum import Enum
 
 from .actions import ActionCommand, extract_first_json_object, format_action
 from .prompts import PromptDocument
+from .simulator import SimScreenshot
 from .widgets import PossibleAction
 
 
@@ -51,6 +53,7 @@ class AgentRequest:
     prompt: PromptDocument
     role: str
     actions: tuple[PossibleAction, ...] = ()
+    screenshots: tuple[SimScreenshot, ...] = ()  # an evaluator's before and after
 
     def __post_init__(self) -> None:
         if self.role not in AGENT_ROLES:
@@ -189,6 +192,26 @@ class RandomAgent(Agent):
         return not (pa.arg.kind == "one_of" and not pa.arg.choices)
 
 
+class OracleAgent(Agent):
+    """Evaluator-only ground truth: reports fault i with ``reasons[i]`` once, at
+    the first request whose screenshots show it (the lowest i first); else okay."""
+
+    def __init__(self, reasons: list[str]):
+        self.reasons = list(reasons)
+        self._reported: set[int] = set()
+
+    def respond(self, request: AgentRequest) -> str:
+        if request.role != "evaluator" or len(request.screenshots) != 2:
+            raise AgentError("the oracle agent judges only evaluator requests with two screenshots")
+        before, after = request.screenshots
+        pending = (before.visible_faults | after.visible_faults) - self._reported
+        if not pending:
+            return _OKAY_JSON
+        index = min(pending)
+        self._reported.add(index)
+        return verdict_to_json(Verdict(VerdictState.PROBLEM, self.reasons[index]))
+
+
 @dataclass(frozen=True)
 class RemoteAgentConfig:
     """Connection settings for a chat-completion-style endpoint.
@@ -286,9 +309,14 @@ class RemoteAgent(Agent):
             if response.status_code == 200:
                 try:
                     payload = response.json()
-                    return payload["choices"][0]["message"]["content"]
+                    content = payload["choices"][0]["message"]["content"]
                 except (ValueError, LookupError, TypeError) as exc:
                     raise RemoteAgentError(f"malformed completion response: {exc}") from exc
+                # A null or a list of parts is no response the parsers can read.
+                if not isinstance(content, str):
+                    raise RemoteAgentError(f"malformed completion response: the content is "
+                                           f"{type(content).__name__}, not text")
+                return content
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = f"service returned {response.status_code}"
                 continue

@@ -34,14 +34,13 @@ from .agents import (
     Agent,
     AgentError,
     AgentRequest,
+    OracleAgent,
     RandomAgent,
     RemoteAgent,
     RemoteAgentConfig,
     ScriptedAgent,
-    Verdict,
     VerdictParseError,
     parse_verdict,
-    verdict_to_json,
     verdict_to_obj,
 )
 from .prompts import DEFAULT_DOC_BUDGET, HashedPrefix, ImageRef, PromptDocument, \
@@ -129,6 +128,9 @@ class RunConfig:
                            ("evaluator_script", str)):
             if not all(isinstance(item, kind) for item in getattr(self, name) or []):
                 raise ConfigError(f"{name} holds an item of the wrong type")
+        # The run writes out_dir/run_id, so the id must name one directory in it.
+        if self.run_id in ("", ".", "..") or "/" in self.run_id or os.sep in self.run_id:
+            raise ConfigError(f"run_id must name a directory inside out_dir, got {self.run_id!r}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
         if self.doc_budget < 0:
@@ -316,10 +318,9 @@ def _build_controller(config: RunConfig) -> Agent:
     return RemoteAgent(config.remote_controller)
 
 
-def _build_evaluator(config: RunConfig) -> Agent | None:
-    """None means the deterministic oracle evaluates in-process."""
+def _build_evaluator(config: RunConfig, sim: SimWizard) -> Agent:
     if config.evaluator == "oracle":
-        return None
+        return OracleAgent([sim.fault_reason(fault) for fault in sim.faults])
     if config.evaluator == "scripted":
         return ScriptedAgent(config.evaluator_script or [])
     assert config.remote_evaluator is not None
@@ -337,7 +338,7 @@ class RunSession:
         self.config = config
         self.sim: SimWizard = new_wizard(config.faults, config.wizard_config)
         self.controller = _build_controller(config)
-        self.evaluator = _build_evaluator(config)
+        self.evaluator = _build_evaluator(config, self.sim)
         self.docs = _DOCS
         self.log = ActionLog()
         # Tree digest -> the resume point of the last controller prompt shown
@@ -423,19 +424,12 @@ class RunSession:
         evaluator_prompt = build_evaluator_prompt(explanation, before_ref, after_ref)
         rec.evaluator_prompt_digest = self._prompt_digest(evaluator_prompt)
 
-        verdict: Verdict | None = None
-        if self.evaluator is None:
-            verdict = self.sim.oracle_evaluate(before, after)
-            rec.evaluator_raw = verdict_to_json(verdict)
-        else:
-            try:
-                rec.evaluator_raw = self.evaluator.respond(
-                    AgentRequest(evaluator_prompt, "evaluator"))
-                verdict = parse_verdict(rec.evaluator_raw)
-            except (AgentError, VerdictParseError) as exc:
-                rec.verdict_error = str(exc)
-        if verdict is not None:
-            rec.verdict = verdict_to_obj(verdict)
+        try:
+            rec.evaluator_raw = self.evaluator.respond(
+                AgentRequest(evaluator_prompt, "evaluator", screenshots=(before, after)))
+            rec.verdict = verdict_to_obj(parse_verdict(rec.evaluator_raw))
+        except (AgentError, VerdictParseError) as exc:
+            rec.verdict_error = str(exc)
 
         self.prev_shot, self.prev_ref = after, after_ref
         rec.finished_at = time.time()
@@ -599,6 +593,17 @@ def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
             if echo.get(key) is not None:
                 fields[key] = RemoteAgentConfig(**echo[key])
         recorded_config = RunConfig(**fields)
+        config = replace(
+            recorded_config,
+            max_iterations=len(record.iterations),
+            controller="scripted",
+            evaluator="scripted",
+            faults=recorded_config.faults if faults is None else faults,
+            out_dir=out_dir,
+            run_id=record.run_id + "-replay",
+            remote_controller=None,
+            remote_evaluator=None,
+        )
     except (TypeError, ValueError) as exc:
         raise ReplayError(f"unusable header config: {exc}") from exc
     # The header must be one that a run writes, so that no key goes unchecked.
@@ -608,17 +613,6 @@ def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
     if differing:
         raise ReplayError(f"unusable header config: {sorted(differing)} differ from "
                           f"what a run with these settings records")
-    config = replace(
-        recorded_config,
-        max_iterations=len(record.iterations),
-        controller="scripted",
-        evaluator="scripted",
-        faults=recorded_config.faults if faults is None else faults,
-        out_dir=out_dir,
-        run_id=record.run_id + "-replay",
-        remote_controller=None,
-        remote_evaluator=None,
-    )
     try:
         new_record = run(config)
     except WizardConfigError as exc:

@@ -42,7 +42,7 @@ malformed one fails every time. A wizard holds only what changes during a
 run: the current page, its values (a copy of the defaults), its inputs (a name
 and a data type each; an item's control id is the layout's first item id plus
 its position), the selected input, the dialog stack, messages, faults,
-reported faults and its node and canvas caches.
+and its node and canvas caches.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .actions import ActionCommand, format_action
-from .agents import Verdict, VerdictState
 from .prompts import DocCorpus, DocEntry
 from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode
 
@@ -628,7 +627,6 @@ class SimWizard:
                                         f"{fault.kind.value}")
         self._active = {(fault.kind, fault.page, fault.label)
                         for fault in self.faults if fault.active}
-        self._reported: set[int] = set()
 
     # -- fault helpers -----------------------------------------------------
 
@@ -999,8 +997,6 @@ class SimWizard:
                              digest=digest, tree=tree,
                              visible_faults=self._observable_fault_indices())
 
-    # -- the deterministic evaluator stand-in -------------------------------
-
     def _observable_fault_indices(self) -> frozenset[int]:
         page_key = self._page_key()
         out: set[int] = set()
@@ -1018,17 +1014,6 @@ class SimWizard:
             if seen:
                 out.add(index)
         return frozenset(out)
-
-    def oracle_evaluate(self, before: SimScreenshot, after: SimScreenshot) -> Verdict:
-        """Ground-truth evaluator: reports each active fault exactly once, at
-        the first evaluation in which its effect is visible."""
-        visible = before.visible_faults | after.visible_faults
-        pending = sorted(index for index in visible if index not in self._reported)
-        if pending:
-            index = pending[0]
-            self._reported.add(index)
-            return Verdict(VerdictState.PROBLEM, self.fault_reason(self.faults[index]))
-        return Verdict(VerdictState.OKAY)
 
 
 def _compile(config: object) -> _Layout:

@@ -7,6 +7,7 @@ from guiscout.actions import parse_controller_output
 from guiscout.agents import (
     AgentError,
     AgentRequest,
+    OracleAgent,
     RandomAgent,
     RemoteAgent,
     RemoteAgentConfig,
@@ -111,6 +112,16 @@ def test_random_agent_without_actions_raises():
 def test_random_agent_rejects_evaluator_role():
     with pytest.raises(AgentError, match="controller role"):
         RandomAgent(1).respond(evaluator_request())
+
+
+# --- oracle agent ----------------------------------------------------------
+
+def test_oracle_agent_judges_only_evaluator_requests_with_screenshots():
+    oracle = OracleAgent(["a reason"])
+    with pytest.raises(AgentError, match="only evaluator requests"):
+        oracle.respond(controller_request())
+    with pytest.raises(AgentError, match="two screenshots"):
+        oracle.respond(evaluator_request())
 
 
 # --- verdict parsing -------------------------------------------------------

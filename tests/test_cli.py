@@ -108,6 +108,19 @@ def test_replay_header_value_of_wrong_type_exits_one(tmp_path, capsys, key, valu
     assert "error:" in capsys.readouterr().err
 
 
+def test_replay_of_a_header_whose_run_id_names_another_directory_exits_one(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--runs", "1", "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["run_id"] = "../escaped"
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run_id" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("wizard_config", [
     {"pages": 5},
     {"pages": [{"key": "a"}]},

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import os
 import threading
 from dataclasses import replace
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from guiscout import harness, prompts
 from guiscout.actions import ActionCommand, format_action
-from guiscout.agents import RemoteAgent, RemoteAgentConfig, ScriptedAgent
+from guiscout.agents import Agent, RemoteAgent, RemoteAgentConfig, ScriptedAgent
 from guiscout.harness import (
     CampaignError,
     ConfigError,
     RecordLoadError,
     ReplayDivergence,
+    ReplayError,
     RunConfig,
     RunSession,
     load_blobs,
@@ -226,6 +228,25 @@ def test_each_screenshot_gets_one_image_reference(tmp_path, monkeypatch):
         assert after.data == blobs[iteration.after_digest].encode("utf-8")
     sent = body(requests[-1])["messages"][0]["content"][-1]["image_url"]["url"]
     assert base64.b64decode(sent.partition("base64,")[2]) == after.data
+
+
+def test_every_evaluator_request_carries_the_screenshots_its_prompt_attaches():
+    class RecordingEvaluator(Agent):
+        def __init__(self):
+            self.requests = []
+
+        def respond(self, request):
+            self.requests.append(request)
+            return '{"state": "okay"}'
+
+    session = RunSession(scripted_config(faults=default_fault_set()))
+    session.evaluator = evaluator = RecordingEvaluator()
+    record = session.run()
+    assert len(evaluator.requests) == len(record.iterations) == len(full_traversal_script())
+    for request, iteration in zip(evaluator.requests, record.iterations):
+        assert [shot.digest for shot in request.screenshots] == \
+            [ref.name for ref in request.prompt.attachments] == \
+            [iteration.before_digest, iteration.after_digest]
 
 
 # --- run -------------------------------------------------------------------
@@ -538,6 +559,23 @@ def test_agent_failures_are_recorded_and_the_run_continues():
     assert all(it.status is None for it in record.iterations)
 
 
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": '{"state": "okay"}'}]])
+@pytest.mark.parametrize("role", ["controller", "evaluator"])
+def test_a_completion_whose_content_is_not_text_is_recorded_as_an_agent_error(
+        stub_server, monkeypatch, role, content):
+    monkeypatch.setenv("GUISCOUT_TEST_KEY", "k")
+    stub_server.set_responder(lambda body: (200, content))
+    remote = RemoteAgentConfig(endpoint=stub_server.url, model="m",
+                               api_key_env="GUISCOUT_TEST_KEY", max_retries=0,
+                               retry_backoff=0.0)
+    record = run(scripted_config(max_iterations=2, controller_script=mini_script(),
+                                 **{role: "remote", f"remote_{role}": remote}))
+    assert len(record.iterations) == 2
+    error = "controller_error" if role == "controller" else "verdict_error"
+    for it in record.iterations:
+        assert getattr(it, error).startswith("malformed completion response")
+
+
 def test_header_records_the_remote_agent_retry_backoff(tmp_path):
     from guiscout.agents import RemoteAgentConfig
 
@@ -584,7 +622,29 @@ def test_run_config_rejects_a_value_of_the_wrong_type(setting, value):
         scripted_config(**{setting: value})
 
 
+@pytest.mark.parametrize("run_id", ["", ".", "..", "../../escaped", "a/b", f"a{os.sep}b"])
+def test_a_run_id_that_is_not_one_directory_in_out_dir_is_a_config_error(tmp_path, run_id):
+    out = tmp_path / "a" / "runs"
+    with pytest.raises(ConfigError, match="run_id"):
+        run(scripted_config(out_dir=out, run_id=run_id, max_iterations=1))
+    assert not any(tmp_path.iterdir())
+
+
 # --- replay ----------------------------------------------------------------
+
+def test_replay_of_a_header_whose_run_id_leaves_out_dir_is_a_replay_error(tmp_path):
+    run(scripted_config(out_dir=tmp_path / "runs", run_id="run-e", max_iterations=2))
+    header_path = tmp_path / "runs" / "run-e" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["run_id"] = "../escaped"
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    replays = tmp_path / "replays"
+    replays.mkdir()
+    with pytest.raises(ReplayError, match="run_id"):
+        replay(load_record(tmp_path / "runs" / "run-e"), out_dir=replays)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["replays", "runs"]
+    assert not any(replays.iterdir())
+
 
 def test_self_replay_matches(tmp_path):
     config = scripted_config(out_dir=tmp_path, run_id="run-000",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from guiscout.actions import (ARG_VERBS, ActionCommand, format_action, parse_action,
                               parse_controller_output)
-from guiscout.agents import VerdictState
+from guiscout.agents import AgentRequest, OracleAgent, VerdictState, parse_verdict
+from guiscout.prompts import ImageRef, build_evaluator_prompt
 from guiscout.simulator import (
     CANVAS_HEIGHT,
     CANVAS_WIDTH,
@@ -615,12 +616,24 @@ def test_page_key_travels_with_the_screenshot():
 
 # --- the oracle evaluator --------------------------------------------------
 
+def oracle_for(sim: SimWizard) -> OracleAgent:
+    return OracleAgent([sim.fault_reason(fault) for fault in sim.faults])
+
+
+def oracle_verdict(oracle: OracleAgent, before, after):
+    refs = [ImageRef(shot.digest, "text/plain", shot.rendered.encode("utf-8"))
+            for shot in (before, after)]
+    request = AgentRequest(build_evaluator_prompt("", *refs), "evaluator",
+                           screenshots=(before, after))
+    return parse_verdict(oracle.respond(request))
+
+
 def test_oracle_says_okay_without_faults():
     sim = new_wizard()
     before = sim.render()
     write(sim, sim.control_id_of("Name", page="tool_description"), "X")
     after = sim.render()
-    verdict = sim.oracle_evaluate(before, after)
+    verdict = oracle_verdict(oracle_for(sim), before, after)
     assert verdict.state is VerdictState.OKAY
 
 
@@ -632,11 +645,28 @@ def test_oracle_flags_the_generic_error_message_once():
     write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
     write(sim, sim.control_id_of("Version", page="launch_settings"), "1.0")
     after = sim.render()
-    verdict = sim.oracle_evaluate(before, after)
+    oracle = oracle_for(sim)
+    verdict = oracle_verdict(oracle, before, after)
     assert verdict.state is VerdictState.PROBLEM
     assert "Invalid path to working directory" in verdict.reason
-    again = sim.oracle_evaluate(after, sim.render())
+    again = oracle_verdict(oracle, after, sim.render())
     assert again.state is VerdictState.OKAY
+
+
+def test_the_simulator_imports_nothing_from_the_agents():
+    import ast
+    from pathlib import Path
+
+    import guiscout.simulator
+
+    tree = ast.parse(Path(guiscout.simulator.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "agents" in name.split(".")] == []
 
 
 def test_oracle_reports_exactly_k_problems_over_a_scripted_run(subset=2):
