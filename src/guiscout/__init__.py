@@ -31,10 +31,7 @@ from .agents import (
     RemoteAgentConfig,
     ScriptedAgent,
     ScriptExhausted,
-    Verdict,
-    VerdictState,
     parse_verdict,
-    verdict_to_json,
 )
 from .harness import (
     CampaignError,
@@ -51,7 +48,6 @@ from .harness import (
 from .prompts import (
     DocCorpus,
     DocEntry,
-    ImageRef,
     PromptDocument,
     build_controller_prompt,
     build_evaluator_prompt,

@@ -2,8 +2,9 @@
 
 Four agents ship: scripted playback for deterministic tests, a seeded random
 policy over the possible actions the request carries (a monkey-testing
-baseline), the fault-aware oracle evaluator, and a remote chat-completion
-client for real models.
+baseline), the fault-aware oracle evaluator, which reads the screenshots the
+prompt attaches, and a remote chat-completion client for real models. A
+verdict is the dict a record stores; ``check_verdict`` alone decides what is one.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 from .actions import ActionCommand, extract_first_json_object, format_action
 from .prompts import PromptDocument
-from .simulator import SimScreenshot
 from .widgets import PossibleAction
 
 
@@ -36,7 +35,7 @@ class RemoteAgentError(AgentError):
 
 
 class VerdictParseError(ValueError):
-    """An evaluator response could not be turned into a Verdict."""
+    """An evaluator response could not be turned into a verdict."""
 
     def __init__(self, message: str, raw: str = ""):
         super().__init__(message)
@@ -53,7 +52,6 @@ class AgentRequest:
     prompt: PromptDocument
     role: str
     actions: tuple[PossibleAction, ...] = ()
-    screenshots: tuple[SimScreenshot, ...] = ()  # an evaluator's before and after
 
     def __post_init__(self) -> None:
         if self.role not in AGENT_ROLES:
@@ -62,58 +60,36 @@ class AgentRequest:
             raise ValueError("evaluator requests carry exactly two attachments")
 
 
-class VerdictState(Enum):
-    __hash__ = object.__hash__  # see the widgets module docstring
-    OKAY = "okay"
-    PROBLEM = "problem"
+def check_verdict(verdict: dict) -> dict:
+    """``verdict`` if it is exactly ``{"state": "okay"}`` or ``{"state":
+    "problem", "reason": r}`` with ``r`` non-empty text; else ValueError."""
+    state = verdict.get("state")
+    if state is None:
+        raise ValueError("verdict JSON lacks a state")
+    if state == "okay":
+        keys = {"state"}
+    elif state == "problem":
+        reason = verdict.get("reason")
+        if not isinstance(reason, str) or not reason:
+            raise ValueError("problem verdict without a reason")
+        keys = {"state", "reason"}
+    else:
+        raise ValueError(f"unknown state {state!r}")
+    if verdict.keys() != keys:
+        raise ValueError(f"{state} verdict with keys {sorted(verdict)}, not {sorted(keys)}")
+    return verdict
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """The evaluator's judgment: okay, or a problem with a reason."""
-
-    state: VerdictState
-    reason: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.state is VerdictState.PROBLEM and not self.reason:
-            raise ValueError("a problem verdict requires a reason")
-        if self.state is VerdictState.OKAY and self.reason is not None:
-            raise ValueError("an okay verdict carries no reason")
-
-
-def parse_verdict(raw: str) -> Verdict:
-    """Extract the verdict JSON from raw evaluator output."""
+def parse_verdict(raw: str) -> dict:
+    """The verdict in raw evaluator output's first JSON object. A model may say
+    more, so only the state and a problem's reason are read."""
     try:
         obj = extract_first_json_object(raw)
+        state = obj.get("state")
+        return check_verdict({"state": state, "reason": obj.get("reason")}
+                             if state == "problem" else {"state": state})
     except ValueError as exc:
         raise VerdictParseError(str(exc), raw=raw) from None
-    state = obj.get("state")
-    if state is None:
-        raise VerdictParseError("verdict JSON lacks a state", raw=raw)
-    if state == VerdictState.OKAY.value:
-        return Verdict(VerdictState.OKAY)
-    if state == VerdictState.PROBLEM.value:
-        reason = obj.get("reason")
-        if not isinstance(reason, str) or not reason:
-            raise VerdictParseError("problem verdict without a reason", raw=raw)
-        return Verdict(VerdictState.PROBLEM, reason)
-    raise VerdictParseError(f"unknown state {state!r}", raw=raw)
-
-
-def verdict_to_obj(verdict: Verdict) -> dict:
-    if verdict.state is VerdictState.OKAY:
-        return {"state": "okay"}
-    return {"state": "problem", "reason": verdict.reason}
-
-
-_OKAY_JSON = json.dumps({"state": "okay"})  # built once: every okay verdict reads so
-
-
-def verdict_to_json(verdict: Verdict) -> str:
-    if verdict.state is VerdictState.OKAY:
-        return _OKAY_JSON
-    return json.dumps(verdict_to_obj(verdict))
 
 
 class Agent:
@@ -201,15 +177,15 @@ class OracleAgent(Agent):
         self._reported: set[int] = set()
 
     def respond(self, request: AgentRequest) -> str:
-        if request.role != "evaluator" or len(request.screenshots) != 2:
-            raise AgentError("the oracle agent judges only evaluator requests with two screenshots")
-        before, after = request.screenshots
+        if request.role != "evaluator":
+            raise AgentError("the oracle agent judges only evaluator requests")
+        before, after = request.prompt.attachments
         pending = (before.visible_faults | after.visible_faults) - self._reported
         if not pending:
-            return _OKAY_JSON
+            return json.dumps({"state": "okay"})
         index = min(pending)
         self._reported.add(index)
-        return verdict_to_json(Verdict(VerdictState.PROBLEM, self.reasons[index]))
+        return json.dumps({"state": "problem", "reason": self.reasons[index]})
 
 
 @dataclass(frozen=True)
@@ -259,20 +235,23 @@ class RemoteAgentConfig:
         }
 
 
+SCREENSHOT_MEDIA_TYPE = "text/plain; charset=utf-8"  # a screenshot is its canvas text
+
+
 class RemoteAgent(Agent):
-    """Sends the prompt as one user message; attachments become image parts."""
+    """Sends the prompt as one user message; attached screenshots become image parts."""
 
     def __init__(self, config: RemoteAgentConfig):
         self.config = config
 
     def _build_body(self, request: AgentRequest) -> dict:
         content: list[dict] = [{"type": "text", "text": request.prompt.text()}]
-        for ref in request.prompt.attachments:
-            encoded = base64.b64encode(ref.data).decode("ascii")
+        for shot in request.prompt.attachments:
+            encoded = base64.b64encode(shot.rendered.encode("utf-8")).decode("ascii")
             content.append(
                 {
                     "type": "image_url",
-                    "image_url": {"url": f"data:{ref.media_type};base64,{encoded}"},
+                    "image_url": {"url": f"data:{SCREENSHOT_MEDIA_TYPE};base64,{encoded}"},
                 }
             )
         return {

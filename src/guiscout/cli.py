@@ -225,9 +225,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     records = _load_run_dirs(args.runs)
-    labels = LabelFile()
-    if args.labels is not None and Path(args.labels).is_file():
-        labels = _load_labels(args.labels)
+    # A --labels file that cannot be read is an error, not a file of no labels.
+    labels = LabelFile() if args.labels is None else _load_labels(args.labels)
     try:
         report = build_report(records, labels,
                               assume_unlabeled_false=args.assume_unlabeled_false)

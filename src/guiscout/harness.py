@@ -40,11 +40,11 @@ from .agents import (
     RemoteAgentConfig,
     ScriptedAgent,
     VerdictParseError,
+    check_verdict,
     parse_verdict,
-    verdict_to_obj,
 )
-from .prompts import DEFAULT_DOC_BUDGET, HashedPrefix, ImageRef, PromptDocument, \
-    build_controller_prompt, build_evaluator_prompt
+from .prompts import DEFAULT_DOC_BUDGET, HashedPrefix, PromptDocument, build_controller_prompt, \
+    build_evaluator_prompt
 from .simulator import (
     FaultSpec,
     SimScreenshot,
@@ -55,15 +55,13 @@ from .simulator import (
     full_traversal_script,
     new_wizard,
 )
-from .widgets import possible_actions, serialize_tree
+from .widgets import possible_actions
 
 DEFAULT_TASK = (
     "Act as a GUI-Tester for the software RCE.\n"
     "Cover all pages of the Tool Integration Wizard.\n"
     "Use as many different UI-Elements as possible."
 )
-
-SCREENSHOT_MEDIA_TYPE = "text/plain; charset=utf-8"
 
 
 class ConfigError(ValueError):
@@ -131,6 +129,9 @@ class RunConfig:
         # The run writes out_dir/run_id, so the id must name one directory in it.
         if self.run_id in ("", ".", "..") or "/" in self.run_id or os.sep in self.run_id:
             raise ConfigError(f"run_id must name a directory inside out_dir, got {self.run_id!r}")
+        # A label file separates its fields by whitespace (see triage.LabelFile).
+        if any(char.isspace() for char in self.run_id):
+            raise ConfigError(f"run_id must not contain whitespace, got {self.run_id!r}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
         if self.doc_budget < 0:
@@ -201,11 +202,8 @@ class IterationRecord:
         for (name, value), types in zip(rec.__dict__.items(), _FIELD_TYPES):
             if type(value) not in types:
                 raise ValueError(f"{name} has the wrong type: {value!r}")
-        verdict = rec.verdict
-        if verdict is not None and verdict != {"state": "okay"} and not (
-                verdict.keys() == {"state", "reason"} and verdict["state"] == "problem"
-                and isinstance(verdict["reason"], str) and verdict["reason"]):
-            raise ValueError(f"verdict is malformed: {verdict!r}")
+        if rec.verdict is not None:
+            check_verdict(rec.verdict)
         return rec
 
     def fingerprint(self) -> dict:
@@ -299,15 +297,6 @@ class RunWriter:
         self._iterations.close()
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _screenshot_ref(shot: SimScreenshot) -> ImageRef:
-    return ImageRef(name=shot.digest, media_type=SCREENSHOT_MEDIA_TYPE,
-                    data=shot.rendered.encode("utf-8"))
-
-
 def _build_controller(config: RunConfig) -> Agent:
     if config.controller == "scripted":
         lines = config.controller_script
@@ -350,7 +339,6 @@ class RunSession:
         if config.out_dir is not None:
             self.writer = RunWriter(config.out_dir, config.run_id, echo, time.time())
         self.prev_shot: SimScreenshot = self.sim.render()
-        self.prev_ref = _screenshot_ref(self.prev_shot)  # one per screenshot
         if self.writer:
             self.writer.write_shot(self.prev_shot)
         self.record = RunRecord(run_id=config.run_id, config=echo)
@@ -358,19 +346,18 @@ class RunSession:
     def run_iteration(self, index: int) -> IterationRecord:
         """Execute one full controller/executor/evaluator iteration."""
         started = time.time()
-        before, before_ref = self.prev_shot, self.prev_ref
+        before = self.prev_shot
         tree = before.tree
-        attachment = before_ref if self.config.attach_screenshot else None
-        tree_digest = _sha256(serialize_tree(tree))
         controller_prompt = build_controller_prompt(
             self.config.task, self.docs, tree, self.log,
-            screenshot=attachment, doc_budget=self.config.doc_budget,
-            resume=self._prompt_prefixes.get(tree_digest))
-        self._prompt_prefixes[tree_digest] = controller_prompt.resume_point
+            screenshot=before if self.config.attach_screenshot else None,
+            doc_budget=self.config.doc_budget,
+            resume=self._prompt_prefixes.get(before.tree_digest))
+        self._prompt_prefixes[before.tree_digest] = controller_prompt.resume_point
         rec = IterationRecord(
             index=index,
             page_key=before.page_key,
-            tree_digest=tree_digest,
+            tree_digest=before.tree_digest,
             before_digest=before.digest,
             started_at=started,
         )
@@ -420,18 +407,16 @@ class RunSession:
         if self.writer:
             self.writer.write_shot(after)
 
-        after_ref = _screenshot_ref(after)
-        evaluator_prompt = build_evaluator_prompt(explanation, before_ref, after_ref)
+        evaluator_prompt = build_evaluator_prompt(explanation, before, after)
         rec.evaluator_prompt_digest = self._prompt_digest(evaluator_prompt)
 
         try:
-            rec.evaluator_raw = self.evaluator.respond(
-                AgentRequest(evaluator_prompt, "evaluator", screenshots=(before, after)))
-            rec.verdict = verdict_to_obj(parse_verdict(rec.evaluator_raw))
+            rec.evaluator_raw = self.evaluator.respond(AgentRequest(evaluator_prompt, "evaluator"))
+            rec.verdict = parse_verdict(rec.evaluator_raw)
         except (AgentError, VerdictParseError) as exc:
             rec.verdict_error = str(exc)
 
-        self.prev_shot, self.prev_ref = after, after_ref
+        self.prev_shot = after
         rec.finished_at = time.time()
         return rec
 

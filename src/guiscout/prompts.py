@@ -3,7 +3,8 @@
 Both prompts are built from fixed sections in a fixed order (controller:
 Role, Task, Documentation, GUI, Action, ActionLog, Closing; evaluator: Role,
 Task, Output, Action, Closing). Rendered text is the section bodies joined by
-blank lines, and golden files in the test suite pin the bytes.
+blank lines, and golden files in the test suite pin the bytes. A prompt
+attaches the ``SimScreenshot`` objects the wizard rendered, not copies.
 
 A prompt's digest is the sha256 of its UTF-8 text. SHA-256 is a streaming
 hash, so a prompt need not hash a prefix of its text whose state it is given
@@ -31,22 +32,17 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING
 
 from .actions import ActionLog, ActionLogEntry, format_log
 from .widgets import WidgetKind, WidgetNode, serialize_tree
 
+if TYPE_CHECKING:  # the simulator imports this module
+    from .simulator import SimScreenshot
+
 
 class MissingAttachmentError(ValueError):
-    """An image reference required by the prompt is absent."""
-
-
-@dataclass(frozen=True)
-class ImageRef:
-    """A resolvable reference to one screenshot, carried as raw bytes."""
-
-    name: str
-    media_type: str
-    data: bytes
+    """A screenshot required by the prompt is absent."""
 
 
 #: ``(state, length)``: the sha256 state of a text's first ``length``
@@ -63,7 +59,7 @@ _EMPTY_PREFIX = _hashed_prefix("")
 
 @dataclass(frozen=True)
 class PromptDocument:
-    """An ordered list of named sections plus up to two image attachments.
+    """An ordered list of named sections plus up to two attached screenshots.
 
     ``hashed`` is the state of a prefix of the text, which the digest goes on
     from; the caller vouches that the text starts with what it covers.
@@ -72,7 +68,7 @@ class PromptDocument:
     """
 
     sections: tuple[tuple[str, str], ...]
-    attachments: tuple[ImageRef, ...] = ()
+    attachments: tuple[SimScreenshot, ...] = ()
     hashed: InitVar[HashedPrefix] = _EMPTY_PREFIX
     tail: InitVar[int] = 0
 
@@ -240,7 +236,7 @@ def build_controller_prompt(
     docs: DocCorpus,
     tree: WidgetNode,
     log: ActionLog | Iterable[ActionLogEntry],
-    screenshot: ImageRef | None = None,
+    screenshot: SimScreenshot | None = None,
     doc_budget: int = DEFAULT_DOC_BUDGET,
     resume: HashedPrefix | None = None,
 ) -> PromptDocument:
@@ -271,8 +267,8 @@ def build_controller_prompt(
 
 def build_evaluator_prompt(
     action_explanation: str,
-    before: ImageRef | None,
-    after: ImageRef | None,
+    before: SimScreenshot | None,
+    after: SimScreenshot | None,
 ) -> PromptDocument:
     """Assemble the evaluator prompt for one before/after screenshot pair."""
     if before is None or after is None:

@@ -25,9 +25,9 @@ what it was. What is derived from a node is derived when the node is built:
 its JSON text and possible actions by its constructor (see ``widgets``), where
 and what it draws next to it in the wizard's node table, which a render can
 read because it draws only the wizard's own snapshot, made of current nodes. A
-render of the same root reuses the canvas text and digest. A run makes one
-image reference per screenshot, and every prompt that shows that screenshot
-carries that object.
+render of the same root reuses the canvas text, its digest and the tree's
+digest, so each is hashed once per root. Every prompt that shows a screenshot
+attaches the ``SimScreenshot`` that ``render`` returned.
 
 A wizard config is compiled into an immutable layout, the one owner of
 everything a config settles: the pages and modals; every slot with its control
@@ -58,7 +58,8 @@ from typing import NamedTuple
 
 from .actions import ActionCommand, format_action
 from .prompts import DocCorpus, DocEntry
-from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode
+from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode, \
+    serialize_tree
 
 
 class WizardConfigError(ValueError):
@@ -178,15 +179,21 @@ class PageSpec:
 
 @dataclass(frozen=True)
 class SimScreenshot:
-    """One rendered view of the wizard: a fixed 120x40 character canvas, plus
-    the widget tree it was drawn from and the indices of the faults visible in
-    it; those two take no part in equality."""
+    """One rendered view of the wizard: a fixed 120x40 character canvas and
+    its sha256 ``digest``, plus the widget tree it was drawn from, that tree's
+    sha256 ``tree_digest`` and the indices of the faults visible in it; those
+    three take no part in equality."""
 
     page_key: str
     rendered: str
     digest: str
     tree: WidgetNode = dc_field(compare=False)
     visible_faults: frozenset[int] = dc_field(compare=False)
+    tree_digest: str = dc_field(compare=False)
+
+
+def _hash_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -607,10 +614,10 @@ class SimWizard:
         # Per control id: the entry of its current node, then that of the node
         # before it (see the module docstring), each the node's fields, the
         # node, and what it draws (row, col, line). The last render (root,
-        # text, digest).
+        # text, digest, tree digest).
         # Per (list slot id, position): where that input item is drawn.
         self._nodes: dict[int, tuple[tuple[tuple, WidgetNode, int, int, str], ...]] = {}
-        self._canvas: tuple[WidgetNode, str, str] | None = None
+        self._canvas: tuple[WidgetNode, str, str, str] | None = None
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
         # A fault must change what is shown: a missing title targets a page's
@@ -991,11 +998,12 @@ class SimWizard:
             for child in tree.sub_elements:
                 self._draw_node(canvas, child)
             rendered = "\n".join(canvas)
-            self._canvas = (tree, rendered, hashlib.sha256(rendered.encode("utf-8")).hexdigest())
-        _, rendered, digest = self._canvas
+            self._canvas = (tree, rendered, _hash_text(rendered), _hash_text(serialize_tree(tree)))
+        _, rendered, digest, tree_digest = self._canvas
         return SimScreenshot(page_key=self._page_key(), rendered=rendered,
                              digest=digest, tree=tree,
-                             visible_faults=self._observable_fault_indices())
+                             visible_faults=self._observable_fault_indices(),
+                             tree_digest=tree_digest)
 
     def _observable_fault_indices(self) -> frozenset[int]:
         page_key = self._page_key()

@@ -13,15 +13,11 @@ from guiscout.agents import (
     RemoteAgentConfig,
     ScriptedAgent,
     ScriptExhausted,
-    Verdict,
     VerdictParseError,
-    VerdictState,
     parse_verdict,
-    verdict_to_json,
 )
 from guiscout.harness import DEFAULT_TASK
-from guiscout.prompts import DocCorpus, ImageRef, build_controller_prompt, \
-    build_evaluator_prompt
+from guiscout.prompts import DocCorpus, build_controller_prompt, build_evaluator_prompt
 from guiscout.simulator import new_wizard
 from guiscout.widgets import ARG_FREE_TEXT, ActionVerb, PossibleAction, possible_actions
 
@@ -38,8 +34,11 @@ def controller_request(log=()) -> AgentRequest:
 
 
 def evaluator_request() -> AgentRequest:
-    before = ImageRef("b", "text/plain", b"before")
-    after = ImageRef("a", "text/plain", b"after")
+    sim = new_wizard()
+    before = sim.render()
+    sim.current_page = 1
+    after = sim.render()
+    assert before.rendered != after.rendered
     return AgentRequest(build_evaluator_prompt("did a thing", before, after), "evaluator")
 
 
@@ -120,20 +119,37 @@ def test_oracle_agent_judges_only_evaluator_requests_with_screenshots():
     oracle = OracleAgent(["a reason"])
     with pytest.raises(AgentError, match="only evaluator requests"):
         oracle.respond(controller_request())
-    with pytest.raises(AgentError, match="two screenshots"):
-        oracle.respond(evaluator_request())
+
+
+def test_the_agents_import_nothing_from_the_simulator():
+    import ast
+    from pathlib import Path
+
+    import guiscout.agents
+
+    tree = ast.parse(Path(guiscout.agents.__file__).read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [name for name in modules if "simulator" in (name or "").split(".")] == []
 
 
 # --- verdict parsing -------------------------------------------------------
 
 def test_parse_problem_verdict():
     verdict = parse_verdict(PROBLEM_EXAMPLE)
-    assert verdict == Verdict(VerdictState.PROBLEM,
-                              "The Text of the Description is not fully visible.")
+    assert verdict == {"state": "problem",
+                       "reason": "The Text of the Description is not fully visible."}
 
 
 def test_parse_okay_verdict():
-    assert parse_verdict('{"state":"okay"}') == Verdict(VerdictState.OKAY)
+    assert parse_verdict('{"state":"okay"}') == {"state": "okay"}
+
+
+def test_parse_verdict_reads_only_the_state_and_a_problems_reason():
+    assert parse_verdict('{"state": "okay", "reason": "all fine", "x": 1}') == {"state": "okay"}
+    assert parse_verdict('{"state": "problem", "reason": "cut off", "severity": "high"}') == \
+        {"state": "problem", "reason": "cut off"}
 
 
 def test_unknown_state_is_an_error():
@@ -158,16 +174,8 @@ def test_no_json_is_an_error_with_raw_attached():
 
 
 def test_verdict_round_trips_through_json():
-    for verdict in (Verdict(VerdictState.OKAY),
-                    Verdict(VerdictState.PROBLEM, "broken layout")):
-        assert parse_verdict(verdict_to_json(verdict)) == verdict
-
-
-def test_verdict_invariants():
-    with pytest.raises(ValueError):
-        Verdict(VerdictState.PROBLEM)
-    with pytest.raises(ValueError):
-        Verdict(VerdictState.OKAY, "unexpected")
+    for verdict in ({"state": "okay"}, {"state": "problem", "reason": "broken layout"}):
+        assert parse_verdict(json.dumps(verdict)) == verdict
 
 
 # --- remote agent ----------------------------------------------------------
@@ -198,7 +206,8 @@ def test_remote_agent_returns_stub_body(stub_server, monkeypatch):
 def test_remote_evaluator_request_shape(stub_server, monkeypatch):
     monkeypatch.setenv("GUISCOUT_TEST_KEY", "secret-token-123")
     agent = RemoteAgent(remote_config(stub_server, temperature=0.0))
-    agent.respond(evaluator_request())
+    sent = evaluator_request()
+    agent.respond(sent)
     (request,) = stub_server.requests
     messages = request["body"]["messages"]
     assert len(messages) == 1
@@ -208,8 +217,17 @@ def test_remote_evaluator_request_shape(stub_server, monkeypatch):
     assert len(image_parts) == 2
     payloads = [base64.b64decode(part["image_url"]["url"].split(",", 1)[1])
                 for part in image_parts]
-    assert payloads == [b"before", b"after"]
+    assert payloads == [shot.rendered.encode("utf-8") for shot in sent.prompt.attachments]
     assert request["body"]["temperature"] == 0.0
+
+
+def test_remote_image_parts_carry_each_canvas_as_utf8_text():
+    request = evaluator_request()
+    body = RemoteAgent(RemoteAgentConfig("http://localhost", "m"))._build_body(request)
+    urls = [part["image_url"]["url"] for part in body["messages"][0]["content"][1:]]
+    assert urls == ["data:text/plain; charset=utf-8;base64,"
+                    + base64.b64encode(shot.rendered.encode("utf-8")).decode("ascii")
+                    for shot in request.prompt.attachments]
 
 
 def test_remote_agent_retries_transient_errors(stub_server, monkeypatch):

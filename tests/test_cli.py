@@ -189,6 +189,12 @@ def test_replay_of_an_edited_record_field_exits_four(tmp_path, capsys, field, va
 @pytest.mark.parametrize("command", ["label", "report", "replay"])
 @pytest.mark.parametrize("field, value", [
     ("verdict", "x"),
+    ("verdict", {"state": "okay", "reason": "r"}),
+    ("verdict", {"state": "problem"}),
+    ("verdict", {"state": "problem", "reason": ""}),
+    ("verdict", {"state": "problem", "reason": 5}),
+    ("verdict", {"state": "weird"}),
+    ("verdict", {"state": "problem", "reason": "r", "severity": "high"}),
     ("controller_raw", 5),
     ("action", 5),
     ("page_key", 5),
@@ -226,6 +232,23 @@ def test_two_runs_with_one_run_id_exit_one_naming_it(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: run id run-000 names more than one run")
+    assert not labels.exists()
+
+
+def test_label_of_a_run_whose_id_has_whitespace_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "runs"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"faults": [{"kind": "missing_title", "page": "tool_description",
+                                              "label": "title"}]}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(out), "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["run_id"] = "my run"
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    capsys.readouterr()
+    assert main(["label", "--runs", str(out), "--labels", str(labels)]) == 1
+    assert capsys.readouterr().err.startswith("error: run id 'my run' contains whitespace")
     assert not labels.exists()
 
 
@@ -303,6 +326,17 @@ def test_report_with_a_missing_runs_dir_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: --runs {missing} is not a directory\n"
     assert captured.out == ""
+
+
+def test_report_with_a_missing_labels_file_exits_one(tmp_path, capsys):
+    runs_dir, labels_path = write_funnel_dirs(tmp_path)
+    missing = labels_path.with_name("typo.txt")
+    assert main(["report", "--runs", str(runs_dir), "--labels", str(missing),
+                 "--assume-unlabeled-false"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unreadable label file {missing}")
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiscout import harness, prompts
+from guiscout import harness, prompts, simulator
 from guiscout.actions import ActionCommand, format_action
 from guiscout.agents import Agent, RemoteAgent, RemoteAgentConfig, ScriptedAgent
 from guiscout.harness import (
@@ -100,12 +100,19 @@ def test_log_grows_by_exactly_one_entry_per_iteration(tmp_path):
 
 def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_path, monkeypatch):
     hashed = []
-    sha256 = harness._sha256
-    monkeypatch.setattr(harness, "_sha256", lambda text: hashed.append(text) or sha256(text))
-    record = run(scripted_config(controller_script=mini_script(), out_dir=tmp_path,
-                                 run_id="run-hash"))
-    # Only the tree digest is hashed here; each prompt brings its cached digest.
-    assert len(hashed) == len(record.iterations)
+    sha256 = simulator._hash_text
+    monkeypatch.setattr(simulator, "_hash_text", lambda text: hashed.append(text) or sha256(text))
+    # The rejected line in the middle leaves the wizard, and so its root node, as it was.
+    write_name, click_next = mini_script()
+    record = run(scripted_config(controller_script=[write_name, "no action", click_next],
+                                 out_dir=tmp_path, run_id="run-hash"))
+    assert [it.status for it in record.iterations] == ["executed", "rejected", "executed"]
+    # Only a screenshot's canvas and tree are hashed here, once per root node:
+    # at the start and after each executed step. Each prompt brings its cached digest.
+    trees = [text for text in hashed if text.startswith("{")]
+    assert len(trees) == len(hashed) - len(trees) == 3
+    assert [it.tree_digest for it in record.iterations] == \
+        [sha256(trees[0]), sha256(trees[1]), sha256(trees[1])]
     blobs = load_blobs(tmp_path / "run-hash")
     for iteration in record.iterations:
         for digest in (iteration.controller_prompt_digest, iteration.evaluator_prompt_digest):
@@ -224,10 +231,10 @@ def test_each_screenshot_gets_one_image_reference(tmp_path, monkeypatch):
         assert controller[index].attachments[0] is before
         if index:  # the after image of the step before, the same object
             assert before is evaluator[index - 1].attachments[1]
-        assert before.name == iteration.before_digest and after.name == iteration.after_digest
-        assert after.data == blobs[iteration.after_digest].encode("utf-8")
+        assert before.digest == iteration.before_digest and after.digest == iteration.after_digest
+        assert after.rendered == blobs[iteration.after_digest]
     sent = body(requests[-1])["messages"][0]["content"][-1]["image_url"]["url"]
-    assert base64.b64decode(sent.partition("base64,")[2]) == after.data
+    assert base64.b64decode(sent.partition("base64,")[2]) == after.rendered.encode("utf-8")
 
 
 def test_every_evaluator_request_carries_the_screenshots_its_prompt_attaches():
@@ -244,8 +251,7 @@ def test_every_evaluator_request_carries_the_screenshots_its_prompt_attaches():
     record = session.run()
     assert len(evaluator.requests) == len(record.iterations) == len(full_traversal_script())
     for request, iteration in zip(evaluator.requests, record.iterations):
-        assert [shot.digest for shot in request.screenshots] == \
-            [ref.name for ref in request.prompt.attachments] == \
+        assert [shot.digest for shot in request.prompt.attachments] == \
             [iteration.before_digest, iteration.after_digest]
 
 
@@ -627,6 +633,13 @@ def test_a_run_id_that_is_not_one_directory_in_out_dir_is_a_config_error(tmp_pat
     out = tmp_path / "a" / "runs"
     with pytest.raises(ConfigError, match="run_id"):
         run(scripted_config(out_dir=out, run_id=run_id, max_iterations=1))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("run_id", ["my run", "run\t0", " run", "run\u2003000"])
+def test_a_run_id_with_whitespace_is_a_config_error(tmp_path, run_id):
+    with pytest.raises(ConfigError, match="run_id must not contain whitespace"):
+        run(scripted_config(out_dir=tmp_path, run_id=run_id, max_iterations=1))
     assert not any(tmp_path.iterdir())
 
 

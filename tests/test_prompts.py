@@ -9,14 +9,13 @@ from guiscout import prompts
 from guiscout.prompts import (
     DocCorpus,
     DocEntry,
-    ImageRef,
     MissingAttachmentError,
     PromptDocument,
     build_controller_prompt,
     build_evaluator_prompt,
     select_documentation,
 )
-from guiscout.simulator import CPACS_DOC, default_doc_corpus, new_wizard
+from guiscout.simulator import CPACS_DOC, SimScreenshot, default_doc_corpus, new_wizard
 from guiscout.widgets import Rect, WidgetKind, WidgetNode
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,8 +48,9 @@ EVALUATOR_EXPLANATION = ("Click the 'Next >' button to proceed to the next page 
                          "and their functionalities.")
 
 
-def shot(name: str = "s") -> ImageRef:
-    return ImageRef(name=name, media_type="text/plain", data=name.encode())
+def shot(name: str = "s") -> SimScreenshot:
+    return SimScreenshot(page_key="tool_description", rendered=name, digest=name,
+                         tree=FIXTURE_TREE, visible_faults=frozenset(), tree_digest="")
 
 
 # --- golden files ----------------------------------------------------------
@@ -134,7 +134,7 @@ def test_evaluator_empty_explanation_still_has_two_attachments():
 
 def test_evaluator_attachments_keep_before_after_order():
     prompt = build_evaluator_prompt("x", shot("before"), shot("after"))
-    assert [ref.name for ref in prompt.attachments] == ["before", "after"]
+    assert [ref.digest for ref in prompt.attachments] == ["before", "after"]
 
 
 def test_evaluator_missing_image_is_an_error():

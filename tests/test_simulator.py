@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from guiscout.actions import (ARG_VERBS, ActionCommand, format_action, parse_action,
                               parse_controller_output)
-from guiscout.agents import AgentRequest, OracleAgent, VerdictState, parse_verdict
-from guiscout.prompts import ImageRef, build_evaluator_prompt
+from guiscout.agents import AgentRequest, OracleAgent, parse_verdict
+from guiscout.prompts import build_evaluator_prompt
 from guiscout.simulator import (
     CANVAS_HEIGHT,
     CANVAS_WIDTH,
@@ -620,11 +620,8 @@ def oracle_for(sim: SimWizard) -> OracleAgent:
     return OracleAgent([sim.fault_reason(fault) for fault in sim.faults])
 
 
-def oracle_verdict(oracle: OracleAgent, before, after):
-    refs = [ImageRef(shot.digest, "text/plain", shot.rendered.encode("utf-8"))
-            for shot in (before, after)]
-    request = AgentRequest(build_evaluator_prompt("", *refs), "evaluator",
-                           screenshots=(before, after))
+def oracle_verdict(oracle: OracleAgent, before, after) -> dict:
+    request = AgentRequest(build_evaluator_prompt("", before, after), "evaluator")
     return parse_verdict(oracle.respond(request))
 
 
@@ -634,7 +631,7 @@ def test_oracle_says_okay_without_faults():
     write(sim, sim.control_id_of("Name", page="tool_description"), "X")
     after = sim.render()
     verdict = oracle_verdict(oracle_for(sim), before, after)
-    assert verdict.state is VerdictState.OKAY
+    assert verdict == {"state": "okay"}
 
 
 def test_oracle_flags_the_generic_error_message_once():
@@ -647,10 +644,10 @@ def test_oracle_flags_the_generic_error_message_once():
     after = sim.render()
     oracle = oracle_for(sim)
     verdict = oracle_verdict(oracle, before, after)
-    assert verdict.state is VerdictState.PROBLEM
-    assert "Invalid path to working directory" in verdict.reason
+    assert verdict["state"] == "problem"
+    assert "Invalid path to working directory" in verdict["reason"]
     again = oracle_verdict(oracle, after, sim.render())
-    assert again.state is VerdictState.OKAY
+    assert again == {"state": "okay"}
 
 
 def test_the_simulator_imports_nothing_from_the_agents():

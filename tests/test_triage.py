@@ -74,6 +74,13 @@ def test_two_records_with_one_run_id_are_an_error():
         collect_positives([problem_record(["broken"]), problem_record(["broken"])])
 
 
+@pytest.mark.parametrize("run_id", ["my run", "run\t0", "run-000\n", "run\u00a0000"])
+def test_a_run_id_with_whitespace_is_an_error(run_id):
+    # A label line "my run 0 unknown" would read back as run "my", iteration "run".
+    with pytest.raises(TriageError, match="whitespace"):
+        collect_positives([okay_record(run_id=run_id)])
+
+
 def test_sim_run_with_k_faults_yields_k_findings():
     record = run(RunConfig(controller="scripted", evaluator="oracle",
                            faults=default_fault_set()))
