@@ -46,8 +46,6 @@ from .harness import (
     run_many,
 )
 from .prompts import (
-    DocCorpus,
-    DocEntry,
     PromptDocument,
     build_controller_prompt,
     build_evaluator_prompt,

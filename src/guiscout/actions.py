@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .widgets import ActionVerb, ArgSpec, PossibleAction
+from .widgets import ActionVerb, PossibleAction
 
 
 class ActionParseError(ValueError):
@@ -185,11 +185,10 @@ def parse_action(text: str) -> ActionCommand:
     if text[pos + 1:].strip():
         raise ActionParseError(f"trailing text after command: {text[pos + 1:].strip()!r}")
 
-    if verb in ARG_VERBS and arg is None:
-        raise ActionParseError(f"{verb.value} requires an argument")
-    if verb not in ARG_VERBS and arg is not None:
-        raise ActionParseError(f"{verb.value} takes no argument")
-    return ActionCommand(verb, control_id, arg)
+    try:
+        return ActionCommand(verb, control_id, arg)
+    except ValueError as exc:
+        raise ActionParseError(str(exc)) from None
 
 
 def format_action(cmd: ActionCommand) -> str:
@@ -248,17 +247,15 @@ def validate_action(cmd: ActionCommand, allowed: Sequence[PossibleAction]) -> Va
     """Decide whether a command is one of the currently possible actions."""
     if not allowed:
         return ValidationResult(False, "no actions available")
-    spec: ArgSpec | None = None
     for pa in allowed:
         if pa.control_id == cmd.control_id and pa.verb == cmd.verb:
-            spec = pa.arg
             break
-    if spec is None:
+    else:
         return ValidationResult(
             False, f"{format_action(cmd)} is not among the possible actions"
         )
-    if spec.kind == "one_of" and cmd.arg not in spec.choices:
-        listing = ", ".join(repr(c) for c in spec.choices) or "(none)"
+    if cmd.verb is ActionVerb.SELECT and cmd.arg not in pa.choices:
+        listing = ", ".join(repr(c) for c in pa.choices) or "(none)"
         return ValidationResult(
             False, f"{cmd.arg!r} is not a valid item; valid items: {listing}"
         )

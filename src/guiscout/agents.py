@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .actions import ActionCommand, extract_first_json_object, format_action
 from .prompts import PromptDocument
-from .widgets import PossibleAction
+from .widgets import ActionVerb, PossibleAction
 
 
 class AgentError(Exception):
@@ -155,17 +155,21 @@ class RandomAgent(Agent):
         rng = random.Random(f"{self.seed}:{request.prompt.digest}")
         chosen = rng.choice(candidates)
         arg: str | None = None
-        if chosen.arg.kind == "free_text":
+        if chosen.verb is ActionVerb.WRITE:
             arg = rng.choice(_WRITE_POOL)
-        elif chosen.arg.kind == "one_of":
-            arg = rng.choice(chosen.arg.choices)
+        elif chosen.verb is ActionVerb.SELECT:
+            arg = rng.choice(chosen.choices)
         command = format_action(ActionCommand(chosen.verb, chosen.control_id, arg))
         explanation = f"try {chosen.verb.value} on control {chosen.control_id}"
         return json.dumps({"action": command, "explanation": explanation})
 
     @staticmethod
     def _satisfiable(pa: PossibleAction) -> bool:
-        return not (pa.arg.kind == "one_of" and not pa.arg.choices)
+        return pa.verb is not ActionVerb.SELECT or bool(pa.choices)
+
+
+# The oracle's okay verdict, encoded once per process.
+_OKAY_RESPONSE = json.dumps({"state": "okay"})
 
 
 class OracleAgent(Agent):
@@ -182,7 +186,7 @@ class OracleAgent(Agent):
         before, after = request.prompt.attachments
         pending = (before.visible_faults | after.visible_faults) - self._reported
         if not pending:
-            return json.dumps({"state": "okay"})
+            return _OKAY_RESPONSE
         index = min(pending)
         self._reported.add(index)
         return json.dumps({"state": "problem", "reason": self.reasons[index]})

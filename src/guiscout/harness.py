@@ -95,6 +95,16 @@ class CampaignError(Exception):
         self.records = records
 
 
+def label_line_problem(run_id: str) -> str | None:
+    """Why no line of a label file (see triage.LabelFile) can name ``run_id``,
+    or None if one can."""
+    if any(char.isspace() for char in run_id):
+        return "contains whitespace, which separates the fields of a label file line"
+    if run_id.startswith("#"):
+        return "starts with '#', which makes a label file line a comment"
+    return None
+
+
 @dataclass
 class RunConfig:
     task: str = DEFAULT_TASK
@@ -129,9 +139,10 @@ class RunConfig:
         # The run writes out_dir/run_id, so the id must name one directory in it.
         if self.run_id in ("", ".", "..") or "/" in self.run_id or os.sep in self.run_id:
             raise ConfigError(f"run_id must name a directory inside out_dir, got {self.run_id!r}")
-        # A label file separates its fields by whitespace (see triage.LabelFile).
-        if any(char.isspace() for char in self.run_id):
-            raise ConfigError(f"run_id must not contain whitespace, got {self.run_id!r}")
+        problem = label_line_problem(self.run_id)
+        if problem is not None:
+            raise ConfigError(f"run_id must not contain whitespace or start with '#': "
+                              f"{self.run_id!r} {problem}")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
         if self.doc_budget < 0:
@@ -363,7 +374,7 @@ class RunSession:
         )
         rec.controller_prompt_digest = self._prompt_digest(controller_prompt)
 
-        actions = tuple(possible_actions(tree))
+        actions = possible_actions(tree)
         try:
             raw = self.controller.respond(
                 AgentRequest(controller_prompt, "controller", actions))

@@ -15,10 +15,11 @@ controller prompt can also start from the state of an earlier one, cut just
 after that prompt's last log entry, and that is exact when the earlier
 prompt's text up to the cut is a prefix of the new text:
 
-- Within one run the task, the documentation corpus and the budget are
-  fixed, so every character before the log is a function of the widget
-  tree: the page, and with it the documentation, is in the tree. Two prompts
-  with the same tree digest agree up to the log.
+- Within one run the task, the documentation (a read-only mapping from
+  page key to page text) and the budget are fixed, so every character
+  before the log is a function of the widget tree: the page, and with it
+  the documentation, is in the tree. Two prompts with the same tree digest
+  agree up to the log.
 - The log only grows, by whole entries, and the cut comes before its closing
   ``]`` (and the newline before it), so the later log text extends the cut.
 - A state counts the characters it covers, and the text is cut by
@@ -30,7 +31,7 @@ prompt's text up to the cut is a prefix of the new text:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING
 
@@ -101,19 +102,6 @@ class PromptDocument:
             if section_name == name:
                 return body
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class DocEntry:
-    page_key: str
-    body: str
-
-
-@dataclass(frozen=True)
-class DocCorpus:
-    """Documentation pages keyed by wizard page, selectable per GUI state."""
-
-    entries: tuple[DocEntry, ...] = ()
 
 
 DEFAULT_DOC_BUDGET = 8000
@@ -212,28 +200,24 @@ _EVALUATOR_HEAD = _hashed_prefix("\n\n".join(
 
 
 def select_documentation(
-    docs: DocCorpus, tree: WidgetNode, budget: int = DEFAULT_DOC_BUDGET
+    docs: Mapping[str, str], tree: WidgetNode, budget: int = DEFAULT_DOC_BUDGET
 ) -> str:
     """Pick the documentation page matching the current wizard page.
 
-    The page is identified by the active-page marker on the dialog root.
-    Without a match, falls back to concatenating all entries up to the
-    character budget.
+    ``docs`` maps a page key to its page. The page is identified by the
+    active-page marker on the dialog root. Without a match, falls back to
+    concatenating all pages up to the character budget.
     """
-    page_key = None
-    if tree.kind is WidgetKind.DIALOG:
-        marker = tree.extra_state.get("active_page")
-        if isinstance(marker, str):
-            page_key = marker
-    for entry in docs.entries:
-        if page_key is not None and entry.page_key == page_key:
-            return entry.body[:budget]
-    return "\n\n".join(entry.body for entry in docs.entries)[:budget]
+    marker = tree.extra_state.get("active_page") if tree.kind is WidgetKind.DIALOG else None
+    body = docs.get(marker) if isinstance(marker, str) else None
+    if body is None:
+        body = "\n\n".join(docs.values())
+    return body[:budget]
 
 
 def build_controller_prompt(
     task: str,
-    docs: DocCorpus,
+    docs: Mapping[str, str],
     tree: WidgetNode,
     log: ActionLog | Iterable[ActionLogEntry],
     screenshot: SimScreenshot | None = None,

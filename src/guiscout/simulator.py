@@ -39,10 +39,15 @@ tables read-only. The default wizard is compiled once per process, and every
 session, replay, traversal script and ``guiscout run`` config check shares
 that layout. A custom ``wizard`` config is compiled for each wizard, so a
 malformed one fails every time. A wizard holds only what changes during a
-run: the current page, its values (a copy of the defaults), its inputs (a name
-and a data type each; an item's control id is the layout's first item id plus
-its position), the selected input, the dialog stack, messages, faults,
-and its node and canvas caches.
+run: the current page, its values (a copy of the defaults), the names of its
+inputs (an item's control id is the layout's first item id plus its
+position), the selected input, the open modal, messages, faults, and its node
+and canvas caches.
+
+A snapshot decides each slot in one pass (``_node``): whether it is drawn,
+and if so its node, with every fault that changes how it is drawn applied
+there. A fault must target something it changes on screen
+(``_changes_screen``); a wizard refuses any other target.
 """
 
 from __future__ import annotations
@@ -54,10 +59,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .actions import ActionCommand, format_action
-from .prompts import DocCorpus, DocEntry
 from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode, \
     serialize_tree
 
@@ -157,11 +160,10 @@ class FieldSpec:
     computed: str | None = None
     opens: str | None = None
     group: str | None = None
-    noun: str | None = None
 
     @property
     def noun_text(self) -> str:
-        return self.noun if self.noun is not None else self.label.lower()
+        return self.label.lower()
 
     @property
     def has_label_widget(self) -> bool:
@@ -312,36 +314,52 @@ def default_fault_set() -> list[FaultSpec]:
     ]
 
 
-def default_doc_corpus() -> DocCorpus:
-    """Documentation pages for the default fixture, keyed by wizard page."""
-    return DocCorpus(entries=(
-        DocEntry("tool_description", "# Tool Description\nProvide a unique name for the new "
-                 "workflow component and optionally a description and a palette group."),
-        DocEntry("inputs_outputs", "# Inputs and Outputs\nDefine the data the tool exchanges "
-                 "with the workflow. Use \"Add Input...\" to declare an input with a name and a "
-                 "data type."),
-        DocEntry("launch_settings", "# Launch Settings\nConfigure the directory in which the "
-                 "tool is installed, the version of the tool, the absolute path to the working "
-                 "directory in which the tool shall be executed, and the maximal number of "
-                 "instances that can be executed in parallel."),
-        DocEntry("cpacs_properties", CPACS_DOC),
-        DocEntry("review", "# Review\nCheck the summary of the configuration and confirm it "
-                 "before finishing."),
-        DocEntry("finish", "# Finish\nClick Finish to integrate the tool as a workflow "
-                 "component."),
-    ))
+def default_doc_corpus() -> Mapping[str, str]:
+    """Documentation pages for the default fixture, keyed by wizard page; read-only."""
+    return MappingProxyType({
+        "tool_description": "# Tool Description\nProvide a unique name for the new "
+            "workflow component and optionally a description and a palette group.",
+        "inputs_outputs": "# Inputs and Outputs\nDefine the data the tool exchanges with "
+            "the workflow. Use \"Add Input...\" to declare an input with a name and a data type.",
+        "launch_settings": "# Launch Settings\nConfigure the directory in which the tool is "
+            "installed, the version of the tool, the absolute path to the working directory in "
+            "which the tool shall be executed, and the maximal number of instances that can be "
+            "executed in parallel.",
+        "cpacs_properties": CPACS_DOC,
+        "review": "# Review\nCheck the summary of the configuration and confirm it before "
+            "finishing.",
+        "finish": "# Finish\nClick Finish to integrate the tool as a workflow component.",
+    })
 
 
 _MISSING = object()
 _TEXT_OR_NULL = (str, type(None))
 
 
-def _config_value(obj: object, key: str, kind: type | tuple[type, ...], where: str,
-                  default: object = _MISSING) -> object:
-    """``obj[key]`` of a wizard config, or ``default`` if the key is absent; a
-    value of another type, or an absent key without a default, is an error."""
+# The keys each part of a wizard config may have.
+_WIZARD_KEYS = frozenset({"title", "pages", "modals"})
+_PAGE_KEYS = frozenset({"key", "title", "fields"})
+_MODAL_KEYS = frozenset({"title", "fields"})
+_FIELD_KEYS = frozenset({"label", "kind", "validator", "items", "items_from", "default", "text",
+                         "computed", "opens", "group"})
+
+
+def _config_object(obj: object, keys: frozenset[str], where: str) -> dict:
+    """``obj`` if it is an object whose keys are all among ``keys``. A
+    misspelt key would silently keep a default, so any unknown key is an error."""
     if not isinstance(obj, dict):
         raise WizardConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise WizardConfigError(f"{where} has unknown keys {unknown}")
+    return obj
+
+
+def _config_value(obj: dict, key: str, kind: type | tuple[type, ...], where: str,
+                  default: object = _MISSING) -> object:
+    """``obj[key]`` of a wizard config object, or ``default`` if the key is
+    absent; a value of another type, or an absent key without a default, is
+    an error."""
     if key not in obj:
         if default is _MISSING:
             raise WizardConfigError(f"{where} has no {key!r}")
@@ -353,6 +371,7 @@ def _config_value(obj: object, key: str, kind: type | tuple[type, ...], where: s
 
 
 def _parse_field(obj: object, where: str) -> FieldSpec:
+    obj = _config_object(obj, _FIELD_KEYS, where)
     kind_name = _config_value(obj, "kind", str, where, None)
     if kind_name not in _KIND_NAMES:
         raise WizardConfigError(f"unknown field kind {kind_name!r}")
@@ -377,11 +396,10 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
         computed=_config_value(obj, "computed", _TEXT_OR_NULL, where, None),
         opens=_config_value(obj, "opens", _TEXT_OR_NULL, where, None),
         group=_config_value(obj, "group", _TEXT_OR_NULL, where, None),
-        noun=_config_value(obj, "noun", _TEXT_OR_NULL, where, None),
     )
 
 
-def _parse_fields(obj: object, where: str) -> tuple[FieldSpec, ...]:
+def _parse_fields(obj: dict, where: str) -> tuple[FieldSpec, ...]:
     """The fields of a page or a modal. Labels key fault targets and
     ``control_id_of``, so each may appear only once."""
     fields = tuple(_parse_field(f, f"{where} field {row}")
@@ -587,9 +605,33 @@ def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec
         first_item_id=next(ids))
 
 
-class _InputRecord(NamedTuple):
-    name: str
-    data_type: str
+def _draws(text: str) -> bool:
+    """Whether a text widget shows anything: the canvas draws its first line."""
+    return bool(text.partition("\n")[0].strip())
+
+
+def _changes_screen(layout: _Layout, fault: FaultSpec) -> bool:
+    """Whether ``fault`` targets something it changes on screen: a missing
+    title a page title that shows; a misaligned rectangle a field that draws
+    itself (a list draws only its items, which keep their place); truncated
+    text a Static or Edit field, but a fixed Static only if its first line
+    runs past the cut; an error-message fault a field with a validator."""
+    if fault.kind is FaultKind.MISSING_TITLE:
+        title = layout.role_slots.get((fault.page, None, "title"))
+        return fault.label == "title" and title is not None and _draws(title.label)
+    slot = layout.field_slots.get((fault.page, None, fault.label))
+    if slot is None:
+        return False
+    field = slot.field
+    fixed = field.text if slot.kind is WidgetKind.STATIC and field.computed != "summary" \
+        else None
+    if fault.kind is FaultKind.MISALIGNED_RECT:
+        return slot.kind is not WidgetKind.CONTAINER and (fixed is None or _draws(fixed))
+    if fault.kind is FaultKind.TRUNCATED_TEXT:
+        if fixed is not None:
+            return len(fixed.partition("\n")[0].rstrip()) > _FAULT_TRUNCATE_AT
+        return slot.kind is WidgetKind.STATIC or slot.kind is WidgetKind.EDIT
+    return field.validator is not None
 
 
 class SimWizard:
@@ -603,8 +645,8 @@ class SimWizard:
 
         self.current_page = 0
         self.values: dict[int, str | bool] = layout.defaults.copy()  # every field at its default
-        self.dialog_stack: list[str] = []
-        self.inputs: list[_InputRecord] = []
+        self.modal: str | None = None  # the key of the open modal
+        self.inputs: list[str] = []  # the names of the added inputs
         self.selected_input: int | None = None  # an index into ``inputs``
         self.message: str | None = None
         self.message_label: str | None = None
@@ -620,16 +662,8 @@ class SimWizard:
         self._canvas: tuple[WidgetNode, str, str, str] | None = None
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
-        # A fault must change what is shown: a missing title targets a page's
-        # title, truncated text a Static or Edit field, any other kind a field.
         for fault in self.faults:
-            if fault.kind is FaultKind.MISSING_TITLE:
-                legal = fault.label == "title" and (fault.page, None, "title") in layout.role_slots
-            else:
-                slot = layout.field_slots.get((fault.page, None, fault.label))
-                legal = slot is not None and (fault.kind is not FaultKind.TRUNCATED_TEXT
-                                              or slot.kind in (WidgetKind.STATIC, WidgetKind.EDIT))
-            if not legal:
+            if not _changes_screen(layout, fault):
                 raise WizardConfigError(f"unknown fault target {fault.page}/{fault.label} for "
                                         f"{fault.kind.value}")
         self._active = {(fault.kind, fault.page, fault.label)
@@ -689,7 +723,7 @@ class SimWizard:
             return ExecOutcome.failed(f"no widget with control_id {cmd.control_id}")
 
         owner = slot.modal if slot is not None else None
-        if owner != (self.dialog_stack[-1] if self.dialog_stack else None):
+        if owner != self.modal:
             return ExecOutcome.failed("blocked by an open dialog" if owner is None
                                       else "not visible on the current page")
 
@@ -715,7 +749,7 @@ class SimWizard:
         if slot.role == "ok":
             return self._execute_modal_ok(slot.modal)
         if slot.role == "cancel":
-            self.dialog_stack.clear()
+            self.modal = None
             self.modal_message = None
             return ExecOutcome.executed()
         return self._execute_field(slot, cmd)
@@ -743,19 +777,19 @@ class SimWizard:
         return ExecOutcome.executed()
 
     def _execute_modal_ok(self, key: str) -> ExecOutcome:
-        """Add an input named by the modal's first field, typed by its second.
-        A name holding the combo-box item separator could never be selected."""
+        """Add an input named by the modal's first field. A name holding the
+        combo-box item separator could never be selected."""
         slots = self.layout.modal_slots[key]
-        fields = [slot for slot in slots if slot.field is not None]
-        values = [str(self.values[slot.control_id]) for slot in fields]
+        first = next(slot for slot in slots if slot.field is not None)
+        name = str(self.values[first.control_id])
         message = self._first_failure(slots)[0]
-        if message is None and ITEMS_SEPARATOR in values[0]:
-            message = f"The {fields[0].field.noun_text} must not contain {ITEMS_SEPARATOR!r}."
+        if message is None and ITEMS_SEPARATOR in name:
+            message = f"The {first.field.noun_text} must not contain {ITEMS_SEPARATOR!r}."
         if message is not None:
             self.modal_message = message
             return ExecOutcome.failed(message)
-        self.inputs.append(_InputRecord(values[0], values[1] if len(values) > 1 else ""))
-        self.dialog_stack.clear()
+        self.inputs.append(name)
+        self.modal = None
         self.modal_message = None
         self._revalidate_page()
         return ExecOutcome.executed()
@@ -781,7 +815,7 @@ class SimWizard:
         else:  # a button: it opens a modal, or does nothing
             if field.opens not in self.layout.modals:
                 return ExecOutcome.failed("this button has no effect")
-            self.dialog_stack.append(field.opens)
+            self.modal = field.opens
             self.modal_message = None
             for other in self.layout.modal_slots[field.opens]:
                 if other.field is not None:
@@ -795,7 +829,7 @@ class SimWizard:
 
     def _combo_items(self, field: FieldSpec) -> tuple[str, ...]:
         if field.items_from == "inputs":
-            return tuple(record.name for record in self.inputs)
+            return tuple(self.inputs)
         return field.items
 
     # -- snapshotting ------------------------------------------------------
@@ -825,39 +859,35 @@ class SimWizard:
                 f"Version: {value('launch_settings', 'Version') or '-'} | "
                 f"Inputs: {len(self.inputs)}")
 
-    def _shown(self, slot: _Slot) -> bool:
-        """Whether a slot of the current page or the open modal is drawn."""
-        role = slot.role
-        if role == "title":
-            return (FaultKind.MISSING_TITLE, slot.page, "title") not in self._active
-        if role == "message":
-            return bool(self.modal_message if slot.modal is not None else self.message)
-        if role == "completion":
-            return self.finished
-        if role == "next" or role == "finish":
-            return (role == "finish") == (self.current_page == len(self.layout.pages) - 1)
-        return True
-
-    def _node(self, slot: _Slot) -> WidgetNode:
-        """The widget node of one shown slot. An actionable page slot is
-        disabled while a modal is open; Back, Next and Finish also when they
-        cannot act."""
+    def _node(self, slot: _Slot) -> WidgetNode | None:
+        """The widget node of one slot of the current page or the open modal,
+        or None if the slot is not drawn. An actionable page slot is disabled
+        while a modal is open; Back, Next and Finish also when they cannot
+        act. Every fault that changes how a slot is drawn is applied here."""
         role, kind, field = slot.role, slot.kind, slot.field
-        disabled = slot.modal is None and bool(self.dialog_stack)
-        if role == "back":
-            disabled = disabled or self.current_page == 0
-        elif role == "next":
-            disabled = disabled or self._first_failure(
-                self.layout.page_slots[self._page_key()])[0] is not None
-        elif role == "finish":
-            disabled = disabled or self.finished
-        extra: dict[str, str | bool] = {"enabled": False} if disabled and kind in KIND_VERBS \
-            else {}
         class_name, rect, text, children = _CLASS_NAMES[kind], slot.rect, slot.label, ()
-        if role == "message":
+        disabled = slot.modal is None and self.modal is not None
+        if role == "title":
+            if (FaultKind.MISSING_TITLE, slot.page, "title") in self._active:
+                return None
+        elif role == "message":
             class_name = "ValidationMessage"
             text = self.modal_message if slot.modal is not None else self.message
-        elif field is not None:
+            if not text:
+                return None
+        elif role == "completion":
+            if not self.finished:
+                return None
+        elif role == "back":
+            disabled = disabled or self.current_page == 0
+        elif role == "next" or role == "finish":
+            if (role == "finish") != (self.current_page == len(self.layout.pages) - 1):
+                return None
+            disabled = disabled or (self.finished if role == "finish" else self._first_failure(
+                self.layout.page_slots[self._page_key()])[0] is not None)
+        extra: dict[str, str | bool] = {"enabled": False} if disabled and kind in KIND_VERBS \
+            else {}
+        if field is not None:
             value = self.values[slot.control_id]
             if (FaultKind.MISALIGNED_RECT, slot.page, slot.label) in self._active:
                 rect = slot.misaligned_rect
@@ -878,10 +908,10 @@ class SimWizard:
                 item_state = {"enabled": False} if disabled else {}
                 children = tuple(self._reuse(
                     "ListItem", WidgetKind.LIST_ITEM, self.layout.first_item_id + position,
-                    self._item_rect(slot, position), record.name,
+                    self._item_rect(slot, position), name,
                     {"selected": position == self.selected_input, **item_state}, ())
-                    for position, record in enumerate(self.inputs))
-            # Only a Static or Edit field can have this fault (see __init__).
+                    for position, name in enumerate(self.inputs))
+            # Only a Static or Edit field can have this fault (see _changes_screen).
             if (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
                 text = text[:_FAULT_TRUNCATE_AT]
         return self._reuse(class_name, kind, slot.control_id, rect, text, extra, children)
@@ -915,13 +945,15 @@ class SimWizard:
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
         layout, page_key = self.layout, self._page_key()
-        children = [self._node(slot) for slot in layout.page_slots[page_key] if self._shown(slot)]
-        if self.dialog_stack:
-            key = self.dialog_stack[-1]
+        children = [node for slot in layout.page_slots[page_key]
+                    if (node := self._node(slot)) is not None]
+        key = self.modal
+        if key is not None:
             children.append(self._reuse(
                 "Dialog", WidgetKind.DIALOG, layout.dialog_ids[key], _MODAL_RECT,
                 layout.modals[key].title, {},
-                tuple(self._node(slot) for slot in layout.modal_slots[key] if self._shown(slot))))
+                tuple(node for slot in layout.modal_slots[key]
+                      if (node := self._node(slot)) is not None)))
         return self._reuse("Dialog", WidgetKind.DIALOG, 0, ROOT_RECT, layout.title,
                            {"active_page": page_key}, tuple(children))
 
@@ -1028,12 +1060,14 @@ def _compile(config: object) -> _Layout:
     """The layout of a config in the schema of :func:`default_wizard_config`.
     Every list draws the inputs with the same item ids, so at most one list
     may be shown at a time: one per page, and none in a modal."""
+    config = _config_object(config, _WIZARD_KEYS, "wizard config")
     page_objs = _config_value(config, "pages", list, "wizard config")
     if not page_objs:
         raise WizardConfigError("wizard config has no pages")
     pages = []
     for index, page_obj in enumerate(page_objs):
         where = f"wizard page {index}"
+        page_obj = _config_object(page_obj, _PAGE_KEYS, where)
         fields = _parse_fields(page_obj, where)
         if sum(field.kind is WidgetKind.CONTAINER for field in fields) > 1:
             raise WizardConfigError(f"{where} has more than one List field")
@@ -1045,6 +1079,7 @@ def _compile(config: object) -> _Layout:
     modals = {}
     for key, modal_obj in _config_value(config, "modals", dict, "wizard config", {}).items():
         where = f"wizard modal {key!r}"
+        modal_obj = _config_object(modal_obj, _MODAL_KEYS, where)
         fields = _parse_fields(modal_obj, where)
         if not fields:
             raise WizardConfigError(f"{where} has no fields")

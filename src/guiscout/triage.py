@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .actions import ActionParseError, parse_action
-from .harness import RunRecord
+from .harness import RunRecord, label_line_problem
 
 
 class TriageError(ValueError):
@@ -162,16 +162,17 @@ class Report:
 def collect_positives(records: list[RunRecord]) -> list[PositiveFinding]:
     """One finding per problem verdict, ordered by (run, iteration). A finding
     is keyed by its run id, so two records with one run id raise TriageError,
-    and so does a run id with whitespace, which no label file line can name."""
+    and so does a run id that no label file line can name (see
+    ``harness.label_line_problem``)."""
     findings: list[PositiveFinding] = []
     run_ids: set[str] = set()
     for record in sorted(records, key=lambda r: r.run_id):
         if record.run_id in run_ids:
             raise TriageError(f"run id {record.run_id} names more than one run; "
                               f"run ids must be unique")
-        if any(char.isspace() for char in record.run_id):
-            raise TriageError(f"run id {record.run_id!r} contains whitespace, which "
-                              f"separates the fields of a label file line")
+        problem = label_line_problem(record.run_id)
+        if problem is not None:
+            raise TriageError(f"run id {record.run_id!r} {problem}")
         run_ids.add(record.run_id)
         for it in record.problem_iterations():
             findings.append(PositiveFinding(

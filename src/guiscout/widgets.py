@@ -19,12 +19,13 @@ Every value derived from a node is needed in every step, so the constructor
 derives it once, from its children, which are built first: the control ids of
 its subtree, its possible actions and its JSON text at the top level. That is
 sound because a node never changes: its fields are frozen, and its
-``extra_state`` dict is never mutated after construction. A child's text
-inside its parent is its own text with every newline followed by four more
-spaces; ``json.dumps`` escapes a newline inside a string, so each raw newline
-is a line break of the layout. Enum members hash by identity, as they
-compare, not by their name in Python (``Enum.__hash__``); no output reads a
-set's order.
+``extra_state`` dict is never mutated after construction, so
+:func:`possible_actions` returns the node's own tuple and no step copies it.
+A child's text inside its parent is its own text with every newline followed
+by four more spaces; ``json.dumps`` escapes a newline inside a string, so each
+raw newline is a line break of the layout. Enum members hash by identity, as
+they compare, not by their name in Python (``Enum.__hash__``); no output reads
+a set's order.
 """
 
 from __future__ import annotations
@@ -161,24 +162,14 @@ class WidgetNode:
 
 
 @dataclass(frozen=True)
-class ArgSpec:
-    """What argument an action accepts: none, free text, or one of a list."""
-
-    kind: str  # "none" | "free_text" | "one_of"
-    choices: tuple[str, ...] = ()
-
-
-ARG_NONE = ArgSpec("none")
-ARG_FREE_TEXT = ArgSpec("free_text")
-
-
-@dataclass(frozen=True)
 class PossibleAction:
-    """One (widget, verb) pair that is legal in the current GUI state."""
+    """One (widget, verb) pair that is legal in the current GUI state. The
+    verb decides the argument: ``write`` takes free text, ``select`` one of
+    ``choices`` (set for ``select`` only), every other verb none."""
 
     control_id: int
     verb: ActionVerb
-    arg: ArgSpec = ARG_NONE
+    choices: tuple[str, ...] = ()
 
 
 def serialize_tree(tree: WidgetNode) -> str:
@@ -196,13 +187,14 @@ def serialize_tree(tree: WidgetNode) -> str:
     return tree._json
 
 
-def possible_actions(tree: WidgetNode) -> list[PossibleAction]:
-    """Enumerate every legal (widget, verb) pair in depth-first document order.
+def possible_actions(tree: WidgetNode) -> tuple[PossibleAction, ...]:
+    """Every legal (widget, verb) pair in depth-first document order: the
+    tree's own tuple, derived when the tree was built.
 
     Non-actionable kinds contribute nothing; widgets with extra_state
     ``enabled=false`` contribute nothing.
     """
-    return list(tree._subtree_actions)
+    return tree._subtree_actions
 
 
 # What a node derives from its fields and its children's derived values.
@@ -225,14 +217,9 @@ def _subtree_actions(node: WidgetNode) -> tuple[PossibleAction, ...]:
     actions: list[PossibleAction] = []
     verbs = KIND_VERBS.get(node.kind)
     if verbs is not None and node.enabled:
-        for verb in verbs:
-            if verb is ActionVerb.WRITE:
-                arg = ARG_FREE_TEXT
-            elif verb is ActionVerb.SELECT:
-                arg = ArgSpec("one_of", node.combo_items())
-            else:
-                arg = ARG_NONE
-            actions.append(PossibleAction(node.control_id, verb, arg))
+        actions.extend(PossibleAction(node.control_id, verb, node.combo_items()
+                                      if verb is ActionVerb.SELECT else ())
+                       for verb in verbs)
     for child in node.sub_elements:
         actions.extend(child._subtree_actions)
     return tuple(actions)

@@ -18,7 +18,7 @@ from guiscout.actions import (
     parse_controller_output,
     validate_action,
 )
-from guiscout.widgets import ARG_FREE_TEXT, ARG_NONE, ActionVerb, ArgSpec, PossibleAction
+from guiscout.widgets import ActionVerb, PossibleAction
 
 EXAMPLE_OUTPUT = """{
     "action": "click(134478)",
@@ -176,7 +176,7 @@ def test_extract_skips_non_object_json():
 # --- validate_action -------------------------------------------------------
 
 def test_validate_accepts_listed_click():
-    allowed = [PossibleAction(134478, ActionVerb.CLICK, ARG_NONE)]
+    allowed = [PossibleAction(134478, ActionVerb.CLICK)]
     result = validate_action(ActionCommand(ActionVerb.CLICK, 134478), allowed)
     assert result.accepted and result.reason is None
 
@@ -188,26 +188,26 @@ def test_validate_rejects_when_nothing_is_allowed():
 
 
 def test_validate_rejects_select_arg_outside_choices_naming_items():
-    allowed = [PossibleAction(4, ActionVerb.SELECT, ArgSpec("one_of", ("File", "Float")))]
+    allowed = [PossibleAction(4, ActionVerb.SELECT, ("File", "Float"))]
     result = validate_action(ActionCommand(ActionVerb.SELECT, 4, "String"), allowed)
     assert not result.accepted
     assert "'File'" in result.reason and "'Float'" in result.reason
 
 
 def test_validate_accepts_select_arg_inside_choices():
-    allowed = [PossibleAction(4, ActionVerb.SELECT, ArgSpec("one_of", ("File", "Float")))]
+    allowed = [PossibleAction(4, ActionVerb.SELECT, ("File", "Float"))]
     assert validate_action(ActionCommand(ActionVerb.SELECT, 4, "Float"), allowed).accepted
 
 
 def test_validate_rejects_unlisted_pair():
-    allowed = [PossibleAction(1, ActionVerb.CLICK, ARG_NONE)]
+    allowed = [PossibleAction(1, ActionVerb.CLICK)]
     result = validate_action(ActionCommand(ActionVerb.CLICK, 2), allowed)
     assert not result.accepted
     assert "click(2)" in result.reason
 
 
 def test_validate_is_pure():
-    allowed = [PossibleAction(7, ActionVerb.WRITE, ARG_FREE_TEXT)]
+    allowed = [PossibleAction(7, ActionVerb.WRITE)]
     cmd = ActionCommand(ActionVerb.WRITE, 7, "x")
     assert validate_action(cmd, allowed) == validate_action(cmd, allowed)
 

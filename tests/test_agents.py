@@ -17,9 +17,9 @@ from guiscout.agents import (
     parse_verdict,
 )
 from guiscout.harness import DEFAULT_TASK
-from guiscout.prompts import DocCorpus, build_controller_prompt, build_evaluator_prompt
+from guiscout.prompts import build_controller_prompt, build_evaluator_prompt
 from guiscout.simulator import new_wizard
-from guiscout.widgets import ARG_FREE_TEXT, ActionVerb, PossibleAction, possible_actions
+from guiscout.widgets import ActionVerb, PossibleAction, possible_actions
 
 PROBLEM_EXAMPLE = """{
     "state": "problem",
@@ -29,7 +29,7 @@ PROBLEM_EXAMPLE = """{
 
 def controller_request(log=()) -> AgentRequest:
     tree = new_wizard().snapshot()
-    prompt = build_controller_prompt(DEFAULT_TASK, DocCorpus(), tree, list(log))
+    prompt = build_controller_prompt(DEFAULT_TASK, {}, tree, list(log))
     return AgentRequest(prompt, "controller", tuple(possible_actions(tree)))
 
 
@@ -46,14 +46,14 @@ def evaluator_request() -> AgentRequest:
 
 def test_evaluator_request_needs_exactly_two_attachments():
     sim = new_wizard()
-    prompt = build_controller_prompt(DEFAULT_TASK, DocCorpus(), sim.snapshot(), [])
+    prompt = build_controller_prompt(DEFAULT_TASK, {}, sim.snapshot(), [])
     with pytest.raises(ValueError, match="two attachments"):
         AgentRequest(prompt, "evaluator")
 
 
 def test_unknown_role_is_rejected():
     sim = new_wizard()
-    prompt = build_controller_prompt(DEFAULT_TASK, DocCorpus(), sim.snapshot(), [])
+    prompt = build_controller_prompt(DEFAULT_TASK, {}, sim.snapshot(), [])
     with pytest.raises(ValueError, match="unknown agent role"):
         AgentRequest(prompt, "referee")
 
@@ -95,11 +95,23 @@ def test_random_agent_picks_a_currently_possible_action():
 
 def test_random_agent_picks_from_the_actions_the_request_carries():
     request = controller_request()
-    only = PossibleAction(4242, ActionVerb.WRITE, ARG_FREE_TEXT)
+    only = PossibleAction(4242, ActionVerb.WRITE)
     narrowed = AgentRequest(request.prompt, "controller", (only,))
     for seed in range(5):
         output = parse_controller_output(RandomAgent(seed).respond(narrowed))
         assert (output.action.control_id, output.action.verb) == (4242, ActionVerb.WRITE)
+
+
+def test_random_agent_never_picks_a_select_without_choices():
+    request = controller_request()
+    empty_select = PossibleAction(5, ActionVerb.SELECT)
+    mixed = AgentRequest(request.prompt, "controller",
+                         (empty_select, PossibleAction(6, ActionVerb.CLICK)))
+    for seed in range(20):
+        output = parse_controller_output(RandomAgent(seed).respond(mixed))
+        assert (output.action.control_id, output.action.verb) == (6, ActionVerb.CLICK)
+    with pytest.raises(AgentError, match="no possible action"):
+        RandomAgent(1).respond(AgentRequest(request.prompt, "controller", (empty_select,)))
 
 
 def test_random_agent_without_actions_raises():

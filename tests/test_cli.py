@@ -252,6 +252,24 @@ def test_label_of_a_run_whose_id_has_whitespace_exits_one_and_writes_nothing(tmp
     assert not labels.exists()
 
 
+def test_label_of_a_run_whose_id_starts_with_a_hash_exits_one_and_writes_nothing(tmp_path,
+                                                                                capsys):
+    out = tmp_path / "runs"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"faults": [{"kind": "missing_title", "page": "tool_description",
+                                              "label": "title"}]}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(out), "--max-iterations", "3"]) == 0
+    header_path = out / "run-000" / "header.json"
+    header = json.loads(header_path.read_text("utf-8"))
+    header["run_id"] = "#r"
+    header_path.write_text(json.dumps(header), encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    capsys.readouterr()
+    assert main(["label", "--runs", str(out), "--labels", str(labels)]) == 1
+    assert capsys.readouterr().err.startswith("error: run id '#r' starts with '#'")
+    assert not labels.exists()
+
+
 def test_label_creates_prefilled_file(tmp_path, capsys):
     out = tmp_path / "runs"
     config = tmp_path / "config.json"
@@ -506,6 +524,68 @@ def test_run_config_file_with_a_misspelt_key_exits_one(tmp_path, capsys, cfg, ke
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def _wizard_with(path: tuple, key: str) -> dict:
+    """The default wizard with ``key`` added to the object at ``path``."""
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    target = wizard
+    for step in path:
+        target = target[step]
+    target[key] = "non_empty"
+    return wizard
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "titel"),
+    (("pages", 0), "feilds"),
+    (("modals", "add_input"), "key"),
+    (("pages", 0, "fields", 1), "validater"),
+    (("modals", "add_input", "fields", 0), "noun"),
+], ids=["wizard", "page", "modal", "page-field", "modal-field"])
+def test_run_config_with_a_misspelt_wizard_key_exits_one(tmp_path, capsys, path, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "wizard": _wizard_with(path, key),
+        "controller_script": ['{"action": "click(999)", "explanation": "probe"}']}),
+        encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def _wizard_with_extra_page(title: str, text: str) -> dict:
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    wizard["pages"].append({"key": "extra", "title": title,
+                            "fields": [{"label": "Note", "kind": "Static", "text": text}]})
+    return wizard
+
+
+@pytest.mark.parametrize("fault, wizard", [
+    (("misaligned_rect", "inputs_outputs", "Inputs"), None),
+    (("truncated_text", "extra", "Note"), _wizard_with_extra_page("Extra", "x" * 40)),
+    (("missing_title", "extra", "title"), _wizard_with_extra_page("", "x" * 41)),
+    (("generic_error_message", "tool_description", "Tool Description"), None),
+    (("stale_error", "tool_description", "Group"), None),
+], ids=["list", "short-static", "empty-title", "generic-no-validator", "stale-no-validator"])
+def test_run_config_with_a_fault_that_can_never_change_the_screenshot_exits_one(
+        tmp_path, capsys, fault, wizard):
+    cfg = {"faults": [dict(zip(("kind", "page", "label"), fault))],
+           "controller_script": ['{"action": "click(999)", "explanation": "probe"}']}
+    if wizard is not None:
+        cfg["wizard"] = wizard
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown fault target")
     assert not out.exists()
 
 

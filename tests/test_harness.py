@@ -643,6 +643,17 @@ def test_a_run_id_with_whitespace_is_a_config_error(tmp_path, run_id):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("run_id", ["#r", "#"])
+def test_a_run_id_starting_with_a_hash_is_a_config_error(tmp_path, run_id):
+    with pytest.raises(ConfigError, match="starts with '#'"):
+        run(scripted_config(out_dir=tmp_path, run_id=run_id, max_iterations=1))
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_run_id_with_a_hash_after_its_first_character_is_accepted():
+    assert scripted_config(run_id="run#1").run_id == "run#1"
+
+
 # --- replay ----------------------------------------------------------------
 
 def test_replay_of_a_header_whose_run_id_leaves_out_dir_is_a_replay_error(tmp_path):

@@ -7,8 +7,6 @@ from guiscout.actions import ActionLog, ActionLogEntry
 from guiscout.harness import DEFAULT_TASK
 from guiscout import prompts
 from guiscout.prompts import (
-    DocCorpus,
-    DocEntry,
     MissingAttachmentError,
     PromptDocument,
     build_controller_prompt,
@@ -41,7 +39,7 @@ FIXTURE_LOG = [ActionLogEntry(
     status="executed",
 )]
 
-FIXTURE_CORPUS = DocCorpus(entries=(DocEntry("cpacs_properties", CPACS_DOC),))
+FIXTURE_CORPUS = {"cpacs_properties": CPACS_DOC}
 
 EVALUATOR_EXPLANATION = ("Click the 'Next >' button to proceed to the next page of the "
                          "Tool Integration Wizard and continue testing the remaining pages "
@@ -101,7 +99,7 @@ def test_gui_section_contains_serialized_tree_with_prefix():
 
 
 def test_closing_question_is_invariant():
-    prompt = build_controller_prompt("other task", DocCorpus(), FIXTURE_TREE, [])
+    prompt = build_controller_prompt("other task", {}, FIXTURE_TREE, [])
     assert prompt.section("Closing") == ("What action do you want to take to do the "
                                          "next step for achieving the given task?")
 
@@ -183,7 +181,7 @@ def test_a_prompt_resumed_from_an_earlier_one_has_the_digest_of_its_text(task):
     assert again.digest == sha256_hex(again.text())
 
 
-@pytest.mark.parametrize("task, docs", [(DEFAULT_TASK, FIXTURE_CORPUS), ("", DocCorpus())])
+@pytest.mark.parametrize("task, docs", [(DEFAULT_TASK, FIXTURE_CORPUS), ("", {})])
 def test_each_constant_head_state_is_the_state_of_its_prompts_first_characters(task, docs):
     controller = build_controller_prompt(task, docs, FIXTURE_TREE, [], doc_budget=0)
     evaluator = build_evaluator_prompt("", shot(), shot())
@@ -211,15 +209,14 @@ def test_select_documentation_by_active_page():
 
 
 def test_select_documentation_empty_corpus():
-    assert select_documentation(DocCorpus(), FIXTURE_TREE) == ""
+    assert select_documentation({}, FIXTURE_TREE) == ""
 
 
 def test_select_documentation_fallback_respects_budget():
-    corpus = DocCorpus(entries=tuple(
-        DocEntry(f"page{i}", f"# Page {i}\n" + "x" * 400) for i in range(5)))
+    corpus = {f"page{i}": f"# Page {i}\n" + "x" * 400 for i in range(5)}
     body = select_documentation(corpus, FIXTURE_TREE, budget=1000)
     assert len(body) <= 1000
-    full = "\n\n".join(entry.body for entry in corpus.entries)
+    full = "\n\n".join(corpus.values())
     assert body == full[:1000]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,57 @@ def test_every_fault_kind_builds_on_a_target_it_changes():
     new_wizard(default_fault_set())
     new_wizard(CUSTOM_FAULTS, CUSTOM_WIZARD)
     new_wizard([FaultSpec(FaultKind.TRUNCATED_TEXT, "cpacs_properties", "Input mapping file")])
+
+
+def _with_note_page(title: str, text: str) -> dict:
+    config = default_wizard_config()
+    config["pages"].append({"key": "extra", "title": title,
+                            "fields": [{"label": "Note", "kind": "Static", "text": text}]})
+    return config
+
+
+@pytest.mark.parametrize("fault, config", [
+    # A list draws only its items, which keep their place.
+    (FaultSpec(FaultKind.MISALIGNED_RECT, "inputs_outputs", "Inputs"), None),
+    (FaultSpec(FaultKind.MISALIGNED_RECT, "extra", "Note"), _with_note_page("Extra", "")),
+    (FaultSpec(FaultKind.TRUNCATED_TEXT, "extra", "Note"), _with_note_page("Extra", "x" * 40)),
+    # The canvas draws only the first line, and this one is short.
+    (FaultSpec(FaultKind.TRUNCATED_TEXT, "extra", "Note"),
+     _with_note_page("Extra", "short\n" + "x" * 60)),
+    (FaultSpec(FaultKind.MISSING_TITLE, "extra", "title"), _with_note_page("", "x")),
+    (FaultSpec(FaultKind.GENERIC_ERROR_MESSAGE, "tool_description", "Tool Description"), None),
+    (FaultSpec(FaultKind.STALE_ERROR, "tool_description", "Group"), None),
+], ids=["list", "blank-static", "short-static", "short-first-line", "empty-title",
+        "generic-without-validator", "stale-without-validator"])
+def test_a_fault_that_can_never_change_the_screenshot_is_a_construction_error(fault, config):
+    with pytest.raises(WizardConfigError, match="unknown fault target"):
+        new_wizard([fault], config)
+
+
+def test_truncating_a_static_whose_first_line_runs_past_the_cut_changes_the_screenshot():
+    config = _with_note_page("Extra", "x" * 41)
+    faulty = new_wizard([FaultSpec(FaultKind.TRUNCATED_TEXT, "extra", "Note")], config)
+    clean = new_wizard(config=config)
+    for sim in (faulty, clean):
+        sim.current_page = len(sim.layout.pages) - 1
+    assert faulty.render().digest != clean.render().digest
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "titel"),
+    (("pages", 0), "feilds"),
+    (("modals", "add_input"), "key"),
+    (("pages", 0, "fields", 1), "validater"),
+    (("modals", "add_input", "fields", 0), "noun"),
+], ids=["wizard", "page", "modal", "page-field", "modal-field"])
+def test_an_unknown_wizard_key_is_a_construction_error_naming_it(path, key):
+    config = default_wizard_config()
+    target = config
+    for step in path:
+        target = target[step]
+    target[key] = "non_empty"
+    with pytest.raises(WizardConfigError, match=re.escape(repr(key))):
+        new_wizard(config=config)
 
 
 # --- snapshot --------------------------------------------------------------
@@ -363,7 +415,7 @@ def test_modal_ok_with_empty_name_reports_a_message_and_stays_open():
     assert outcome.status == "failed"
     assert sim.modal_message == ("The chosen input name is not valid. "
                                  "The input name must not be empty.")
-    assert sim.dialog_stack
+    assert sim.modal == "add_input"
 
 
 def test_modal_ok_adds_the_input_and_closes():
@@ -371,8 +423,8 @@ def test_modal_ok_adds_the_input_and_closes():
     open_modal(sim)
     write(sim, sim.control_id_of("Input name", modal="add_input"), "airfoil")
     assert click(sim, sim.modal_button_id("add_input", "OK")).status == "executed"
-    assert not sim.dialog_stack
-    assert [record.name for record in sim.inputs] == ["airfoil"]
+    assert sim.modal is None
+    assert sim.inputs == ["airfoil"]
     items = [node for node in sim.snapshot().iter_nodes()
              if node.kind is WidgetKind.LIST_ITEM]
     assert [node.text for node in items] == ["airfoil"]
@@ -402,7 +454,7 @@ def test_modal_cancel_discards():
     write(sim, sim.control_id_of("Input name", modal="add_input"), "dropme")
     assert click(sim, sim.modal_button_id("add_input", "Cancel")).status == "executed"
     assert sim.inputs == []
-    assert not sim.dialog_stack
+    assert sim.modal is None
 
 
 def test_every_snapshot_has_exactly_one_top_level_dialog():
@@ -446,7 +498,7 @@ def test_every_offered_item_of_the_inputs_combo_box_can_be_selected():
     combo = sim.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
     offered = [choice for action in possible_actions(sim.snapshot())
                if action.control_id == combo and action.verb is ActionVerb.SELECT
-               for choice in action.arg.choices]
+               for choice in action.choices]
     assert offered == ["airfoil", "wing mesh", "x"]
     for choice in offered:
         assert sim.execute(ActionCommand(ActionVerb.SELECT, combo, choice)).status == "executed"
@@ -882,8 +934,8 @@ def _command(sim: SimWizard, choice: int, text: str) -> ActionCommand:
         control_id = choice // 25 % (sim.first_dynamic_id + 2)
         return ActionCommand(verb, control_id, text if verb in ARG_VERBS else None)
     action = actions[choice // 5 % len(actions)]
-    if action.arg.kind == "one_of" and action.arg.choices and choice % 2:
-        text = action.arg.choices[choice // 2 % len(action.arg.choices)]
+    if action.verb is ActionVerb.SELECT and action.choices and choice % 2:
+        text = action.choices[choice // 2 % len(action.choices)]
     return ActionCommand(action.verb, action.control_id,
                          text if action.verb in ARG_VERBS else None)
 

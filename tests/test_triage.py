@@ -81,6 +81,13 @@ def test_a_run_id_with_whitespace_is_an_error(run_id):
         collect_positives([okay_record(run_id=run_id)])
 
 
+@pytest.mark.parametrize("run_id", ["#r", "#"])
+def test_a_run_id_starting_with_a_hash_is_an_error(run_id):
+    # Its label lines "#r 0 unknown" would read back as comments.
+    with pytest.raises(TriageError, match=f"run id '{run_id}' starts with '#'"):
+        collect_positives([problem_record(["broken"], run_id=run_id)])
+
+
 def test_sim_run_with_k_faults_yields_k_findings():
     record = run(RunConfig(controller="scripted", evaluator="oracle",
                            faults=default_fault_set()))

@@ -76,9 +76,9 @@ def test_rectangle_encodes_as_prefixed_strings():
 # --- possible actions ------------------------------------------------------
 
 def test_single_button_yields_single_click():
-    assert possible_actions(leaf(WidgetKind.BUTTON, 134478)) == [
-        PossibleAction(134478, ActionVerb.CLICK)
-    ]
+    assert possible_actions(leaf(WidgetKind.BUTTON, 134478)) == (
+        PossibleAction(134478, ActionVerb.CLICK),
+    )
 
 
 def test_non_actionable_kinds_yield_nothing():
@@ -87,20 +87,30 @@ def test_non_actionable_kinds_yield_nothing():
         rectangle=Rect(0, 0, 50, 50),
         sub_elements=(leaf(WidgetKind.STATIC, 1, "hi"), leaf(WidgetKind.TOOLBAR, 2)),
     )
-    assert possible_actions(root) == []
+    assert possible_actions(root) == ()
 
 
 def test_disabled_widgets_yield_nothing():
     node = leaf(WidgetKind.BUTTON, 7, "Next >", {"enabled": False})
-    assert possible_actions(node) == []
+    assert possible_actions(node) == ()
 
 
 def test_combo_box_select_offers_its_items():
     node = leaf(WidgetKind.COMBO_BOX, 4, "File", {"items": "File|Float|Integer"})
     (action,) = possible_actions(node)
     assert action.verb is ActionVerb.SELECT
-    assert action.arg.kind == "one_of"
-    assert action.arg.choices == ("File", "Float", "Integer")
+    assert action.choices == ("File", "Float", "Integer")
+
+
+def test_possible_actions_returns_the_trees_own_tuple_on_every_call():
+    tree = WidgetNode(
+        class_name="Pane", kind=WidgetKind.CONTAINER, control_id=0,
+        rectangle=Rect(0, 0, 50, 50),
+        sub_elements=(leaf(WidgetKind.BUTTON, 1), leaf(WidgetKind.EDIT, 2)),
+    )
+    actions = possible_actions(tree)
+    assert isinstance(actions, tuple) and actions
+    assert possible_actions(tree) is actions
 
 
 def test_checkbox_offers_check_and_uncheck_in_order():
