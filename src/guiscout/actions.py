@@ -22,14 +22,7 @@ class ActionParseError(ValueError):
 
 
 class ControllerOutputError(ValueError):
-    """A controller response could not be turned into a ControllerOutput.
-
-    Carries the raw response text for logging.
-    """
-
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
+    """A controller response could not be turned into a ControllerOutput."""
 
 
 #: Verbs that take exactly one quoted argument; all others take none.
@@ -229,17 +222,17 @@ def parse_controller_output(raw: str) -> ControllerOutput:
     try:
         obj = extract_first_json_object(raw)
     except ValueError as exc:
-        raise ControllerOutputError(str(exc), raw=raw) from None
+        raise ControllerOutputError(str(exc)) from None
     action_text = obj.get("action")
     if not isinstance(action_text, str):
-        raise ControllerOutputError('output JSON lacks an "action" string', raw=raw)
+        raise ControllerOutputError('output JSON lacks an "action" string')
     explanation = obj.get("explanation")
     if not isinstance(explanation, str) or not explanation:
-        raise ControllerOutputError('output JSON lacks a non-empty "explanation"', raw=raw)
+        raise ControllerOutputError('output JSON lacks a non-empty "explanation"')
     try:
         cmd = parse_action(action_text)
     except ActionParseError as exc:
-        raise ControllerOutputError(f"invalid action {action_text!r}: {exc}", raw=raw) from exc
+        raise ControllerOutputError(f"invalid action {action_text!r}: {exc}") from exc
     return ControllerOutput(action=cmd, explanation=explanation)
 
 

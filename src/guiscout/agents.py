@@ -37,10 +37,6 @@ class RemoteAgentError(AgentError):
 class VerdictParseError(ValueError):
     """An evaluator response could not be turned into a verdict."""
 
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
-
 
 AGENT_ROLES = ("controller", "evaluator")
 
@@ -89,7 +85,7 @@ def parse_verdict(raw: str) -> dict:
         return check_verdict({"state": state, "reason": obj.get("reason")}
                              if state == "problem" else {"state": state})
     except ValueError as exc:
-        raise VerdictParseError(str(exc), raw=raw) from None
+        raise VerdictParseError(str(exc)) from None
 
 
 class Agent:

@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="execute a test campaign")
     run_p.add_argument("--config", type=Path, help="JSON config file")
     run_p.add_argument("--runs", type=int, default=1, help="number of isolated runs")
-    run_p.add_argument("--backend", choices=["sim"], default="sim")
     # A run setting left unset keeps the config file's value or RunConfig's default.
     run_p.add_argument("--controller", choices=["scripted", "random", "remote"])
     run_p.add_argument("--evaluator", choices=["scripted", "oracle", "remote"])

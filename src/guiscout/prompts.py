@@ -97,12 +97,6 @@ class PromptDocument:
         """The section bodies joined by blank lines."""
         return self._text
 
-    def section(self, name: str) -> str:
-        for section_name, body in self.sections:
-            if section_name == name:
-                return body
-        raise KeyError(name)
-
 
 DEFAULT_DOC_BUDGET = 8000
 

@@ -384,16 +384,24 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
         raise WizardConfigError(f"{where} 'items' must all be text: {items!r}")
     if any(ITEMS_SEPARATOR in item for item in items):
         raise WizardConfigError(f"{where} 'items' must not contain {ITEMS_SEPARATOR!r}: {items!r}")
+    # A misspelt name would draw a broken field, so each names what ships;
+    # ``opens`` names a modal, which _compile checks once every modal is parsed.
+    computed = _config_value(obj, "computed", _TEXT_OR_NULL, where, None)
+    if computed not in (None, "summary"):
+        raise WizardConfigError(f"{where} 'computed' must be 'summary', got {computed!r}")
+    items_from = _config_value(obj, "items_from", _TEXT_OR_NULL, where, None)
+    if items_from not in (None, "inputs"):
+        raise WizardConfigError(f"{where} 'items_from' must be 'inputs', got {items_from!r}")
     toggles = kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON
     return FieldSpec(
         label=_config_value(obj, "label", str, where),
         kind=kind,
         validator=validator,
         items=tuple(items),
-        items_from=_config_value(obj, "items_from", _TEXT_OR_NULL, where, None),
+        items_from=items_from,
         default=_config_value(obj, "default", (str, bool), where, False if toggles else ""),
         text=_config_value(obj, "text", str, where, ""),
-        computed=_config_value(obj, "computed", _TEXT_OR_NULL, where, None),
+        computed=computed,
         opens=_config_value(obj, "opens", _TEXT_OR_NULL, where, None),
         group=_config_value(obj, "group", _TEXT_OR_NULL, where, None),
     )
@@ -813,7 +821,7 @@ class SimWizard:
                 if other.kind is WidgetKind.RADIO_BUTTON and other.field.group == field.group:
                     self.values[other.control_id] = other is slot
         else:  # a button: it opens a modal, or does nothing
-            if field.opens not in self.layout.modals:
+            if field.opens is None:
                 return ExecOutcome.failed("this button has no effect")
             self.modal = field.opens
             self.modal_message = None
@@ -841,11 +849,6 @@ class SimWizard:
 
     def modal_button_id(self, modal: str, label: str) -> int:
         return self.layout.modal_button_id(modal, label)
-
-    @property
-    def first_dynamic_id(self) -> int:
-        """The control id the next added input item gets."""
-        return self.layout.first_item_id + len(self.inputs)
 
     def _computed_text(self, field: FieldSpec) -> str:
         if field.computed != "summary":
@@ -1087,6 +1090,13 @@ def _compile(config: object) -> _Layout:
             raise WizardConfigError(f"{where} has a List field; only a page may have one")
         modals[key] = PageSpec(key=key, title=_config_value(modal_obj, "title", str, where),
                                 fields=fields)
+    owners = [(f"wizard page {index}", page) for index, page in enumerate(pages)]
+    owners += [(f"wizard modal {key!r}", modal) for key, modal in modals.items()]
+    for where, owner in owners:
+        for row, field in enumerate(owner.fields):
+            if field.opens is not None and field.opens not in modals:
+                raise WizardConfigError(f"{where} field {row} 'opens' names no modal: "
+                                        f"{field.opens!r}")
     return _lay_out(_config_value(config, "title", str, "wizard config", WIZARD_TITLE),
                     tuple(pages), modals)
 
@@ -1103,8 +1113,9 @@ def new_wizard(faults: list[FaultSpec] | None = None,
 
     A config of the wrong shape (an empty one too), two pages with one key,
     two fields with one label on a page or in a modal, two lists on a page, a
-    list in a modal, or a fault that targets no field of the kind it changes,
-    raises WizardConfigError.
+    list in a modal, a ``computed`` other than ``"summary"``, an ``items_from``
+    other than ``"inputs"``, an ``opens`` that names no modal, or a fault that
+    targets no field of the kind it changes, raises WizardConfigError.
     """
     return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 

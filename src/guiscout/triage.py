@@ -45,9 +45,6 @@ class PositiveFinding:
     run_id: str
     iteration: int
     reason: str
-    action: str
-    before_digest: str | None
-    after_digest: str | None
 
     @property
     def key(self) -> tuple[str, int]:
@@ -74,7 +71,10 @@ class LabelFile:
 
     @classmethod
     def parse(cls, text: str) -> "LabelFile":
+        """A finding named on two lines is an error: keeping either line
+        would lose the other's decision when ``label`` rewrites the file."""
         entries: dict[tuple[str, int], Label] = {}
+        line_nos: dict[tuple[str, int], int] = {}
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -88,8 +88,13 @@ class LabelFile:
             except ValueError as exc:
                 raise TriageError(f"label line {line_no}: bad iteration {iteration_text!r}") \
                     from exc
+            key = (run_id, iteration)
+            if key in line_nos:
+                raise TriageError(f"label lines {line_nos[key]} and {line_no} both label "
+                                  f"{run_id} iteration {iteration}")
+            line_nos[key] = line_no
             cause_key = parts[3] if len(parts) == 4 else None
-            entries[(run_id, iteration)] = Label(value, cause_key)
+            entries[key] = Label(value, cause_key)
         return cls(entries)
 
     @classmethod
@@ -179,9 +184,6 @@ def collect_positives(records: list[RunRecord]) -> list[PositiveFinding]:
                 run_id=record.run_id,
                 iteration=it.index,
                 reason=it.verdict.get("reason", ""),
-                action=it.action or "",
-                before_digest=it.before_digest,
-                after_digest=it.after_digest,
             ))
     return findings
 

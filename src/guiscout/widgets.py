@@ -59,11 +59,9 @@ class WidgetKind(Enum):
     CHECK_BOX = "CheckBoxWrapper"
     RADIO_BUTTON = "RadioButtonWrapper"
     STATIC = "StaticWrapper"
-    TOOLBAR = "ToolbarWrapper"
     CONTAINER = "UIAWrapper"
     DIALOG = "WindowSpecification"
     LIST_ITEM = "ListItemWrapper"
-    TAB_ITEM = "TabItemWrapper"
 
 
 #: Verbs permitted per widget kind. Kinds not listed are not actionable.
@@ -74,7 +72,6 @@ KIND_VERBS: dict[WidgetKind, tuple[ActionVerb, ...]] = {
     WidgetKind.CHECK_BOX: (ActionVerb.CHECK, ActionVerb.UNCHECK),
     WidgetKind.RADIO_BUTTON: (ActionVerb.CLICK,),
     WidgetKind.LIST_ITEM: (ActionVerb.CLICK,),
-    WidgetKind.TAB_ITEM: (ActionVerb.CLICK,),
 }
 
 #: Top-level JSON keys owned by the node encoding; extra_state may not shadow them.
@@ -111,9 +108,6 @@ class Rect:
 
     def shifted(self, dx: int = 0, dy: int = 0) -> "Rect":
         return Rect(self.left + dx, self.top + dy, self.right + dx, self.bottom + dy)
-
-    def encode(self) -> list[str]:
-        return [f"L{self.left}", f"T{self.top}", f"R{self.right}", f"B{self.bottom}"]
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             "body": body,
         })
         status, content = self.server.responder(body)
-        if status == 200:
+        if isinstance(content, bytes):  # the body itself, sent as it is
+            payload = content
+        elif status == 200:
             payload = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": content}}]}
             ).encode("utf-8")
@@ -141,7 +143,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubChatServer:
-    """Records every request; a pluggable responder decides the reply."""
+    """Records every request; a pluggable responder decides the reply: a
+    status and a completion's content, or a status and the raw body bytes."""
 
     def __init__(self):
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)

@@ -164,7 +164,6 @@ _ORACLE_TABLE = {
     "CheckBoxWrapper": ("check", "uncheck"),
     "RadioButtonWrapper": ("click",),
     "ListItemWrapper": ("click",),
-    "TabItemWrapper": ("click",),
 }
 
 

@@ -1,5 +1,6 @@
 import base64
 import json
+import socket
 
 import pytest
 
@@ -11,6 +12,7 @@ from guiscout.agents import (
     RandomAgent,
     RemoteAgent,
     RemoteAgentConfig,
+    RemoteAgentError,
     ScriptedAgent,
     ScriptExhausted,
     VerdictParseError,
@@ -179,10 +181,9 @@ def test_problem_without_reason_is_an_error():
         parse_verdict('{"state":"problem"}')
 
 
-def test_no_json_is_an_error_with_raw_attached():
-    with pytest.raises(VerdictParseError) as info:
+def test_no_json_is_an_error():
+    with pytest.raises(VerdictParseError):
         parse_verdict("nothing here")
-    assert info.value.raw == "nothing here"
 
 
 def test_verdict_round_trips_through_json():
@@ -270,6 +271,29 @@ def test_remote_agent_does_not_retry_client_errors(stub_server, monkeypatch):
     stub_server.set_responder(lambda body: (400, ""))
     agent = RemoteAgent(remote_config(stub_server))
     with pytest.raises(AgentError, match="service error 400"):
+        agent.respond(controller_request())
+    assert len(stub_server.requests) == 1
+
+
+def test_remote_agent_retries_a_refused_connection_then_names_it(monkeypatch):
+    monkeypatch.setenv("GUISCOUT_TEST_KEY", "k")
+    # A port that was just free and has no listener: every connect is refused.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = RemoteAgentConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
+                               model="m", api_key_env="GUISCOUT_TEST_KEY", timeout=5.0,
+                               max_retries=2, retry_backoff=0)
+    with pytest.raises(RemoteAgentError,
+                       match="^request failed after 3 attempts: transport error: "):
+        RemoteAgent(config).respond(controller_request())
+
+
+def test_remote_agent_rejects_a_body_that_is_not_json(stub_server, monkeypatch):
+    monkeypatch.setenv("GUISCOUT_TEST_KEY", "k")
+    stub_server.set_responder(lambda body: (200, b"<html>not json</html>"))
+    agent = RemoteAgent(remote_config(stub_server))
+    with pytest.raises(RemoteAgentError, match="^malformed completion response: "):
         agent.respond(controller_request())
     assert len(stub_server.requests) == 1
 

@@ -9,7 +9,7 @@ from conftest import write_funnel_dirs
 
 def test_run_smoke(tmp_path, capsys):
     out = tmp_path / "runs"
-    code = main(["run", "--backend", "sim", "--controller", "scripted",
+    code = main(["run", "--controller", "scripted",
                  "--evaluator", "oracle", "--runs", "1", "--out", str(out)])
     assert code == 0
     assert (out / "run-000" / "header.json").is_file()
@@ -36,6 +36,19 @@ def test_run_into_an_out_that_holds_a_run_exits_one_and_keeps_it(tmp_path, capsy
     assert [path.name for path in out.iterdir()] == ["run-000"]
 
 
+def test_run_whose_out_lies_under_a_file_exits_two(tmp_path, capsys):
+    """A run that fails once it has started is a run error, not a usage error."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    out = afile / "runs"
+    assert main(["run", "--out", str(out), "--max-iterations", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: 1 run(s) failed: run 0: [Errno 20] Not a directory")
+    assert captured.out == ""
+    assert afile.read_text("utf-8") == "kept\n"
+
+
 def test_run_live_without_credential_names_the_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GUISCOUT_API_KEY", raising=False)
     config = tmp_path / "config.json"
@@ -48,6 +61,7 @@ def test_run_live_without_credential_names_the_variable(tmp_path, capsys, monkey
 
 
 def test_run_backend_live_is_a_usage_error(tmp_path, capsys):
+    # Only the simulated wizard ships, so there is no --backend flag at all.
     code = main(["run", "--backend", "live", "--out", str(tmp_path / "runs")])
     assert code == 1
     assert "--backend" in capsys.readouterr().err
@@ -357,7 +371,9 @@ def test_report_with_a_missing_labels_file_exits_one(tmp_path, capsys):
     assert not missing.exists()
 
 
-MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive"]
+# The last entry labels one finding on two lines, which would lose a decision.
+MALFORMED_LABEL_LINES = ["run-000 22 maybe", "run-000 x true_positive",
+                         "run-000 0 true_positive cause-a\nrun-000 0 false_positive"]
 
 
 @pytest.mark.parametrize("line", MALFORMED_LABEL_LINES)
@@ -463,6 +479,14 @@ def _two_lists_wizard() -> dict:
     return wizard
 
 
+def _misspelt_opens_wizard() -> dict:
+    from guiscout.simulator import default_wizard_config
+
+    wizard = default_wizard_config()
+    wizard["pages"][1]["fields"][1]["opens"] = "add_inpt"
+    return wizard
+
+
 @pytest.mark.parametrize("cfg", [
     {"wizard": {"pages": 5}},
     # With a script of its own, so that only the empty wizard is at fault.
@@ -472,8 +496,10 @@ def _two_lists_wizard() -> dict:
     {"faults": [{"kind": "missing_title", "page": "tool_description", "label": "Name"}]},
     {"wizard": _two_lists_wizard(),
      "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
+    {"wizard": _misspelt_opens_wizard(),
+     "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
 ], ids=["malformed-wizard", "empty-wizard", "fault-naming-no-field",
-        "fault-changing-nothing-shown", "two-lists-on-a-page"])
+        "fault-changing-nothing-shown", "two-lists-on-a-page", "button-opening-no-modal"])
 def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")

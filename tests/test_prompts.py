@@ -81,32 +81,32 @@ def test_evaluator_section_order_is_fixed():
 
 def test_empty_log_section_body():
     prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [])
-    assert prompt.section("ActionLog") == "The previous actions:\n[]"
+    assert dict(prompt.sections)["ActionLog"] == "The previous actions:\n[]"
 
 
 def test_task_section_prefix_and_content():
     prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [])
-    body = prompt.section("Task")
+    body = dict(prompt.sections)["Task"]
     assert body.startswith("Your task:")
     assert "Act as a GUI-Tester for the software RCE." in body
 
 
 def test_gui_section_contains_serialized_tree_with_prefix():
     prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [])
-    body = prompt.section("GUI")
+    body = dict(prompt.sections)["GUI"]
     assert body.startswith("The current state of the GUI:\n{")
     assert '"control_id": 134478' in body
 
 
 def test_closing_question_is_invariant():
     prompt = build_controller_prompt("other task", {}, FIXTURE_TREE, [])
-    assert prompt.section("Closing") == ("What action do you want to take to do the "
-                                         "next step for achieving the given task?")
+    assert dict(prompt.sections)["Closing"] == (
+        "What action do you want to take to do the next step for achieving the given task?")
 
 
 def test_action_section_contains_format_and_both_examples():
     prompt = build_controller_prompt(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, [])
-    body = prompt.section("Action")
+    body = dict(prompt.sections)["Action"]
     assert "<action>(<control id>), for example click(134478)" in body
     assert "You must format your output in JSON" in body
     assert "example 1:" in body and "example 2:" in body
@@ -114,20 +114,20 @@ def test_action_section_contains_format_and_both_examples():
 
 def test_evaluator_output_section_shows_both_verdict_shapes():
     prompt = build_evaluator_prompt("x", shot(), shot())
-    body = prompt.section("Output")
+    body = dict(prompt.sections)["Output"]
     assert '"state": "problem"' in body
     assert '"state": "okay"' in body
 
 
 def test_evaluator_action_header_is_doubled():
     doubled = build_evaluator_prompt("go", shot(), shot())
-    assert "was was:" in doubled.section("Action")
+    assert "was was:" in dict(doubled.sections)["Action"]
 
 
 def test_evaluator_empty_explanation_still_has_two_attachments():
     prompt = build_evaluator_prompt("", shot("b"), shot("a"))
     assert len(prompt.attachments) == 2
-    assert prompt.section("Action").endswith("was was:\n")
+    assert dict(prompt.sections)["Action"].endswith("was was:\n")
 
 
 def test_evaluator_attachments_keep_before_after_order():

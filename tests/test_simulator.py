@@ -141,6 +141,19 @@ def test_an_unknown_wizard_key_is_a_construction_error_naming_it(path, key):
         new_wizard(config=config)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("pages", 4, "fields", 0, "computed"), "summry"),
+    (("pages", 3, "fields", 1, "items_from"), "input"),
+    (("pages", 1, "fields", 1, "opens"), "add_inpt"),
+    (("modals", "add_input", "fields", 0, "opens"), "add_inpt"),
+], ids=["computed", "items_from", "page-opens", "modal-opens"])
+def test_a_misspelt_name_is_a_construction_error_naming_it(path, value):
+    """Each value compiled at one time into a field that drew or did nothing."""
+    with pytest.raises(WizardConfigError,
+                       match=re.escape(f"'{path[-1]}'") + ".*" + re.escape(repr(value))):
+        new_wizard(config=_config_with(path, value))
+
+
 # --- snapshot --------------------------------------------------------------
 
 def _config_with(path: tuple, value) -> dict:
@@ -326,6 +339,42 @@ def test_back_retreats_and_clears_the_message():
     assert click(sim, sim.control_id_of("", nav="back")).status == "executed"
     assert sim.current_page == 1
     assert sim.message is None
+
+
+def _fails(outcome, reason: str) -> bool:
+    return outcome.status == "failed" and outcome.reason == reason
+
+
+def test_finish_before_the_last_page_and_next_on_it_are_not_visible():
+    sim = new_wizard()
+    finish, next_ = (sim.control_id_of("", nav=which) for which in ("finish", "next"))
+    before = sim.render().digest
+    assert _fails(click(sim, finish), "not visible on the current page")
+    assert sim.current_page == 0 and not sim.finished and sim.render().digest == before
+    sim.current_page = len(sim.layout.pages) - 1
+    before = sim.render().digest
+    assert _fails(click(sim, next_), "not visible on the current page")
+    assert sim.render().digest == before
+
+
+def test_a_second_finish_fails_as_already_completed():
+    sim = new_wizard()
+    for line in full_traversal_script():
+        outcome = sim.execute(parse_action(json.loads(line)["action"]))
+    assert outcome.status == "executed" and sim.finished  # the script ends on Finish
+    before = sim.render().digest
+    assert _fails(click(sim, sim.control_id_of("", nav="finish")),
+                  "the integration is already completed")
+    assert sim.finished and sim.render().digest == before
+
+
+def test_a_custom_button_that_opens_nothing_has_no_effect():
+    sim = new_wizard(config={"pages": [{"key": "only", "title": "Only", "fields": [
+        {"label": "Nothing", "kind": "Button"}]}]})
+    before = sim.render().digest
+    assert _fails(click(sim, sim.control_id_of("Nothing", page="only")),
+                  "this button has no effect")
+    assert sim.modal is None and sim.render().digest == before
 
 
 def test_check_and_uncheck_toggle():
@@ -916,7 +965,7 @@ def _custom_script() -> list[ActionCommand]:
         ActionCommand(ActionVerb.WRITE, sim.control_id_of("Item name", modal="add"), "i1"),
         ActionCommand(ActionVerb.SELECT, sim.control_id_of("Type", modal="add"), "y"),
         ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add", "OK")),
-        ActionCommand(ActionVerb.CLICK, sim.first_dynamic_id),
+        ActionCommand(ActionVerb.CLICK, sim.layout.first_item_id + len(sim.inputs)),
         ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
         ActionCommand(ActionVerb.SELECT, second["Pick"], "i1"),
         ActionCommand(ActionVerb.WRITE, second["Path"], "relative"),
@@ -931,7 +980,7 @@ def _command(sim: SimWizard, choice: int, text: str) -> ActionCommand:
     actions = possible_actions(sim.snapshot())
     if choice % 5 == 0 or not actions:
         verb = list(ActionVerb)[choice // 5 % len(ActionVerb)]
-        control_id = choice // 25 % (sim.first_dynamic_id + 2)
+        control_id = choice // 25 % (sim.layout.first_item_id + len(sim.inputs) + 2)
         return ActionCommand(verb, control_id, text if verb in ARG_VERBS else None)
     action = actions[choice // 5 % len(actions)]
     if action.verb is ActionVerb.SELECT and action.choices and choice % 2:

@@ -23,9 +23,8 @@ from guiscout.triage import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def finding(run_id="run-000", iteration=0, reason="broken", action="click(1)"):
-    return PositiveFinding(run_id=run_id, iteration=iteration, reason=reason,
-                           action=action, before_digest="b", after_digest="a")
+def finding(run_id="run-000", iteration=0, reason="broken"):
+    return PositiveFinding(run_id=run_id, iteration=iteration, reason=reason)
 
 
 def okay_record(run_id="run-000", size=3) -> RunRecord:
@@ -195,6 +194,10 @@ def test_label_file_rejects_bad_lines():
         LabelFile.parse("run-000 x true_positive")
     with pytest.raises(TriageError, match="unknown label"):
         LabelFile.parse("run-000 3 maybe")
+    with pytest.raises(TriageError,
+                       match="^label lines 2 and 4 both label run-000 iteration 3$"):
+        LabelFile.parse("# run_id iteration label\nrun-000 3 true_positive cause-a\n\n"
+                        "run-000 3 false_positive\n")
 
 
 def test_cause_key_only_on_true_positives():

@@ -69,8 +69,9 @@ def test_extra_state_serializes_between_text_and_sub_elements():
 
 
 def test_rectangle_encodes_as_prefixed_strings():
-    rect = Rect(7, 8, 900, 1000)
-    assert rect.encode() == ["L7", "T8", "R900", "B1000"]
+    node = WidgetNode(class_name="Button", kind=WidgetKind.BUTTON, control_id=1,
+                      rectangle=Rect(7, 8, 900, 1000))
+    assert json.loads(serialize_tree(node))["rectangle"] == ["L7", "T8", "R900", "B1000"]
 
 
 # --- possible actions ------------------------------------------------------
@@ -85,7 +86,7 @@ def test_non_actionable_kinds_yield_nothing():
     root = WidgetNode(
         class_name="Pane", kind=WidgetKind.CONTAINER, control_id=0,
         rectangle=Rect(0, 0, 50, 50),
-        sub_elements=(leaf(WidgetKind.STATIC, 1, "hi"), leaf(WidgetKind.TOOLBAR, 2)),
+        sub_elements=(leaf(WidgetKind.STATIC, 1, "hi"), leaf(WidgetKind.DIALOG, 2)),
     )
     assert possible_actions(root) == ()
 
@@ -127,7 +128,6 @@ def brute_force_actions(tree: WidgetNode) -> set[tuple[int, str]]:
         WidgetKind.CHECK_BOX: ("check", "uncheck"),
         WidgetKind.RADIO_BUTTON: ("click",),
         WidgetKind.LIST_ITEM: ("click",),
-        WidgetKind.TAB_ITEM: ("click",),
     }
     found = set()
     stack = [tree]
@@ -256,11 +256,12 @@ def test_find_widget_agrees_with_exhaustive_scan(tree, rng):
 
 def reference_obj(node: WidgetNode) -> dict:
     """A node as the object whose ``json.dumps(..., indent=2)`` is the wire text."""
+    rect = node.rectangle
     obj: dict = {
         "class_name": node.class_name,
         "control_type": node.kind.value,
         "control_id": node.control_id,
-        "rectangle": node.rectangle.encode(),
+        "rectangle": [f"L{rect.left}", f"T{rect.top}", f"R{rect.right}", f"B{rect.bottom}"],
         "text": node.text,
     }
     for key in sorted(node.extra_state):
