@@ -8,26 +8,28 @@ action sequence. Control ids are assigned in a fixed order (see
 ``_lay_out``); the record fingerprints in
 ``tests/fixtures/record_fingerprints.json`` pin it.
 
-Each step builds only what changed. For each control id (a slot, an input
-list item, the modal dialog, the root) a wizard keeps, for its own run only,
-its last two nodes, each with the values it was built from: the node's
-fields. A snapshot returns the one whose values all equal the current ones,
-shared with the snapshots before it, and builds a new node only when neither
-does. Two, because a step often undoes the one before (check then uncheck,
-open a modal then cancel it, Next then Back). Nodes built per iteration when
-keeping 1 / 2 / 4 / 8 / 16 / all per id: 3.02 / 1.62 / 1.13 / 0.91 / 0.81 /
-0.72 in random 800-iteration runs with the default faults (seeds 0-3), and
-4.05 / 3.34 / 3.34 / 3.32 / 3.32 / 3.32 in the scripted traversal of the 32
-default-fault subsets; keeping all makes a table that grows with the run.
-There are no dirty flags to forget, so a kept node never goes stale;
-``extra_state`` is never mutated after a node is built, so a shared node stays
-what it was. What is derived from a node is derived when the node is built:
-its JSON text and possible actions by its constructor (see ``widgets``), where
-and what it draws next to it in the wizard's node table, which a render can
-read because it draws only the wizard's own snapshot, made of current nodes. A
-render of the same root reuses the canvas text, its digest and the tree's
-digest, so each is hashed once per root. Every prompt that shows a screenshot
-attaches the ``SimScreenshot`` that ``render`` returned.
+Each step builds only what changed, and a screen is built, drawn and hashed
+once for every wizard of a layout. A node's key is the values it is built
+from (its fields, each child by its ``id``), and the layout's node table maps
+a key to its entry: the node, and where and what it draws, or for the root
+its canvas text, canvas digest and tree digest. A snapshot hands out the node
+of an equal key, shared with the snapshots before it, with the other wizards
+of the layout and with the threads that run them, and builds a node only
+for a key the table does not hold. Building an immutable value once and
+sharing it wherever its content recurs is hash-consing (Filliatre and
+Conchon, 2006). The table keeps the last ``_TABLE_SIZE`` entries it was
+given, first in first out: the scripted traversals of the 32 default-fault
+subsets make 127 distinct nodes, so a second pass over them builds, draws and
+hashes nothing (README "Determinism" gives the counts). A wizard keeps, per control id, the entry of its current
+node, which answers an unchanged slot without a table lookup and says where
+a node of its snapshot is drawn. An entry is a tuple; its node never changes
+(``extra_state`` is never mutated after construction) and neither does its
+key, so whichever thread reads it sees what was put in. Two threads may both
+build an entry the table lacks, and each then holds a node equal to the
+other's. What is derived from a wizard's faults and state, not from its
+nodes (the visible faults and the page key), is decided per render. Every
+prompt that shows a screenshot attaches the ``SimScreenshot`` that
+``render`` returned.
 
 A wizard config is compiled into an immutable layout, the one owner of
 everything a config settles: the pages and modals; every slot with its control
@@ -35,14 +37,15 @@ id, its rectangle and the rectangle a misaligned-rectangle fault draws it at;
 the field slots keyed by (page, modal, label) and every other slot but a
 field's label keyed by (page, modal, role); each modal's dialog node id; and
 each field's default value. Slots are frozen, their sequences tuples, the
-tables read-only. The default wizard is compiled once per process, and every
-session, replay, traversal script and ``guiscout run`` config check shares
-that layout. A custom ``wizard`` config is compiled for each wizard, so a
-malformed one fails every time. A wizard holds only what changes during a
-run: the current page, its values (a copy of the defaults), the names of its
-inputs (an item's control id is the layout's first item id plus its
-position), the selected input, the open modal, messages, faults, and its node
-and canvas caches.
+tables read-only but for the node table. The default wizard is compiled once
+per process, and every session, replay, traversal script and ``guiscout run``
+config check shares that layout and its node table. A custom ``wizard``
+config is compiled for each wizard, so a malformed one fails every time, and
+its node table dies with the wizard. A wizard holds only what changes during
+a run: the current page, its values (a copy of the defaults), the names of
+its inputs (an item's control id is the layout's first item id plus its
+position), the selected input, the open modal, messages, faults, and its
+current node entries.
 
 A snapshot decides each slot in one pass (``_node``): whether it is drawn,
 and if so its node, with every fault that changes how it is drawn applied
@@ -55,6 +58,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
+import threading
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -100,6 +106,17 @@ _MODAL_CANCEL_RECT = Rect(4869, 2061, 4949, 2089)
 _MISALIGN_SHIFT = 150
 
 _FAULT_TRUNCATE_AT = 40
+
+# The items of a disabled control's extra_state.
+_DISABLED = (("enabled", False),)
+
+# The most entries a layout's node table keeps; past it, the oldest goes.
+# The scripted traversals of the 32 default-fault subsets make 127 distinct
+# nodes, and this leaves room for a few more.
+_TABLE_SIZE = 160
+# Held to add an entry: of two threads that evict at once, one would find the
+# table changed under its iteration or the oldest key gone. Reading needs none.
+_TABLE_LOCK = threading.Lock()
 
 
 class FaultKind(Enum):
@@ -342,6 +359,9 @@ _PAGE_KEYS = frozenset({"key", "title", "fields"})
 _MODAL_KEYS = frozenset({"title", "fields"})
 _FIELD_KEYS = frozenset({"label", "kind", "validator", "items", "items_from", "default", "text",
                          "computed", "opens", "group"})
+# The keys that name something, each with the one field kind that reads it.
+_NAMING_KEY_KINDS = {"opens": WidgetKind.BUTTON, "items_from": WidgetKind.COMBO_BOX,
+                     "computed": WidgetKind.STATIC}
 
 
 def _config_object(obj: object, keys: frozenset[str], where: str) -> dict:
@@ -376,6 +396,11 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     if kind_name not in _KIND_NAMES:
         raise WizardConfigError(f"unknown field kind {kind_name!r}")
     kind = _KIND_NAMES[kind_name]
+    for key, reader in _NAMING_KEY_KINDS.items():
+        if key in obj and kind is not reader:
+            raise WizardConfigError(f"{where} has {key!r} ({obj[key]!r}), which kind "
+                                    f"{kind_name!r} never reads; only "
+                                    f"{_CLASS_NAMES[reader]!r} does")
     validator = _config_value(obj, "validator", _TEXT_OR_NULL, where, None)
     if validator is not None and validator not in VALIDATORS:
         raise WizardConfigError(f"unknown validator {validator!r}")
@@ -522,6 +547,9 @@ class _Layout:
     defaults: Mapping[int, str | bool]
     # Input list items take the ids after the last slot, in the order added.
     first_item_id: int
+    # The node table (see the module docstring): the one mutable part, and
+    # every entry it hands out is immutable.
+    nodes: dict[tuple, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
 
     def control_id_of(self, label: str, page: str | None = None,
                       modal: str | None = None, nav: str | None = None) -> int:
@@ -661,13 +689,9 @@ class SimWizard:
         self.modal_message: str | None = None
         self.finished = False
 
-        # Per control id: the entry of its current node, then that of the node
-        # before it (see the module docstring), each the node's fields, the
-        # node, and what it draws (row, col, line). The last render (root,
-        # text, digest, tree digest).
+        # Per control id: the table entry of its current node (see _reuse).
         # Per (list slot id, position): where that input item is drawn.
-        self._nodes: dict[int, tuple[tuple[tuple, WidgetNode, int, int, str], ...]] = {}
-        self._canvas: tuple[WidgetNode, str, str, str] | None = None
+        self._nodes: dict[int, tuple] = {}
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
         for fault in self.faults:
@@ -888,8 +912,7 @@ class SimWizard:
                 return None
             disabled = disabled or (self.finished if role == "finish" else self._first_failure(
                 self.layout.page_slots[self._page_key()])[0] is not None)
-        extra: dict[str, str | bool] = {"enabled": False} if disabled and kind in KIND_VERBS \
-            else {}
+        extra: tuple = _DISABLED if disabled and kind in KIND_VERBS else ()
         if field is not None:
             value = self.values[slot.control_id]
             if (FaultKind.MISALIGNED_RECT, slot.page, slot.label) in self._active:
@@ -900,19 +923,19 @@ class SimWizard:
                 text = str(value or "")
             elif kind is WidgetKind.COMBO_BOX:
                 text = str(value or "")
-                extra["selected_item"] = text
-                extra["items"] = ITEMS_SEPARATOR.join(self._combo_items(field))
+                extra += (("selected_item", text),
+                          ("items", ITEMS_SEPARATOR.join(self._combo_items(field))))
             elif kind is WidgetKind.CHECK_BOX:
-                extra["checked"] = bool(value)
+                extra += (("checked", bool(value)),)
             elif kind is WidgetKind.RADIO_BUTTON:
-                extra["selected"] = bool(value)
+                extra += (("selected", bool(value)),)
             elif kind is WidgetKind.CONTAINER:
                 text = ""
-                item_state = {"enabled": False} if disabled else {}
+                item_state = _DISABLED if disabled else ()
                 children = tuple(self._reuse(
                     "ListItem", WidgetKind.LIST_ITEM, self.layout.first_item_id + position,
                     self._item_rect(slot, position), name,
-                    {"selected": position == self.selected_input, **item_state}, ())
+                    (("selected", position == self.selected_input), *item_state))
                     for position, name in enumerate(self.inputs))
             # Only a Static or Edit field can have this fault (see _changes_screen).
             if (FaultKind.TRUNCATED_TEXT, slot.page, slot.label) in self._active:
@@ -928,22 +951,38 @@ class SimWizard:
                 base.left + 10, top, base.right - 10, top + 20)
         return rect
 
-    def _reuse(self, *fields) -> WidgetNode:
-        """The node with ``fields`` (WidgetNode's, in order): the current or
-        the previous node of its control id if it was built from equal
-        fields, else a new one, kept with where and what it draws. Either
-        way it becomes the current node, and the one it replaces the previous."""
-        control_id = fields[2]
-        kept = self._nodes.get(control_id, ())
-        if kept and kept[0][0] == fields:
-            return kept[0][1]
-        if len(kept) == 2 and kept[1][0] == fields:
-            entry = kept[1]
-        else:
-            node = WidgetNode(*fields)
-            entry = (fields, node, *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))
-        self._nodes[control_id] = (entry, *kept[:1])
+    def _reuse(self, class_name: str, kind: WidgetKind, control_id: int, rect: Rect, text: str,
+               extra: tuple[tuple[str, str | bool], ...],
+               children: tuple[WidgetNode, ...] = ()) -> WidgetNode:
+        """The node with these fields (WidgetNode's, ``extra`` the items of
+        its extra_state), which becomes the current node of its control id:
+        the current one again if its key is equal, else the table's entry of
+        the key, and a new node only if the table holds none. A key is the
+        fields with each child's ``id`` in place of the child. That names the
+        child: the entry that holds a key holds its node, and so the node's
+        children, so no other object can take their ids."""
+        key = (class_name, kind, control_id, rect, text, extra,
+               children and tuple(map(id, children)))
+        entry = self._nodes.get(control_id)
+        if entry is None or entry[0] != key:
+            entry = self.layout.nodes.get(key) or self._add(key, WidgetNode(
+                class_name, kind, control_id, rect, text, dict(extra), children))
+            self._nodes[control_id] = entry
         return entry[1]
+
+    def _add(self, key: tuple, node: WidgetNode) -> tuple:
+        """Put a new node in the table, evicting the oldest entry past its
+        bound: ``(key, node, row, col, line)``, where and what the node
+        draws, or for the root ``(key, node, canvas text, canvas digest,
+        tree digest)``."""
+        entry = (key, node, *(self._screen(node) if node.control_id == 0 else (
+            *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))))
+        table = self.layout.nodes
+        with _TABLE_LOCK:
+            table[key] = entry
+            if len(table) > _TABLE_SIZE:
+                del table[next(iter(table))]
+        return entry
 
     def snapshot(self) -> WidgetNode:
         """Current GUI state as a widget tree (the GUI parser's output)."""
@@ -954,11 +993,11 @@ class SimWizard:
         if key is not None:
             children.append(self._reuse(
                 "Dialog", WidgetKind.DIALOG, layout.dialog_ids[key], _MODAL_RECT,
-                layout.modals[key].title, {},
+                layout.modals[key].title, (),
                 tuple(node for slot in layout.modal_slots[key]
                       if (node := self._node(slot)) is not None)))
         return self._reuse("Dialog", WidgetKind.DIALOG, 0, ROOT_RECT, layout.title,
-                           {"active_page": page_key}, tuple(children))
+                           (("active_page", page_key),), tuple(children))
 
     # -- rendering ---------------------------------------------------------
 
@@ -1017,24 +1056,28 @@ class SimWizard:
             self._draw(canvas, top, left + 2, f" {node.text} ")
         else:
             # Only the wizard's own snapshot is drawn, so ``node`` is the current one.
-            _, _, row, col, line = self._nodes[node.control_id][0]
+            _, _, row, col, line = self._nodes[node.control_id]
             if line:
                 self._draw(canvas, row, col, line)
         for child in node.sub_elements:
             self._draw_node(canvas, child)
 
+    def _screen(self, root: WidgetNode) -> tuple[str, str, str]:
+        """The canvas text of a new root node, its digest and the tree's
+        digest. Its children are the current nodes, whose entries say where
+        and what they draw."""
+        canvas = [_CANVAS_BODY] * CANVAS_HEIGHT
+        canvas[0] = canvas[-1] = _CANVAS_EDGE
+        self._draw(canvas, 1, 2, root.text)
+        for child in root.sub_elements:
+            self._draw_node(canvas, child)
+        rendered = "\n".join(canvas)
+        return rendered, _hash_text(rendered), _hash_text(serialize_tree(root))
+
     def render(self) -> SimScreenshot:
         """Deterministic text render of the current state; digest is stable."""
         tree = self.snapshot()
-        if self._canvas is None or self._canvas[0] is not tree:
-            canvas = [_CANVAS_BODY] * CANVAS_HEIGHT
-            canvas[0] = canvas[-1] = _CANVAS_EDGE
-            self._draw(canvas, 1, 2, tree.text)
-            for child in tree.sub_elements:
-                self._draw_node(canvas, child)
-            rendered = "\n".join(canvas)
-            self._canvas = (tree, rendered, _hash_text(rendered), _hash_text(serialize_tree(tree)))
-        _, rendered, digest, tree_digest = self._canvas
+        _, _, rendered, digest, tree_digest = self._nodes[0]
         return SimScreenshot(page_key=self._page_key(), rendered=rendered,
                              digest=digest, tree=tree,
                              visible_faults=self._observable_fault_indices(),
@@ -1103,6 +1146,11 @@ def _compile(config: object) -> _Layout:
 
 # Compiled once per process; every wizard built without a config shares it.
 _DEFAULT_LAYOUT = _compile(default_wizard_config())
+# Its node table goes with this module. A host that drops the module from
+# sys.modules, to import guiscout afresh, frees the module object at once,
+# but its namespace, which its own functions hold in a cycle, only when the
+# cycle collector runs: until then the table's text would stay in memory.
+weakref.finalize(sys.modules[__name__], _DEFAULT_LAYOUT.nodes.clear)
 
 
 def new_wizard(faults: list[FaultSpec] | None = None,
@@ -1113,9 +1161,12 @@ def new_wizard(faults: list[FaultSpec] | None = None,
 
     A config of the wrong shape (an empty one too), two pages with one key,
     two fields with one label on a page or in a modal, two lists on a page, a
-    list in a modal, a ``computed`` other than ``"summary"``, an ``items_from``
-    other than ``"inputs"``, an ``opens`` that names no modal, or a fault that
-    targets no field of the kind it changes, raises WizardConfigError.
+    list in a modal, an ``opens`` on a field that is not a Button, an
+    ``items_from`` on one that is not a ComboBox or a ``computed`` on one that
+    is not a Static, a ``computed`` other than ``"summary"``, an
+    ``items_from`` other than ``"inputs"``, an ``opens`` that names no modal,
+    or a fault that targets no field of the kind it changes, raises
+    WizardConfigError.
     """
     return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 

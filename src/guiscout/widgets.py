@@ -13,19 +13,22 @@ the object ``class_name``, ``control_type``, ``control_id``, ``rectangle``,
 function ``json.dumps`` uses, because the indenting encoder is pure Python.
 A property test in ``tests/test_widgets.py`` checks the two against each other.
 
-Nodes are shared between snapshots: the simulator hands out the node it built
-before for a widget whenever every value the node is built from is equal.
-Every value derived from a node is needed in every step, so the constructor
-derives it once, from its children, which are built first: the control ids of
-its subtree, its possible actions and its JSON text at the top level. That is
-sound because a node never changes: its fields are frozen, and its
-``extra_state`` dict is never mutated after construction, so
-:func:`possible_actions` returns the node's own tuple and no step copies it.
+Nodes are shared between snapshots: the simulator hands out a node built
+before, by this wizard or another one of the same layout, whenever every value
+the node is built from is equal. Every value derived from a node is needed in
+every step, so the constructor derives it once, from its children, which are
+built first: the control ids of its subtree, its possible actions and its JSON
+text at the top level. That is sound because a node never changes: its fields
+are frozen, and its ``extra_state`` dict is never mutated after construction,
+so :func:`possible_actions` returns the node's own tuple and no step copies it.
 A child's text inside its parent is its own text with every newline followed
 by four more spaces; ``json.dumps`` escapes a newline inside a string, so each
-raw newline is a line break of the layout. Enum members hash by identity, as
-they compare, not by their name in Python (``Enum.__hash__``); no output reads
-a set's order.
+raw newline is a line break of the layout. That one value is derived later,
+from ``_json`` when a parent first needs it (:func:`_nested_text`), and kept
+on the child, so a parent indents only its new children. Two threads may
+both indent a child, and both get the same text. Enum members hash by
+identity, as they compare, not by their name in Python (``Enum.__hash__``);
+no output reads a set's order.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ class WidgetNode:
         object.__setattr__(self, "_subtree_ids", _subtree_ids(self))
         object.__setattr__(self, "_subtree_actions", _subtree_actions(self))
         object.__setattr__(self, "_json", _encode_node(self))
+        object.__setattr__(self, "_nested", None)  # set by _nested_text
 
     @property
     def enabled(self) -> bool:
@@ -237,11 +241,17 @@ def _encode_node(node: WidgetNode) -> str:
     if not node.sub_elements:
         parts.append('\n  "sub_elements": []\n}')
     else:
-        # A child sits two levels deeper. Every raw newline in its text is a
-        # line break of the layout (_quote escapes one inside a string), so
-        # indenting each line by four spaces nests it.
         parts.append('\n  "sub_elements": [\n    ')
-        parts.append(",\n    ".join(
-            child._json.replace("\n", "\n    ") for child in node.sub_elements))
+        parts.append(",\n    ".join(map(_nested_text, node.sub_elements)))
         parts.append("\n  ]\n}")
     return "".join(parts)
+
+
+def _nested_text(child: WidgetNode) -> str:
+    """``child``'s text as a parent holds it, two levels deeper: indented by
+    the first parent that holds the child and kept for every later one."""
+    text = child._nested
+    if text is None:
+        text = child._json.replace("\n", "\n    ")
+        object.__setattr__(child, "_nested", text)
+    return text

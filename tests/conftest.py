@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from guiscout import simulator
 from guiscout.harness import IterationRecord, RunRecord, RunWriter
 from guiscout.triage import FALSE_POSITIVE, TRUE_POSITIVE, Label, LabelFile
 from guiscout.widgets import WidgetNode
@@ -33,6 +34,15 @@ def find_widget(tree: WidgetNode, control_id: int) -> WidgetNode | None:
         if node.control_id == control_id:
             return node
     return None
+
+
+@pytest.fixture
+def cold_default_layout(monkeypatch):
+    """The default wizard compiled afresh for one test, so its node table
+    starts empty: what a test counts is then not what earlier tests built."""
+    layout = simulator._compile(simulator.default_wizard_config())
+    monkeypatch.setattr(simulator, "_DEFAULT_LAYOUT", layout)
+    return layout
 
 
 RUN_SIZES = [84] * 8 + [80]  # 752 total

@@ -98,7 +98,8 @@ def test_log_grows_by_exactly_one_entry_per_iteration(tmp_path):
         assert len(json.loads(log_json)) == k
 
 
-def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_path, monkeypatch):
+def test_persisted_prompts_are_stored_under_their_digest_and_hashed_once(tmp_path, monkeypatch,
+                                                                        cold_default_layout):
     hashed = []
     sha256 = simulator._hash_text
     monkeypatch.setattr(simulator, "_hash_text", lambda text: hashed.append(text) or sha256(text))

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +13,9 @@ from hypothesis import strategies as st
 
 from guiscout.actions import (ARG_VERBS, ActionCommand, format_action, parse_action,
                               parse_controller_output)
+from guiscout import simulator
 from guiscout.agents import AgentRequest, OracleAgent, parse_verdict
+from guiscout.harness import RunConfig, run
 from guiscout.prompts import build_evaluator_prompt
 from guiscout.simulator import (
     CANVAS_HEIGHT,
@@ -152,6 +159,41 @@ def test_a_misspelt_name_is_a_construction_error_naming_it(path, value):
     with pytest.raises(WizardConfigError,
                        match=re.escape(f"'{path[-1]}'") + ".*" + re.escape(repr(value))):
         new_wizard(config=_config_with(path, value))
+
+
+@pytest.mark.parametrize("path, value, kind", [
+    (("pages", 0, "fields", 1, "opens"), "add_input", "Edit"),
+    (("pages", 0, "fields", 1, "items_from"), "inputs", "Edit"),
+    (("pages", 0, "fields", 1, "computed"), "summary", "Edit"),
+    (("pages", 0, "fields", 3, "opens"), "add_input", "ComboBox"),
+    (("pages", 1, "fields", 1, "items_from"), "inputs", "Button"),
+    (("pages", 3, "fields", 1, "computed"), "summary", "ComboBox"),
+    (("pages", 4, "fields", 0, "items_from"), "inputs", "Static"),
+    (("modals", "add_input", "fields", 1, "opens"), "add_input", "ComboBox"),
+], ids=["edit-opens", "edit-items-from", "edit-computed", "combo-opens", "button-items-from",
+        "combo-computed", "static-items-from", "modal-combo-opens"])
+def test_a_naming_key_on_a_kind_that_never_reads_it_is_a_construction_error(path, value, kind):
+    """Each of these compiled at one time into a field that ignored the key:
+    a write to an Edit that ``opens`` a modal executed without opening it."""
+    where = (f"wizard page {path[1]}" if path[0] == "pages" else f"wizard modal {path[1]!r}")
+    with pytest.raises(WizardConfigError, match=re.escape(
+            f"{where} field {path[3]} has '{path[4]}' ({value!r}), which kind '{kind}' never "
+            "reads")):
+        new_wizard(config=_config_with(path, value))
+
+
+def test_a_button_in_a_modal_may_open_a_modal():
+    config = default_wizard_config()
+    config["modals"]["add_input"]["fields"].append(
+        {"label": "More...", "kind": "Button", "opens": "add_input"})
+    sim = new_wizard(config=config)
+    sim.current_page = 1
+    click(sim, sim.control_id_of("Add Input...", page="inputs_outputs"))
+    assert click(sim, sim.control_id_of("More...", modal="add_input")).status == "executed"
+    assert sim.modal == "add_input"
+    config["modals"]["add_input"]["fields"][2]["opens"] = "add_inpt"
+    with pytest.raises(WizardConfigError, match="'opens' names no modal: 'add_inpt'"):
+        new_wizard(config=config)
 
 
 # --- snapshot --------------------------------------------------------------
@@ -1000,8 +1042,10 @@ def _command(sim: SimWizard, choice: int, text: str) -> ActionCommand:
 def test_reused_nodes_give_what_a_fresh_wizard_gives(config, faults, script, head, steps):
     """A run of the script's first ``head`` commands, then generated ones: after
     every command, the wizard that reuses its nodes shows what a fresh wizard
-    shows after the same commands."""
+    shows after the same commands. The fresh one compiles its own copy of the
+    config, so it builds every node itself instead of asking the shared table."""
     sim = new_wizard(faults, config)
+    own_config = default_wizard_config() if config is None else config
     commands: list[ActionCommand] = []
     for step in [*script[:head], *steps]:
         command = step if isinstance(step, ActionCommand) else _command(sim, *step)
@@ -1009,7 +1053,7 @@ def test_reused_nodes_give_what_a_fresh_wizard_gives(config, faults, script, hea
         sim.execute(command)
         shot = sim.render()
         assert sim.snapshot() is shot.tree  # nothing changed since the render
-        fresh = new_wizard(faults, config)
+        fresh = new_wizard(faults, own_config)
         for replayed in commands:
             fresh.execute(replayed)
         expected = fresh.render()
@@ -1018,6 +1062,102 @@ def test_reused_nodes_give_what_a_fresh_wizard_gives(config, faults, script, hea
         assert shot.rendered == expected.rendered
         assert shot.digest == expected.digest
         assert shot.visible_faults == expected.visible_faults
+
+
+# --- the layout's node table ---------------------------------------------------
+
+def _subset_faults(mask: int) -> list[FaultSpec]:
+    """The default faults, the ones whose bit is set in ``mask`` active."""
+    return [dataclasses.replace(fault, active=bool(mask >> bit & 1))
+            for bit, fault in enumerate(default_fault_set())]
+
+
+def test_a_second_sweep_of_the_fault_subsets_builds_and_hashes_nothing(monkeypatch,
+                                                                       cold_default_layout):
+    """The 32 scripted traversals fit the table, so every later run of them
+    gets each node and screen built, drawn and hashed."""
+    configs = [RunConfig(controller="scripted", evaluator="oracle", faults=_subset_faults(mask),
+                         run_id=f"subset-{mask:02d}") for mask in range(32)]
+    first = [run(config).fingerprint() for config in configs]
+    assert 0 < len(cold_default_layout.nodes) <= simulator._TABLE_SIZE
+    built, hashed = [], []
+    init, sha256 = WidgetNode.__post_init__, simulator._hash_text
+    monkeypatch.setattr(WidgetNode, "__post_init__", lambda node: built.append(node) or init(node))
+    monkeypatch.setattr(simulator, "_hash_text", lambda text: hashed.append(text) or sha256(text))
+    assert [run(config).fingerprint() for config in configs] == first
+    assert built == [] and hashed == []
+
+
+def test_a_long_random_run_keeps_the_table_within_its_bound(cold_default_layout):
+    record = run(RunConfig(controller="random", evaluator="oracle", seed=0, max_iterations=800,
+                           faults=default_fault_set()))
+    assert len(record.iterations) == 800
+    # Full, so the run has evicted entries; and no larger.
+    assert len(cold_default_layout.nodes) == simulator._TABLE_SIZE
+
+
+def test_threads_sharing_the_table_record_what_runs_alone_record(monkeypatch):
+    """Four random runs with different fault subsets, each alone on a layout
+    of its own, then at once on one shared layout, switching threads often:
+    every run records the same fingerprint, and no thread raises."""
+    configs = [RunConfig(controller="random", evaluator="oracle", seed=seed, max_iterations=300,
+                         faults=_subset_faults(mask), run_id=f"run-{seed}")
+               for seed, mask in enumerate((0b11111, 0b00000, 0b10101, 0b01010))]
+
+    def fresh_layout():
+        monkeypatch.setattr(simulator, "_DEFAULT_LAYOUT",
+                            simulator._compile(default_wizard_config()))
+
+    alone = []
+    for config in configs:
+        fresh_layout()
+        alone.append(run(config).fingerprint())
+    fresh_layout()
+    together: dict[int, object] = {}
+    start = threading.Barrier(len(configs))
+
+    def worker(index: int) -> None:
+        start.wait()
+        try:
+            together[index] = run(configs[index]).fingerprint()
+        except BaseException as error:  # noqa: BLE001 - reported below
+            together[index] = error
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [together[index] for index in range(len(configs))] == alone
+    assert len(simulator._DEFAULT_LAYOUT.nodes) <= simulator._TABLE_SIZE
+
+
+_FRESH_IMPORT_PROBE = """
+import gc, sys
+gc.disable()  # the cycle collector would free the old namespace, and the table with it
+import guiscout.simulator as simulator
+simulator.new_wizard().render()
+table = simulator._DEFAULT_LAYOUT.nodes
+assert table
+del simulator
+for name in [name for name in sys.modules if name.split(".")[0] == "guiscout"]:
+    del sys.modules[name]
+import guiscout.simulator
+assert not table, len(table)
+"""
+
+
+def test_the_default_table_goes_with_its_module():
+    """Dropping the module to import it afresh empties its table at once."""
+    path = os.pathsep.join([str(Path(__file__).resolve().parent.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", _FRESH_IMPORT_PROBE], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=path))
 
 
 # --- the compiled default layout ----------------------------------------------
@@ -1038,8 +1178,16 @@ def test_default_wizards_share_the_layout_but_not_the_state():
     assert _view(second) == _view(new_wizard(faults, default_wizard_config()))
     assert second.values != driven.values
     assert second.layout is driven.layout
-    # What is shared is immutable by type.
+    # What is shared is immutable by type, but for the node table, which
+    # hands out immutable entries: a key, its node and what the node draws.
     layout = second.layout
+    assert [field.name for field in dataclasses.fields(layout)
+            if type(getattr(layout, field.name)) is dict] == ["nodes"]
+    root = second.snapshot()
+    entry = next(entry for entry in layout.nodes.values() if entry[1] is root)
+    assert type(entry) is tuple and type(entry[0]) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.text = "changed"
     with pytest.raises(dataclasses.FrozenInstanceError):
         layout.slots_by_id[1].label = "changed"
     with pytest.raises(dataclasses.FrozenInstanceError):

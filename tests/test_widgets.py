@@ -384,7 +384,7 @@ def test_a_node_serialized_at_one_depth_encodes_correctly_at_another(tree, depth
 
 
 
-def test_a_scripted_run_encodes_each_node_once_when_it_is_built(monkeypatch):
+def test_a_scripted_run_encodes_each_node_once_when_it_is_built(monkeypatch, cold_default_layout):
     """Every node's JSON text is written by its constructor, and never again."""
     from guiscout import widgets
     from guiscout.harness import RunConfig, run
