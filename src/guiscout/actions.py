@@ -100,15 +100,14 @@ class ActionLog:
     the whole log again."""
 
     def __init__(self, entries: Iterable[ActionLogEntry] = ()) -> None:
-        self.entries: list[ActionLogEntry] = []
         self.text = "[]"
         for entry in entries:
             self.append(entry)
 
     def append(self, entry: ActionLogEntry) -> None:
         fragment = entry.log_fragment
-        self.text = f"{self.text[:-2]},\n{fragment}\n]" if self.entries else f"[\n{fragment}\n]"
-        self.entries.append(entry)
+        self.text = (f"[\n{fragment}\n]" if self.text == "[]"
+                     else f"{self.text[:-2]},\n{fragment}\n]")
 
 
 def format_log(log: ActionLog | Iterable[ActionLogEntry]) -> str:

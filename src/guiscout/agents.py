@@ -15,7 +15,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .actions import ActionCommand, extract_first_json_object, format_action
 from .prompts import PromptDocument
@@ -224,15 +224,7 @@ class RemoteAgentConfig:
                              f"got {self.retry_backoff}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "api_key_env": self.api_key_env,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "temperature": self.temperature,
-            "retry_backoff": self.retry_backoff,
-        }
+        return asdict(self)
 
 
 SCREENSHOT_MEDIA_TYPE = "text/plain; charset=utf-8"  # a screenshot is its canvas text

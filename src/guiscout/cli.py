@@ -7,6 +7,7 @@ findings, 4 replay divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -99,8 +100,10 @@ def _build_parser() -> _Parser:
 _RUN_KEYS = {"task": "task", "max_iterations": "max_iterations", "doc_budget": "doc_budget",
              "attach_screenshot": "attach_screenshot", "wizard": "wizard_config",
              "controller_script": "controller_script", "evaluator_script": "evaluator_script"}
-# The keys of the "remote" section that set the RemoteAgentConfig field of the same name.
-_REMOTE_KEYS = ("endpoint", "model", "api_key_env", "timeout", "max_retries", "retry_backoff")
+# The keys of the "remote" section that set the RemoteAgentConfig field of the same
+# name: every field but the temperature, which the section sets per role.
+_REMOTE_KEYS = tuple(field.name for field in dataclasses.fields(RemoteAgentConfig)
+                     if field.name != "temperature")
 
 
 def _reject_unknown_keys(section: str, obj: dict, known) -> None:

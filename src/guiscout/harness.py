@@ -339,7 +339,6 @@ class RunSession:
         self.sim: SimWizard = new_wizard(config.faults, config.wizard_config)
         self.controller = _build_controller(config)
         self.evaluator = _build_evaluator(config, self.sim)
-        self.docs = _DOCS
         self.log = ActionLog()
         # Tree digest -> the resume point of the last controller prompt shown
         # with that GUI. It is exact because the task, docs and budget are
@@ -360,7 +359,7 @@ class RunSession:
         before = self.prev_shot
         tree = before.tree
         controller_prompt = build_controller_prompt(
-            self.config.task, self.docs, tree, self.log,
+            self.config.task, _DOCS, tree, self.log,
             screenshot=before if self.config.attach_screenshot else None,
             doc_budget=self.config.doc_budget,
             resume=self._prompt_prefixes.get(before.tree_digest))
@@ -513,7 +512,7 @@ def load_record(run_dir: Path) -> RunRecord:
     iterations_path = run_dir / "iterations.jsonl"
     try:
         text = iterations_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RecordLoadError(f"unreadable iterations in {run_dir}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -564,8 +563,7 @@ _ECHOED_FIELDS = ("task", "max_iterations", "controller", "evaluator", "seed",
                   "wizard_config", "doc_budget", "attach_screenshot")
 
 
-def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
-           out_dir: Path | None = None) -> RunRecord:
+def replay(record: RunRecord, out_dir: Path | None = None) -> RunRecord:
     """Re-execute a recorded run against a fresh simulator.
 
     Every recorded field except the wall-clock timestamps must match; the
@@ -594,7 +592,6 @@ def replay(record: RunRecord, faults: list[FaultSpec] | None = None,
             max_iterations=len(record.iterations),
             controller="scripted",
             evaluator="scripted",
-            faults=recorded_config.faults if faults is None else faults,
             out_dir=out_dir,
             run_id=record.run_id + "-replay",
             remote_controller=None,

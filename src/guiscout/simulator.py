@@ -220,13 +220,8 @@ class ExecOutcome:
     status: str  # "executed" | "failed"
     reason: str | None = None
 
-    @classmethod
-    def executed(cls) -> "ExecOutcome":
-        return cls("executed")
 
-    @classmethod
-    def failed(cls, reason: str) -> "ExecOutcome":
-        return cls("failed", reason)
+_EXECUTED = ExecOutcome("executed")  # shared: an outcome never changes
 
 
 _KIND_NAMES = {
@@ -357,11 +352,19 @@ _TEXT_OR_NULL = (str, type(None))
 _WIZARD_KEYS = frozenset({"title", "pages", "modals"})
 _PAGE_KEYS = frozenset({"key", "title", "fields"})
 _MODAL_KEYS = frozenset({"title", "fields"})
-_FIELD_KEYS = frozenset({"label", "kind", "validator", "items", "items_from", "default", "text",
-                         "computed", "opens", "group"})
-# The keys that name something, each with the one field kind that reads it.
-_NAMING_KEY_KINDS = {"opens": WidgetKind.BUTTON, "items_from": WidgetKind.COMBO_BOX,
-                     "computed": WidgetKind.STATIC}
+# The keys each field kind reads besides "label" and "kind". A key its kind
+# never reads would be silently ignored, so any other is an error.
+_KIND_KEYS = {
+    WidgetKind.STATIC: frozenset({"text", "computed"}),
+    WidgetKind.EDIT: frozenset({"validator", "default"}),
+    WidgetKind.COMBO_BOX: frozenset({"validator", "items", "items_from", "default"}),
+    WidgetKind.CHECK_BOX: frozenset({"validator", "default"}),
+    WidgetKind.RADIO_BUTTON: frozenset({"validator", "default", "group"}),
+    WidgetKind.BUTTON: frozenset({"opens"}),
+    # A list's own value never changes: only at_least_one_item reads the inputs.
+    WidgetKind.CONTAINER: frozenset({"validator"}),
+}
+_FIELD_KEYS = frozenset({"label", "kind"}).union(*_KIND_KEYS.values())
 
 
 def _config_object(obj: object, keys: frozenset[str], where: str) -> dict:
@@ -396,14 +399,17 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     if kind_name not in _KIND_NAMES:
         raise WizardConfigError(f"unknown field kind {kind_name!r}")
     kind = _KIND_NAMES[kind_name]
-    for key, reader in _NAMING_KEY_KINDS.items():
-        if key in obj and kind is not reader:
-            raise WizardConfigError(f"{where} has {key!r} ({obj[key]!r}), which kind "
-                                    f"{kind_name!r} never reads; only "
-                                    f"{_CLASS_NAMES[reader]!r} does")
+    for key, value in obj.items():
+        if key not in _KIND_KEYS[kind] and key != "label" and key != "kind":
+            readers = [name for name, other in _KIND_NAMES.items() if key in _KIND_KEYS[other]]
+            raise WizardConfigError(f"{where} has {key!r} ({value!r}), which kind {kind_name!r} "
+                                    f"never reads; only {', '.join(map(repr, readers))} read it")
     validator = _config_value(obj, "validator", _TEXT_OR_NULL, where, None)
     if validator is not None and validator not in VALIDATORS:
         raise WizardConfigError(f"unknown validator {validator!r}")
+    if kind is WidgetKind.CONTAINER and validator not in (None, "at_least_one_item"):
+        raise WizardConfigError(f"{where} 'validator' of kind 'List' must be "
+                                f"'at_least_one_item', got {validator!r}")
     items = _config_value(obj, "items", list, where, [])
     if not all(isinstance(item, str) for item in items):
         raise WizardConfigError(f"{where} 'items' must all be text: {items!r}")
@@ -417,14 +423,22 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     items_from = _config_value(obj, "items_from", _TEXT_OR_NULL, where, None)
     if items_from not in (None, "inputs"):
         raise WizardConfigError(f"{where} 'items_from' must be 'inputs', got {items_from!r}")
+    # A default is drawn, so it must be a value that the field can be set to.
     toggles = kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON
+    default = obj.get("default", False if toggles else "")
+    if not isinstance(default, bool if toggles else str):
+        raise WizardConfigError(f"{where} 'default' of kind {kind_name!r} must be "
+                                f"{'true or false' if toggles else 'text'}, got {default!r}")
+    if kind is WidgetKind.COMBO_BOX and default not in ("", *items):
+        raise WizardConfigError(f"{where} 'default' of kind 'ComboBox' must be '' or one of "
+                                f"its items {items!r}, got {default!r}")
     return FieldSpec(
         label=_config_value(obj, "label", str, where),
         kind=kind,
         validator=validator,
         items=tuple(items),
         items_from=items_from,
-        default=_config_value(obj, "default", (str, bool), where, False if toggles else ""),
+        default=default,
         text=_config_value(obj, "text", str, where, ""),
         computed=computed,
         opens=_config_value(obj, "opens", _TEXT_OR_NULL, where, None),
@@ -434,13 +448,22 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
 
 def _parse_fields(obj: dict, where: str) -> tuple[FieldSpec, ...]:
     """The fields of a page or a modal. Labels key fault targets and
-    ``control_id_of``, so each may appear only once."""
+    ``control_id_of``, so each may appear only once. A click selects one
+    RadioButton of a group, so at most one may start selected."""
     fields = tuple(_parse_field(f, f"{where} field {row}")
                    for row, f in enumerate(_config_value(obj, "fields", list, where)))
     labels = [field.label for field in fields]
     for label in labels:
         if labels.count(label) > 1:
             raise WizardConfigError(f"{where} has two fields labelled {label!r}")
+    selected = set()
+    for row, field in enumerate(fields):
+        if field.kind is WidgetKind.RADIO_BUTTON and field.default:
+            if field.group in selected:
+                raise WizardConfigError(f"{where} field {row} 'default' is true, but another "
+                                        f"field of kind 'RadioButton' in group {field.group!r} "
+                                        f"defaults to true")
+            selected.add(field.group)
     return fields
 
 
@@ -641,6 +664,14 @@ def _lay_out(title: str, pages: tuple[PageSpec, ...], modals: dict[str, PageSpec
         first_item_id=next(ids))
 
 
+def _cell(x: int, y: int) -> tuple[int, int]:
+    """The canvas row and column of the dialog pixel (x, y), clamped inside
+    the border."""
+    row = 1 + (y - ROOT_RECT.top) * 38 // ROOT_RECT.height
+    col = 1 + (x - ROOT_RECT.left) * 118 // ROOT_RECT.width
+    return max(1, min(38, row)), max(1, min(118, col))
+
+
 def _draws(text: str) -> bool:
     """Whether a text widget shows anything: the canvas draws its first line."""
     return bool(text.partition("\n")[0].strip())
@@ -752,29 +783,30 @@ class SimWizard:
         slot = self.layout.slots_by_id.get(cmd.control_id)
         item = cmd.control_id - self.layout.first_item_id
         if slot is None and not 0 <= item < len(self.inputs):
-            return ExecOutcome.failed(f"no widget with control_id {cmd.control_id}")
+            return ExecOutcome("failed", f"no widget with control_id {cmd.control_id}")
 
         owner = slot.modal if slot is not None else None
         if owner != self.modal:
-            return ExecOutcome.failed("blocked by an open dialog" if owner is None
-                                      else "not visible on the current page")
+            return ExecOutcome("failed", "blocked by an open dialog" if owner is None
+                               else "not visible on the current page")
 
         if slot is None:  # an input list item, drawn by a list of the current page
             if not any(other.kind is WidgetKind.CONTAINER
                        for other in self.layout.page_slots[self._page_key()]):
-                return ExecOutcome.failed("not visible on the current page")
+                return ExecOutcome("failed", "not visible on the current page")
             if cmd.verb is not ActionVerb.CLICK:
-                return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
+                return ExecOutcome("failed",
+                                   f"{cmd.verb.value} is not supported for this control")
             self.selected_input = item
-            return ExecOutcome.executed()
+            return _EXECUTED
 
         if slot.page is not None and slot.page != self._page_key():
-            return ExecOutcome.failed("not visible on the current page")
+            return ExecOutcome("failed", "not visible on the current page")
         permitted = KIND_VERBS.get(slot.kind)
         if permitted is None:
-            return ExecOutcome.failed("not actionable")
+            return ExecOutcome("failed", "not actionable")
         if cmd.verb not in permitted:
-            return ExecOutcome.failed(f"{cmd.verb.value} is not supported for this control")
+            return ExecOutcome("failed", f"{cmd.verb.value} is not supported for this control")
 
         if slot.role in _NAV_ROLES:
             return self._execute_nav(slot.role)
@@ -783,30 +815,30 @@ class SimWizard:
         if slot.role == "cancel":
             self.modal = None
             self.modal_message = None
-            return ExecOutcome.executed()
+            return _EXECUTED
         return self._execute_field(slot, cmd)
 
     def _execute_nav(self, role: str) -> ExecOutcome:
         if role == "back":
             if self.current_page == 0:
-                return ExecOutcome.failed("already on the first page")
+                return ExecOutcome("failed", "already on the first page")
             self.current_page -= 1
             self.message = self.message_label = None
-            return ExecOutcome.executed()
+            return _EXECUTED
         if (role == "finish") != (self.current_page == len(self.layout.pages) - 1):
-            return ExecOutcome.failed("not visible on the current page")
+            return ExecOutcome("failed", "not visible on the current page")
         if role == "finish" and self.finished:
-            return ExecOutcome.failed("the integration is already completed")
+            return ExecOutcome("failed", "the integration is already completed")
         message, label = self._first_failure(self.layout.page_slots[self._page_key()])
         if message is not None:
             self.message, self.message_label = message, label
-            return ExecOutcome.failed(message)
+            return ExecOutcome("failed", message)
         if role == "finish":
             self.finished = True
         else:
             self.current_page += 1
             self.message = self.message_label = None
-        return ExecOutcome.executed()
+        return _EXECUTED
 
     def _execute_modal_ok(self, key: str) -> ExecOutcome:
         """Add an input named by the modal's first field. A name holding the
@@ -819,12 +851,12 @@ class SimWizard:
             message = f"The {first.field.noun_text} must not contain {ITEMS_SEPARATOR!r}."
         if message is not None:
             self.modal_message = message
-            return ExecOutcome.failed(message)
+            return ExecOutcome("failed", message)
         self.inputs.append(name)
         self.modal = None
         self.modal_message = None
         self._revalidate_page()
-        return ExecOutcome.executed()
+        return _EXECUTED
 
     def _execute_field(self, slot: _Slot, cmd: ActionCommand) -> ExecOutcome:
         field = slot.field
@@ -834,7 +866,7 @@ class SimWizard:
             self.values[slot.control_id] = cmd.arg or ""
         elif kind is WidgetKind.COMBO_BOX:
             if cmd.arg not in self._combo_items(field):
-                return ExecOutcome.failed(f"{cmd.arg!r} is not an available item")
+                return ExecOutcome("failed", f"{cmd.arg!r} is not an available item")
             self.values[slot.control_id] = cmd.arg
         elif kind is WidgetKind.CHECK_BOX:
             self.values[slot.control_id] = cmd.verb is ActionVerb.CHECK
@@ -846,18 +878,18 @@ class SimWizard:
                     self.values[other.control_id] = other is slot
         else:  # a button: it opens a modal, or does nothing
             if field.opens is None:
-                return ExecOutcome.failed("this button has no effect")
+                return ExecOutcome("failed", "this button has no effect")
             self.modal = field.opens
             self.modal_message = None
             for other in self.layout.modal_slots[field.opens]:
                 if other.field is not None:
                     self.values[other.control_id] = other.field.default
-            return ExecOutcome.executed()
+            return _EXECUTED
         if slot.modal is not None:
             self.modal_message = self._first_failure(self.layout.modal_slots[slot.modal])[0]
         else:
             self._revalidate_page()
-        return ExecOutcome.executed()
+        return _EXECUTED
 
     def _combo_items(self, field: FieldSpec) -> tuple[str, ...]:
         if field.items_from == "inputs":
@@ -865,14 +897,6 @@ class SimWizard:
         return field.items
 
     # -- snapshotting ------------------------------------------------------
-
-    def control_id_of(self, label: str, page: str | None = None,
-                      modal: str | None = None, nav: str | None = None) -> int:
-        """Look up a stable control id for script authoring and tests."""
-        return self.layout.control_id_of(label, page, modal, nav)
-
-    def modal_button_id(self, modal: str, label: str) -> int:
-        return self.layout.modal_button_id(modal, label)
 
     def _computed_text(self, field: FieldSpec) -> str:
         if field.computed != "summary":
@@ -976,7 +1000,7 @@ class SimWizard:
         draws, or for the root ``(key, node, canvas text, canvas digest,
         tree digest)``."""
         entry = (key, node, *(self._screen(node) if node.control_id == 0 else (
-            *self._cell(node.rectangle, ROOT_RECT), self._widget_line(node))))
+            *_cell(node.rectangle.left, node.rectangle.top), self._widget_line(node))))
         table = self.layout.nodes
         with _TABLE_LOCK:
             table[key] = entry
@@ -1000,12 +1024,6 @@ class SimWizard:
                            (("active_page", page_key),), tuple(children))
 
     # -- rendering ---------------------------------------------------------
-
-    @staticmethod
-    def _cell(rect: Rect, base: Rect) -> tuple[int, int]:
-        row = 1 + (rect.top - base.top) * 38 // base.height
-        col = 1 + (rect.left - base.left) * 118 // base.width
-        return max(1, min(38, row)), max(1, min(118, col))
 
     @staticmethod
     def _draw(canvas: list[str], row: int, col: int, text: str) -> None:
@@ -1038,9 +1056,8 @@ class SimWizard:
         return ""
 
     def _draw_box(self, canvas: list[str], rect: Rect) -> tuple[int, int, int, int]:
-        top, left = self._cell(rect, ROOT_RECT)
-        bottom = max(1, min(38, 1 + (rect.bottom - ROOT_RECT.top) * 38 // ROOT_RECT.height))
-        right = max(1, min(118, 1 + (rect.right - ROOT_RECT.left) * 118 // ROOT_RECT.width))
+        top, left = _cell(rect.left, rect.top)
+        bottom, right = _cell(rect.right, rect.bottom)
         inside = right - left - 1
         edge = "+" + "-" * inside + "+" if inside >= 0 else "+"
         body = "|" + " " * inside + "|" if inside >= 0 else "|"
@@ -1161,12 +1178,14 @@ def new_wizard(faults: list[FaultSpec] | None = None,
 
     A config of the wrong shape (an empty one too), two pages with one key,
     two fields with one label on a page or in a modal, two lists on a page, a
-    list in a modal, an ``opens`` on a field that is not a Button, an
-    ``items_from`` on one that is not a ComboBox or a ``computed`` on one that
-    is not a Static, a ``computed`` other than ``"summary"``, an
-    ``items_from`` other than ``"inputs"``, an ``opens`` that names no modal,
-    or a fault that targets no field of the kind it changes, raises
-    WizardConfigError.
+    list in a modal, a field key that its kind never reads (see
+    ``_KIND_KEYS``), a list validator other than ``"at_least_one_item"``, a
+    ``default`` that is not a bool on a CheckBox or a RadioButton, not text
+    on an Edit or a ComboBox, or on a ComboBox neither ``""`` nor one of its
+    ``items``, two RadioButtons of one group that default to true, a
+    ``computed`` other than ``"summary"``, an ``items_from`` other than
+    ``"inputs"``, an ``opens`` that names no modal, or a fault that targets
+    no field of the kind it changes, raises WizardConfigError.
     """
     return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 

@@ -92,15 +92,15 @@ def test_criterion_4_validation_order_reproduction():
                         "Working Directory")]
     sim = new_wizard(faults)
     sim.current_page = 2  # launch settings
-    next_id = sim.control_id_of("", nav="next")
+    next_id = sim.layout.control_id_of("", nav="next")
     sim.execute(ActionCommand(ActionVerb.WRITE,
-                              sim.control_id_of("Tool Directory", page="launch_settings"),
+                              sim.layout.control_id_of("Tool Directory", page="launch_settings"),
                               "/opt/tools/aerosolver"))
     sim.execute(ActionCommand(ActionVerb.CLICK, next_id))
     assert sim.message == ("The chosen version is not valid. "
                            "The version must not be empty.")
     sim.execute(ActionCommand(ActionVerb.WRITE,
-                              sim.control_id_of("Version", page="launch_settings"), "1.0"))
+                              sim.layout.control_id_of("Version", page="launch_settings"), "1.0"))
     sim.execute(ActionCommand(ActionVerb.CLICK, next_id))
     assert sim.message == "Invalid path to working directory"
     print("\nACCEPTANCE 4 PASS: validation messages reproduce exactly, top to bottom")
@@ -205,7 +205,7 @@ def test_criterion_8_remote_agent_contract(tmp_path, stub_server, monkeypatch):
     monkeypatch.setenv("GUISCOUT_TEST_KEY", secret)
 
     sim = new_wizard()
-    name_id = sim.control_id_of("Name", page="tool_description")
+    name_id = sim.layout.control_id_of("Name", page="tool_description")
     controller_reply = json.dumps({"action": f"write({name_id}, 'stub')",
                                    "explanation": "fill in the name field"})
 

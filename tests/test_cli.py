@@ -5,6 +5,7 @@ import pytest
 
 from guiscout.cli import main
 from conftest import write_funnel_dirs
+from test_simulator import UNUSABLE_FIELD_VALUES, _config_with
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -88,6 +89,42 @@ def test_replay_corrupt_record_exits_one(tmp_path, capsys):
     text = iterations.read_text("utf-8")
     iterations.write_text(text[: len(text) // 2], encoding="utf-8")
     assert main(["replay", "--record", str(out / "run-000")]) == 1
+
+
+def test_replay_of_a_run_that_recorded_a_controller_error_exits_one(tmp_path, capsys):
+    """After Finish, a one-page wizard leaves the random controller no action."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"wizard": {"pages": [
+        {"key": "only", "title": "Only", "fields": []}]}}), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--controller", "random",
+                 "--max-iterations", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--record", str(out / "run-000")]) == 1
+    assert capsys.readouterr().err == \
+        "error: iteration 1 has no recorded agent output; cannot replay\n"
+
+
+def test_report_counts_an_executed_action_that_does_not_parse_but_not_its_control(
+        tmp_path, capsys):
+    """A hand-edited record: the first action, the only click on its control,
+    no longer parses."""
+    out = tmp_path / "runs"
+    assert main(["run", "--out", str(out), "--max-iterations", "3"]) == 0
+    report = ["report", "--runs", str(out), "--assume-unlabeled-false", "--format", "json"]
+    capsys.readouterr()
+    assert main(report) == 0
+    before = json.loads(capsys.readouterr().out)
+    path = out / "run-000" / "iterations.jsonl"
+    first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+    edited = json.loads(first)
+    assert edited["status"] == "executed"
+    edited["action"] = "click("
+    path.write_text(json.dumps(edited) + "\n" + "".join(rest), encoding="utf-8")
+    assert main(report) == 0
+    after = json.loads(capsys.readouterr().out)
+    assert after["actions"] == before["actions"] == 3
+    assert after["coverage"]["controls_acted"] == before["coverage"]["controls_acted"] - 1 == 2
 
 
 @pytest.mark.parametrize("header", [[], {"run_id": "run-000", "config": []}])
@@ -510,6 +547,17 @@ def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [None, "{"], ids=["missing", "not-json"])
+def test_run_with_an_unreadable_config_file_exits_one(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable config file {config}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg, flags", [
     ([1, 2], []),
     ({"faults": 5}, []),
@@ -517,6 +565,8 @@ def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
      []),
     ({"max_iterations": "5"}, []),
     ({"remote": {"model": "m"}}, ["--controller", "remote"]),
+    ({"remote": 5}, []),
+    ({}, ["--controller", "remote"]),
     ({"task": 5}, []),
     ({"doc_budget": "x"}, []),
     ({"controller_script": "abc"}, []),
@@ -582,6 +632,22 @@ def test_run_config_with_a_misspelt_wizard_key_exits_one(tmp_path, capsys, path,
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, kind", UNUSABLE_FIELD_VALUES)
+def test_run_config_with_a_field_value_its_kind_cannot_use_exits_one_naming_it(
+        tmp_path, capsys, path, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "wizard": _config_with(path, value),
+        "controller_script": ['{"action": "click(999)", "explanation": "probe"}']}),
+        encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: wizard page {path[1]} field {path[3]} ")
+    assert f"'{path[4]}'" in err and f"kind '{kind}'" in err
     assert not out.exists()
 
 

@@ -42,8 +42,8 @@ def scripted_config(**overrides) -> RunConfig:
 def mini_script() -> list[str]:
     """Fill the name, then click Next: two iterations, page advances."""
     sim = new_wizard()
-    name = sim.control_id_of("Name", page="tool_description")
-    next_id = sim.control_id_of("", nav="next")
+    name = sim.layout.control_id_of("Name", page="tool_description")
+    next_id = sim.layout.control_id_of("", nav="next")
     return [
         json.dumps({"action": format_action(ActionCommand(ActionVerb.WRITE, name, "T")),
                     "explanation": "name the tool"}),
@@ -70,7 +70,7 @@ def test_non_json_controller_output_is_rejected_and_state_unchanged():
 
 def test_invalid_action_is_rejected_with_reason():
     sim = new_wizard()
-    static_id = sim.control_id_of("Description", page="tool_description")
+    static_id = sim.layout.control_id_of("Description", page="tool_description")
     script = [json.dumps({"action": f"click({static_id})", "explanation": "poke a label"})]
     record = run(scripted_config(controller_script=script))
     (iteration,) = record.iterations
@@ -147,7 +147,7 @@ def test_resumed_prompt_digests_are_the_sha256_of_their_texts(tmp_path_factory, 
 
 def test_a_prompt_resumes_from_a_state_stored_with_an_empty_log(tmp_path):
     sim = new_wizard()
-    back = sim.control_id_of("", nav="back")
+    back = sim.layout.control_id_of("", nav="back")
     script = [json.dumps({"action": format_action(ActionCommand(ActionVerb.CLICK, back)),
                           "explanation": "go back from the first page"})] + mini_script()
     record = run(scripted_config(controller_script=script, out_dir=tmp_path, run_id="run-back"))
@@ -365,6 +365,28 @@ def test_truncated_iterations_file_fails_to_load(tmp_path):
         load_record(tmp_path / "run-c")
 
 
+def test_a_blank_line_in_the_iterations_file_is_skipped(tmp_path):
+    record = run(scripted_config(out_dir=tmp_path, run_id="run-b", max_iterations=3))
+    path = tmp_path / "run-b" / "iterations.jsonl"
+    first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+    path.write_text(first + "\n" + "".join(rest) + "  \n", encoding="utf-8")
+    assert load_record(tmp_path / "run-b").fingerprint() == record.fingerprint()
+
+
+@pytest.mark.parametrize("damage", ["missing", "a-directory", "not-utf-8"])
+def test_an_unreadable_iterations_file_fails_to_load(tmp_path, damage):
+    run(scripted_config(out_dir=tmp_path, run_id="run-u", max_iterations=2))
+    path = tmp_path / "run-u" / "iterations.jsonl"
+    if damage == "not-utf-8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    else:
+        path.unlink()
+        if damage == "a-directory":
+            path.mkdir()
+    with pytest.raises(RecordLoadError, match="unreadable iterations"):
+        load_record(tmp_path / "run-u")
+
+
 @pytest.mark.parametrize("header", [[], {"run_id": "run-h", "config": []}])
 def test_non_object_header_fails_to_load(tmp_path, header):
     run(scripted_config(out_dir=tmp_path, run_id="run-h"))
@@ -472,6 +494,16 @@ def test_a_pack_cut_or_changed_inside_its_last_entry_fails_to_load(tmp_path):
     path.write_bytes(bytes(changed))
     with pytest.raises(RecordLoadError, match="torn or corrupt"):
         load_blobs(tmp_path / "run-t")
+
+
+def test_a_pack_entry_that_hashes_but_is_not_utf8_fails_to_load(tmp_path):
+    run(scripted_config(controller_script=mini_script(), out_dir=tmp_path, run_id="run-n"))
+    body = b"\xff\xfe"
+    with (tmp_path / "run-n" / "blobs.txt").open("ab") as pack:
+        pack.write(b"%s %d\n%s\n" % (hashlib.sha256(body).hexdigest().encode("ascii"),
+                                      len(body), body))
+    with pytest.raises(RecordLoadError, match="is not UTF-8"):
+        load_blobs(tmp_path / "run-n")
 
 
 # --- run_many --------------------------------------------------------------
@@ -701,8 +733,9 @@ def test_replay_of_empty_record_is_trivially_equal():
 def test_replay_with_different_faults_diverges_at_first_observable_iteration():
     fault = [FaultSpec(FaultKind.MISALIGNED_RECT, "inputs_outputs", "Add Input...")]
     record = run(scripted_config(faults=fault))
+    without_faults = replace(record, config={**record.config, "faults": []})
     with pytest.raises(ReplayDivergence) as info:
-        replay(record, faults=[])
+        replay(without_faults)
     # the shifted button first renders when page two appears: the Next click
     first_on_page_two = next(it.index for it in record.iterations
                              if it.page_key == "inputs_outputs")
@@ -711,11 +744,11 @@ def test_replay_with_different_faults_diverges_at_first_observable_iteration():
 
 def test_failure_statuses_also_replay():
     sim = new_wizard()
-    name_id = sim.control_id_of("Name", page="tool_description")
-    static_id = sim.control_id_of("Description", page="tool_description")
-    next_id = sim.control_id_of("", nav="next")
-    add_id = sim.control_id_of("Add Input...", page="inputs_outputs")
-    ok_id = sim.modal_button_id("add_input", "OK")
+    name_id = sim.layout.control_id_of("Name", page="tool_description")
+    static_id = sim.layout.control_id_of("Description", page="tool_description")
+    next_id = sim.layout.control_id_of("", nav="next")
+    add_id = sim.layout.control_id_of("Add Input...", page="inputs_outputs")
+    ok_id = sim.layout.modal_button_id("add_input", "OK")
     script = [
         json.dumps({"action": f"write({name_id}, 'T')", "explanation": "name it"}),
         json.dumps({"action": f"click({next_id})", "explanation": "advance"}),

@@ -182,14 +182,52 @@ def test_a_naming_key_on_a_kind_that_never_reads_it_is_a_construction_error(path
         new_wizard(config=_config_with(path, value))
 
 
+# A field value its kind cannot use: the path to it in the default wizard,
+# the value and the field's kind. Each of these compiled at one time.
+UNUSABLE_FIELD_VALUES = [
+    # No action changes a Static's or a Button's value, so Next failed forever.
+    pytest.param(("pages", 0, "fields", 0, "validator"), "non_empty", "Static",
+                 id="static-validator"),
+    pytest.param(("pages", 1, "fields", 1, "validator"), "non_empty", "Button",
+                 id="button-validator"),
+    # A list's own value never changes: Next failed even with an input added.
+    pytest.param(("pages", 1, "fields", 2, "validator"), "non_empty", "List",
+                 id="list-validator"),
+    # Silently ignored.
+    pytest.param(("pages", 0, "fields", 1, "text"), "Name", "Edit", id="edit-text"),
+    pytest.param(("pages", 0, "fields", 1, "group"), "tool_type", "Edit", id="edit-group"),
+    pytest.param(("pages", 0, "fields", 1, "items"), ["a"], "Edit", id="edit-items"),
+    # Drawn checked, but require_checked failed under it.
+    pytest.param(("pages", 3, "fields", 3, "default"), "yes", "CheckBox",
+                 id="checkbox-text-default"),
+    # Drawn as "True".
+    pytest.param(("pages", 0, "fields", 1, "default"), True, "Edit", id="edit-bool-default"),
+    # Drawn, but no select can choose it.
+    pytest.param(("pages", 0, "fields", 3, "default"), "NotAnItem", "ComboBox",
+                 id="combo-default-no-item"),
+    # Both radio buttons of the group drawn selected, which no click can reach.
+    pytest.param(("pages", 0, "fields", 5, "default"), True, "RadioButton",
+                 id="two-radio-defaults"),
+]
+
+
+@pytest.mark.parametrize("path, value, kind", UNUSABLE_FIELD_VALUES)
+def test_a_field_value_its_kind_cannot_use_is_a_construction_error_naming_it(path, value, kind):
+    with pytest.raises(WizardConfigError) as info:
+        new_wizard(config=_config_with(path, value))
+    message = str(info.value)
+    for part in (f"wizard page {path[1]} field {path[3]} ", f"'{path[4]}'", f"kind '{kind}'"):
+        assert part in message
+
+
 def test_a_button_in_a_modal_may_open_a_modal():
     config = default_wizard_config()
     config["modals"]["add_input"]["fields"].append(
         {"label": "More...", "kind": "Button", "opens": "add_input"})
     sim = new_wizard(config=config)
     sim.current_page = 1
-    click(sim, sim.control_id_of("Add Input...", page="inputs_outputs"))
-    assert click(sim, sim.control_id_of("More...", modal="add_input")).status == "executed"
+    click(sim, sim.layout.control_id_of("Add Input...", page="inputs_outputs"))
+    assert click(sim, sim.layout.control_id_of("More...", modal="add_input")).status == "executed"
     assert sim.modal == "add_input"
     config["modals"]["add_input"]["fields"][2]["opens"] = "add_inpt"
     with pytest.raises(WizardConfigError, match="'opens' names no modal: 'add_inpt'"):
@@ -250,7 +288,7 @@ def test_fresh_snapshot_has_page_one_edits_and_next_button():
 def test_truncated_text_fault_hard_cuts_the_static_at_40():
     fault = FaultSpec(FaultKind.TRUNCATED_TEXT, "tool_description", "Description")
     sim = new_wizard([fault])
-    target = sim.control_id_of("Description", page="tool_description")
+    target = sim.layout.control_id_of("Description", page="tool_description")
     node = find_widget(sim.snapshot(), target)
     assert node.kind is WidgetKind.STATIC
     assert node.text == DESCRIPTION_HELP[:40]
@@ -262,7 +300,7 @@ def test_misaligned_rect_fault_shifts_the_rectangle():
     sim = new_wizard([fault])
     plain = new_wizard()
     sim.current_page = plain.current_page = 1
-    target = sim.control_id_of("Add Input...", page="inputs_outputs")
+    target = sim.layout.control_id_of("Add Input...", page="inputs_outputs")
     shifted = find_widget(sim.snapshot(), target).rectangle
     straight = find_widget(plain.snapshot(), target).rectangle
     assert shifted.left == straight.left + 150
@@ -290,16 +328,16 @@ def test_two_snapshots_without_actions_are_equal():
 
 def test_next_is_enabled_only_when_the_page_validates():
     sim = new_wizard()
-    next_id = sim.control_id_of("", nav="next")
+    next_id = sim.layout.control_id_of("", nav="next")
     assert find_widget(sim.snapshot(), next_id).enabled is False  # Name empty
-    write(sim, sim.control_id_of("Name", page="tool_description"), "T")
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "T")
     assert find_widget(sim.snapshot(), next_id).enabled is True
 
 
 def test_validation_message_appears_as_a_static_node():
     sim = new_wizard()
     goto_launch_settings(sim)
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/t")
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "/opt/t")
     tree = sim.snapshot()
     messages = [node for node in tree.iter_nodes() if node.class_name == "ValidationMessage"]
     assert len(messages) == 1
@@ -312,8 +350,8 @@ def test_validation_message_appears_as_a_static_node():
 def test_click_next_with_empty_version_reports_the_version_message():
     sim = new_wizard()
     goto_launch_settings(sim)
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
-    outcome = click(sim, sim.control_id_of("", nav="next"))
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
+    outcome = click(sim, sim.layout.control_id_of("", nav="next"))
     assert outcome.status == "failed"
     assert sim.message == "The chosen version is not valid. The version must not be empty."
     assert sim.current_page == 2
@@ -323,10 +361,10 @@ def test_generic_error_fault_replaces_the_working_directory_message():
     fault = FaultSpec(FaultKind.GENERIC_ERROR_MESSAGE, "launch_settings", "Working Directory")
     sim = new_wizard([fault])
     goto_launch_settings(sim)
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
-    write(sim, sim.control_id_of("Version", page="launch_settings"), "1.0")
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
+    write(sim, sim.layout.control_id_of("Version", page="launch_settings"), "1.0")
     assert sim.message == "Invalid path to working directory"
-    outcome = click(sim, sim.control_id_of("", nav="next"))
+    outcome = click(sim, sim.layout.control_id_of("", nav="next"))
     assert outcome.status == "failed"
     assert sim.message == "Invalid path to working directory"
 
@@ -334,18 +372,18 @@ def test_generic_error_fault_replaces_the_working_directory_message():
 def test_without_the_fault_the_working_directory_message_is_specific():
     sim = new_wizard()
     goto_launch_settings(sim)
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
-    write(sim, sim.control_id_of("Version", page="launch_settings"), "1.0")
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
+    write(sim, sim.layout.control_id_of("Version", page="launch_settings"), "1.0")
     assert sim.message == ("The chosen working directory is not valid. "
                            "The working directory must not be empty.")
-    write(sim, sim.control_id_of("Working Directory", page="launch_settings"), "relative/x")
+    write(sim, sim.layout.control_id_of("Working Directory", page="launch_settings"), "relative/x")
     assert sim.message == ("The chosen working directory is not valid. "
                            "The path must be absolute.")
 
 
 def test_click_on_a_static_fails_as_not_actionable():
     sim = new_wizard()
-    target = sim.control_id_of("Description", page="tool_description")
+    target = sim.layout.control_id_of("Description", page="tool_description")
     outcome = click(sim, target)
     assert outcome.status == "failed"
     assert outcome.reason == "not actionable"
@@ -354,21 +392,21 @@ def test_click_on_a_static_fails_as_not_actionable():
 def test_failed_actions_leave_state_unchanged():
     sim = new_wizard()
     before = sim.render().digest
-    click(sim, sim.control_id_of("Description", page="tool_description"))
+    click(sim, sim.layout.control_id_of("Description", page="tool_description"))
     click(sim, 999_999)
     assert sim.render().digest == before
 
 
 def test_write_sets_the_field_value():
     sim = new_wizard()
-    name_id = sim.control_id_of("Name", page="tool_description")
+    name_id = sim.layout.control_id_of("Name", page="tool_description")
     assert write(sim, name_id, "AeroSolver").status == "executed"
     assert find_widget(sim.snapshot(), name_id).text == "AeroSolver"
 
 
 def test_back_on_first_page_fails():
     sim = new_wizard()
-    outcome = click(sim, sim.control_id_of("", nav="back"))
+    outcome = click(sim, sim.layout.control_id_of("", nav="back"))
     assert outcome.status == "failed"
     assert "first page" in outcome.reason
 
@@ -376,9 +414,9 @@ def test_back_on_first_page_fails():
 def test_back_retreats_and_clears_the_message():
     sim = new_wizard()
     sim.current_page = 2
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "x")
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "x")
     assert sim.message is not None
-    assert click(sim, sim.control_id_of("", nav="back")).status == "executed"
+    assert click(sim, sim.layout.control_id_of("", nav="back")).status == "executed"
     assert sim.current_page == 1
     assert sim.message is None
 
@@ -389,7 +427,7 @@ def _fails(outcome, reason: str) -> bool:
 
 def test_finish_before_the_last_page_and_next_on_it_are_not_visible():
     sim = new_wizard()
-    finish, next_ = (sim.control_id_of("", nav=which) for which in ("finish", "next"))
+    finish, next_ = (sim.layout.control_id_of("", nav=which) for which in ("finish", "next"))
     before = sim.render().digest
     assert _fails(click(sim, finish), "not visible on the current page")
     assert sim.current_page == 0 and not sim.finished and sim.render().digest == before
@@ -405,7 +443,7 @@ def test_a_second_finish_fails_as_already_completed():
         outcome = sim.execute(parse_action(json.loads(line)["action"]))
     assert outcome.status == "executed" and sim.finished  # the script ends on Finish
     before = sim.render().digest
-    assert _fails(click(sim, sim.control_id_of("", nav="finish")),
+    assert _fails(click(sim, sim.layout.control_id_of("", nav="finish")),
                   "the integration is already completed")
     assert sim.finished and sim.render().digest == before
 
@@ -414,7 +452,7 @@ def test_a_custom_button_that_opens_nothing_has_no_effect():
     sim = new_wizard(config={"pages": [{"key": "only", "title": "Only", "fields": [
         {"label": "Nothing", "kind": "Button"}]}]})
     before = sim.render().digest
-    assert _fails(click(sim, sim.control_id_of("Nothing", page="only")),
+    assert _fails(click(sim, sim.layout.control_id_of("Nothing", page="only")),
                   "this button has no effect")
     assert sim.modal is None and sim.render().digest == before
 
@@ -422,7 +460,7 @@ def test_a_custom_button_that_opens_nothing_has_no_effect():
 def test_check_and_uncheck_toggle():
     sim = new_wizard()
     sim.current_page = 3
-    box = sim.control_id_of("Use advanced XSLT mapping", page="cpacs_properties")
+    box = sim.layout.control_id_of("Use advanced XSLT mapping", page="cpacs_properties")
     assert sim.execute(ActionCommand(ActionVerb.CHECK, box)).status == "executed"
     assert find_widget(sim.snapshot(), box).extra_state["checked"] is True
     assert sim.execute(ActionCommand(ActionVerb.UNCHECK, box)).status == "executed"
@@ -431,7 +469,7 @@ def test_check_and_uncheck_toggle():
 
 def test_select_rejects_unavailable_item():
     sim = new_wizard()
-    combo = sim.control_id_of("Group", page="tool_description")
+    combo = sim.layout.control_id_of("Group", page="tool_description")
     outcome = sim.execute(ActionCommand(ActionVerb.SELECT, combo, "Nonsense"))
     assert outcome.status == "failed"
     assert "not an available item" in outcome.reason
@@ -439,8 +477,8 @@ def test_select_rejects_unavailable_item():
 
 def test_radio_buttons_are_mutually_exclusive():
     sim = new_wizard()
-    standard = sim.control_id_of("Standard tool", page="tool_description")
-    cpacs = sim.control_id_of("CPACS tool", page="tool_description")
+    standard = sim.layout.control_id_of("Standard tool", page="tool_description")
+    cpacs = sim.layout.control_id_of("CPACS tool", page="tool_description")
     click(sim, cpacs)
     tree = sim.snapshot()
     assert find_widget(tree, cpacs).extra_state["selected"] is True
@@ -449,7 +487,7 @@ def test_radio_buttons_are_mutually_exclusive():
 
 def test_widgets_of_other_pages_are_not_visible():
     sim = new_wizard()
-    version = sim.control_id_of("Version", page="launch_settings")
+    version = sim.layout.control_id_of("Version", page="launch_settings")
     outcome = write(sim, version, "1.0")
     assert outcome.status == "failed"
     assert "not visible" in outcome.reason
@@ -458,10 +496,10 @@ def test_widgets_of_other_pages_are_not_visible():
 def test_page_changes_only_through_navigation():
     sim = new_wizard()
     page_before = sim.current_page
-    write(sim, sim.control_id_of("Name", page="tool_description"), "T")
-    click(sim, sim.control_id_of("CPACS tool", page="tool_description"))
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "T")
+    click(sim, sim.layout.control_id_of("CPACS tool", page="tool_description"))
     assert sim.current_page == page_before
-    assert click(sim, sim.control_id_of("", nav="next")).status == "executed"
+    assert click(sim, sim.layout.control_id_of("", nav="next")).status == "executed"
     assert sim.current_page == page_before + 1
 
 
@@ -471,7 +509,7 @@ def test_random_walk_changes_pages_only_via_executed_nav_clicks():
     record = run(RunConfig(controller="random", evaluator="oracle", seed=5,
                            max_iterations=60))
     sim = new_wizard()
-    nav_ids = {sim.control_id_of("", nav=which) for which in ("next", "back")}
+    nav_ids = {sim.layout.control_id_of("", nav=which) for which in ("next", "back")}
     previous_page = "tool_description"
     for it in record.iterations:
         if it.page_key != previous_page:
@@ -484,25 +522,25 @@ def test_random_walk_changes_pages_only_via_executed_nav_clicks():
 
 def open_modal(sim):
     sim.current_page = 1
-    return click(sim, sim.control_id_of("Add Input...", page="inputs_outputs"))
+    return click(sim, sim.layout.control_id_of("Add Input...", page="inputs_outputs"))
 
 
 def test_modal_blocks_outside_widgets():
     sim = new_wizard()
     assert open_modal(sim).status == "executed"
-    outcome = click(sim, sim.control_id_of("", nav="next"))
+    outcome = click(sim, sim.layout.control_id_of("", nav="next"))
     assert outcome.status == "failed"
     assert "open dialog" in outcome.reason
     actionable = {pa.control_id for pa in possible_actions(sim.snapshot())}
-    modal_name = sim.control_id_of("Input name", modal="add_input")
+    modal_name = sim.layout.control_id_of("Input name", modal="add_input")
     assert modal_name in actionable
-    assert sim.control_id_of("", nav="next") not in actionable
+    assert sim.layout.control_id_of("", nav="next") not in actionable
 
 
 def test_modal_ok_with_empty_name_reports_a_message_and_stays_open():
     sim = new_wizard()
     open_modal(sim)
-    outcome = click(sim, sim.modal_button_id("add_input", "OK"))
+    outcome = click(sim, sim.layout.modal_button_id("add_input", "OK"))
     assert outcome.status == "failed"
     assert sim.modal_message == ("The chosen input name is not valid. "
                                  "The input name must not be empty.")
@@ -512,8 +550,8 @@ def test_modal_ok_with_empty_name_reports_a_message_and_stays_open():
 def test_modal_ok_adds_the_input_and_closes():
     sim = new_wizard()
     open_modal(sim)
-    write(sim, sim.control_id_of("Input name", modal="add_input"), "airfoil")
-    assert click(sim, sim.modal_button_id("add_input", "OK")).status == "executed"
+    write(sim, sim.layout.control_id_of("Input name", modal="add_input"), "airfoil")
+    assert click(sim, sim.layout.modal_button_id("add_input", "OK")).status == "executed"
     assert sim.modal is None
     assert sim.inputs == ["airfoil"]
     items = [node for node in sim.snapshot().iter_nodes()
@@ -524,8 +562,8 @@ def test_modal_ok_adds_the_input_and_closes():
 def test_an_input_item_is_clickable_only_on_a_page_that_shows_a_list():
     sim = new_wizard()
     open_modal(sim)
-    write(sim, sim.control_id_of("Input name", modal="add_input"), "airfoil")
-    assert click(sim, sim.modal_button_id("add_input", "OK")).status == "executed"
+    write(sim, sim.layout.control_id_of("Input name", modal="add_input"), "airfoil")
+    assert click(sim, sim.layout.modal_button_id("add_input", "OK")).status == "executed"
     item = sim.layout.first_item_id
     for page in (0, 2, 5):
         sim.current_page = page
@@ -542,8 +580,8 @@ def test_an_input_item_is_clickable_only_on_a_page_that_shows_a_list():
 def test_modal_cancel_discards():
     sim = new_wizard()
     open_modal(sim)
-    write(sim, sim.control_id_of("Input name", modal="add_input"), "dropme")
-    assert click(sim, sim.modal_button_id("add_input", "Cancel")).status == "executed"
+    write(sim, sim.layout.control_id_of("Input name", modal="add_input"), "dropme")
+    assert click(sim, sim.layout.modal_button_id("add_input", "Cancel")).status == "executed"
     assert sim.inputs == []
     assert sim.modal is None
 
@@ -562,18 +600,18 @@ def test_every_snapshot_has_exactly_one_top_level_dialog():
 def test_added_inputs_feed_the_endpoint_combo():
     sim = new_wizard()
     open_modal(sim)
-    write(sim, sim.control_id_of("Input name", modal="add_input"), "airfoil")
-    click(sim, sim.modal_button_id("add_input", "OK"))
+    write(sim, sim.layout.control_id_of("Input name", modal="add_input"), "airfoil")
+    click(sim, sim.layout.modal_button_id("add_input", "OK"))
     sim.current_page = 3
-    combo = sim.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
+    combo = sim.layout.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
     assert find_widget(sim.snapshot(), combo).combo_items() == ("airfoil",)
 
 
 def test_an_input_name_with_the_item_separator_is_refused():
     sim = new_wizard()
     open_modal(sim)
-    write(sim, sim.control_id_of("Input name", modal="add_input"), "a|b")
-    outcome = click(sim, sim.modal_button_id("add_input", "OK"))
+    write(sim, sim.layout.control_id_of("Input name", modal="add_input"), "a|b")
+    outcome = click(sim, sim.layout.modal_button_id("add_input", "OK"))
     assert outcome.reason == "The input name must not contain '|'."
     assert sim.modal_message == outcome.reason and sim.inputs == []
 
@@ -582,11 +620,11 @@ def test_every_offered_item_of_the_inputs_combo_box_can_be_selected():
     sim = new_wizard()
     for name in ("airfoil", "a|b", "wing mesh", "x"):
         open_modal(sim)
-        write(sim, sim.control_id_of("Input name", modal="add_input"), name)
-        click(sim, sim.modal_button_id("add_input", "OK"))
-        click(sim, sim.modal_button_id("add_input", "Cancel"))
+        write(sim, sim.layout.control_id_of("Input name", modal="add_input"), name)
+        click(sim, sim.layout.modal_button_id("add_input", "OK"))
+        click(sim, sim.layout.modal_button_id("add_input", "Cancel"))
     sim.current_page = 3
-    combo = sim.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
+    combo = sim.layout.control_id_of("Incoming CPACS endpoint", page="cpacs_properties")
     offered = [choice for action in possible_actions(sim.snapshot())
                if action.control_id == combo and action.verb is ActionVerb.SELECT
                for choice in action.choices]
@@ -607,26 +645,26 @@ def test_each_modal_owns_its_controls_and_message():
     sim.current_page = 1
 
     def message_ids(modal):
-        click(sim, sim.control_id_of(f"Add {modal.title()}...", page="inputs_outputs"))
-        assert click(sim, sim.modal_button_id(f"add_{modal}", "OK")).status == "failed"
+        click(sim, sim.layout.control_id_of(f"Add {modal.title()}...", page="inputs_outputs"))
+        assert click(sim, sim.layout.modal_button_id(f"add_{modal}", "OK")).status == "failed"
         return [node.control_id for node in sim.snapshot().iter_nodes()
                 if node.class_name == "ValidationMessage"]
 
     input_message = message_ids("input")
-    outcome = write(sim, sim.control_id_of("Output name", modal="add_output"), "o")
+    outcome = write(sim, sim.layout.control_id_of("Output name", modal="add_output"), "o")
     assert outcome.reason == "not visible on the current page"
-    outcome = click(sim, sim.modal_button_id("add_output", "OK"))
+    outcome = click(sim, sim.layout.modal_button_id("add_output", "OK"))
     assert outcome.reason == "not visible on the current page"
-    click(sim, sim.modal_button_id("add_input", "Cancel"))
+    click(sim, sim.layout.modal_button_id("add_input", "Cancel"))
     output_message = message_ids("output")
     assert len(input_message) == len(output_message) == 1
     assert input_message != output_message
 
-    kind_b = sim.control_id_of("Kind B", modal="add_output")
+    kind_b = sim.layout.control_id_of("Kind B", modal="add_output")
     assert click(sim, kind_b).status == "executed"
     tree = sim.snapshot()
     assert find_widget(tree, kind_b).extra_state["selected"] is True
-    assert find_widget(tree, sim.control_id_of("Kind A", modal="add_output")) \
+    assert find_widget(tree, sim.layout.control_id_of("Kind A", modal="add_output")) \
         .extra_state["selected"] is False
 
 
@@ -635,7 +673,7 @@ def test_each_modal_owns_its_controls_and_message():
 def test_validation_reports_the_first_failing_field_top_to_bottom():
     sim = new_wizard()
     goto_launch_settings(sim)
-    ids = {label: sim.control_id_of(label, page="launch_settings")
+    ids = {label: sim.layout.control_id_of(label, page="launch_settings")
            for label in ("Tool Directory", "Version", "Working Directory",
                          "Maximal Number of Instances")}
     write(sim, ids["Maximal Number of Instances"], "not-a-number")
@@ -664,7 +702,8 @@ def test_every_validator_returns_a_message_or_none(value):
 def test_a_superscript_two_in_a_scripted_run_is_a_validation_message(tmp_path):
     from guiscout.harness import RunConfig, load_blobs, run
 
-    instances = new_wizard().control_id_of("Maximal Number of Instances", page="launch_settings")
+    instances = new_wizard().layout.control_id_of("Maximal Number of Instances",
+                                                  page="launch_settings")
     script = []
     for line in full_traversal_script():
         command = parse_controller_output(line).action
@@ -683,14 +722,14 @@ def test_a_superscript_two_in_a_scripted_run_is_a_validation_message(tmp_path):
 def test_stale_error_fault_keeps_the_message_after_the_fix():
     fault = FaultSpec(FaultKind.STALE_ERROR, "tool_description", "Name")
     sim = new_wizard([fault])
-    name_id = sim.control_id_of("Name", page="tool_description")
-    write(sim, sim.control_id_of("Tool Description", page="tool_description"), "d")
+    name_id = sim.layout.control_id_of("Name", page="tool_description")
+    write(sim, sim.layout.control_id_of("Tool Description", page="tool_description"), "d")
     stale = sim.message
     assert stale == "The chosen name is not valid. The name must not be empty."
     write(sim, name_id, "AeroSolver")
     assert sim.message == stale  # the defect: message should have cleared
     plain = new_wizard()
-    write(plain, plain.control_id_of("Tool Description", page="tool_description"), "d")
+    write(plain, plain.layout.control_id_of("Tool Description", page="tool_description"), "d")
     write(plain, name_id, "AeroSolver")
     assert plain.message is None
 
@@ -704,9 +743,9 @@ def test_render_is_deterministic():
 
 def test_successful_write_changes_only_the_target_row():
     sim = new_wizard()
-    write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "AeroSolver")
     before = sim.render()
-    write(sim, sim.control_id_of("Tool Description", page="tool_description"), "computes")
+    write(sim, sim.layout.control_id_of("Tool Description", page="tool_description"), "computes")
     after = sim.render()
     assert before.digest != after.digest
     differing = [index for index, (a, b) in
@@ -732,16 +771,16 @@ def test_every_fault_is_observable_against_the_clean_wizard(fault):
     def drive(sim):
         shots = [sim.render().rendered]
         # the first write surfaces the empty-name message; the second fixes it
-        write(sim, sim.control_id_of("Tool Description", page="tool_description"), "x")
+        write(sim, sim.layout.control_id_of("Tool Description", page="tool_description"), "x")
         shots.append(sim.render().rendered)
-        write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
+        write(sim, sim.layout.control_id_of("Name", page="tool_description"), "AeroSolver")
         shots.append(sim.render().rendered)
         for page in (1, 2, 3):
             sim.current_page = page
             if page == 2:
-                write(sim, sim.control_id_of("Tool Directory", page="launch_settings"),
+                write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"),
                       "/opt/tool")
-                write(sim, sim.control_id_of("Version", page="launch_settings"), "1.0")
+                write(sim, sim.layout.control_id_of("Version", page="launch_settings"), "1.0")
             shots.append(sim.render().rendered)
         return shots
 
@@ -771,7 +810,7 @@ def oracle_verdict(oracle: OracleAgent, before, after) -> dict:
 def test_oracle_says_okay_without_faults():
     sim = new_wizard()
     before = sim.render()
-    write(sim, sim.control_id_of("Name", page="tool_description"), "X")
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "X")
     after = sim.render()
     verdict = oracle_verdict(oracle_for(sim), before, after)
     assert verdict == {"state": "okay"}
@@ -782,8 +821,8 @@ def test_oracle_flags_the_generic_error_message_once():
     sim = new_wizard([fault])
     goto_launch_settings(sim)
     before = sim.render()
-    write(sim, sim.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
-    write(sim, sim.control_id_of("Version", page="launch_settings"), "1.0")
+    write(sim, sim.layout.control_id_of("Tool Directory", page="launch_settings"), "/opt/tool")
+    write(sim, sim.layout.control_id_of("Version", page="launch_settings"), "1.0")
     after = sim.render()
     oracle = oracle_for(sim)
     verdict = oracle_verdict(oracle, before, after)
@@ -832,7 +871,8 @@ def reference_draw(canvas: list[list[str]], row: int, col: int, text: str) -> No
 
 
 def reference_draw_box(canvas: list[list[str]], rect: Rect) -> tuple[int, int, int, int]:
-    top, left = SimWizard._cell(rect, ROOT_RECT)
+    top = max(1, min(38, 1 + (rect.top - ROOT_RECT.top) * 38 // ROOT_RECT.height))
+    left = max(1, min(118, 1 + (rect.left - ROOT_RECT.left) * 118 // ROOT_RECT.width))
     bottom = max(1, min(38, 1 + (rect.bottom - ROOT_RECT.top) * 38 // ROOT_RECT.height))
     right = max(1, min(118, 1 + (rect.right - ROOT_RECT.left) * 118 // ROOT_RECT.width))
     for row in range(top, bottom + 1):
@@ -896,11 +936,11 @@ def test_row_string_drawing_matches_per_character_drawing(ops):
 
 def test_an_unchanged_widget_is_the_same_node_in_the_next_snapshot():
     sim = new_wizard(default_fault_set())
-    write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "AeroSolver")
     first = sim.snapshot()
     assert sim.snapshot() is first
     assert sim.render().tree is first
-    described = sim.control_id_of("Tool Description", page="tool_description")
+    described = sim.layout.control_id_of("Tool Description", page="tool_description")
     write(sim, described, "computes")
     second = sim.snapshot()
     assert second is not first
@@ -913,22 +953,22 @@ def test_an_unchanged_widget_is_the_same_node_in_the_next_snapshot():
 
 def _add_input_and_cancel(sim):
     sim.current_page = PAGES.index("inputs_outputs")
-    return (ActionCommand(ActionVerb.CLICK, sim.control_id_of("Add Input...",
+    return (ActionCommand(ActionVerb.CLICK, sim.layout.control_id_of("Add Input...",
                                                               page="inputs_outputs")),
-            ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add_input", "Cancel")))
+            ActionCommand(ActionVerb.CLICK, sim.layout.modal_button_id("add_input", "Cancel")))
 
 
 def _check_and_uncheck(sim):
     # Unchecking the review box would show a validation message; this one has no validator.
     sim.current_page = PAGES.index("cpacs_properties")
-    xslt = sim.control_id_of("Use advanced XSLT mapping", page="cpacs_properties")
+    xslt = sim.layout.control_id_of("Use advanced XSLT mapping", page="cpacs_properties")
     return ActionCommand(ActionVerb.CHECK, xslt), ActionCommand(ActionVerb.UNCHECK, xslt)
 
 
 def _next_and_back(sim):
-    write(sim, sim.control_id_of("Name", page="tool_description"), "AeroSolver")
-    return (ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
-            ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="back")))
+    write(sim, sim.layout.control_id_of("Name", page="tool_description"), "AeroSolver")
+    return (ActionCommand(ActionVerb.CLICK, sim.layout.control_id_of("", nav="next")),
+            ActionCommand(ActionVerb.CLICK, sim.layout.control_id_of("", nav="back")))
 
 
 @pytest.mark.parametrize("toggle", [_add_input_and_cancel, _check_and_uncheck, _next_and_back],
@@ -994,21 +1034,21 @@ _TEXTS = ["", "a", "airfoil", "/var/work", "relative", "7", "-1", "x", "y",
 def _custom_script() -> list[ActionCommand]:
     """Commands that walk CUSTOM_WIZARD to its last page, adding one item."""
     sim = new_wizard(config=CUSTOM_WIZARD)
-    first = {label: sim.control_id_of(label, page="first")
+    first = {label: sim.layout.control_id_of(label, page="first")
              for label in ("Name", "Flag", "B", "Add...")}
-    second = {label: sim.control_id_of(label, page="second") for label in ("Pick", "Path")}
+    second = {label: sim.layout.control_id_of(label, page="second") for label in ("Pick", "Path")}
     return [
-        ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
+        ActionCommand(ActionVerb.CLICK, sim.layout.control_id_of("", nav="next")),
         ActionCommand(ActionVerb.WRITE, first["Name"], "tool"),
         ActionCommand(ActionVerb.CHECK, first["Flag"]),
         ActionCommand(ActionVerb.CLICK, first["B"]),
         ActionCommand(ActionVerb.CLICK, first["Add..."]),
-        ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add", "OK")),
-        ActionCommand(ActionVerb.WRITE, sim.control_id_of("Item name", modal="add"), "i1"),
-        ActionCommand(ActionVerb.SELECT, sim.control_id_of("Type", modal="add"), "y"),
-        ActionCommand(ActionVerb.CLICK, sim.modal_button_id("add", "OK")),
+        ActionCommand(ActionVerb.CLICK, sim.layout.modal_button_id("add", "OK")),
+        ActionCommand(ActionVerb.WRITE, sim.layout.control_id_of("Item name", modal="add"), "i1"),
+        ActionCommand(ActionVerb.SELECT, sim.layout.control_id_of("Type", modal="add"), "y"),
+        ActionCommand(ActionVerb.CLICK, sim.layout.modal_button_id("add", "OK")),
         ActionCommand(ActionVerb.CLICK, sim.layout.first_item_id + len(sim.inputs)),
-        ActionCommand(ActionVerb.CLICK, sim.control_id_of("", nav="next")),
+        ActionCommand(ActionVerb.CLICK, sim.layout.control_id_of("", nav="next")),
         ActionCommand(ActionVerb.SELECT, second["Pick"], "i1"),
         ActionCommand(ActionVerb.WRITE, second["Path"], "relative"),
         ActionCommand(ActionVerb.WRITE, second["Path"], "/var/work"),
@@ -1217,10 +1257,10 @@ def test_an_unchanged_page_builds_no_rect(monkeypatch):
     sim = new_wizard(default_fault_set())  # Add Input... is misaligned
     for name in ("a", "b", "c"):
         open_modal(sim)
-        write(sim, sim.control_id_of("Input name", modal="add_input"), name)
-        click(sim, sim.modal_button_id("add_input", "OK"))
+        write(sim, sim.layout.control_id_of("Input name", modal="add_input"), name)
+        click(sim, sim.layout.modal_button_id("add_input", "OK"))
     shot = sim.render()
-    assert len(find_widget(shot.tree, sim.control_id_of("Inputs", page="inputs_outputs"))
+    assert len(find_widget(shot.tree, sim.layout.control_id_of("Inputs", page="inputs_outputs"))
                .sub_elements) == 3
     built = []
     init = Rect.__init__
