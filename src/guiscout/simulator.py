@@ -17,19 +17,24 @@ of an equal key, shared with the snapshots before it, with the other wizards
 of the layout and with the threads that run them, and builds a node only
 for a key the table does not hold. Building an immutable value once and
 sharing it wherever its content recurs is hash-consing (Filliatre and
-Conchon, 2006). The table keeps the last ``_TABLE_SIZE`` entries it was
-given, first in first out: the scripted traversals of the 32 default-fault
+Conchon, 2006). The table keeps at most ``_TABLE_SIZE`` entries and evicts
+by second chance (CLOCK; Corbato, 1968): an entry handed out from the table
+is marked, and eviction moves a marked oldest entry to the newest end with
+its mark cleared and drops the first unmarked one, so the screens a random
+walk comes back to stay. The scripted traversals of the 32 default-fault
 subsets make 127 distinct nodes, so a second pass over them builds, draws and
-hashes nothing (README "Determinism" gives the counts). A wizard keeps, per control id, the entry of its current
-node, which answers an unchanged slot without a table lookup and says where
-a node of its snapshot is drawn. An entry is a tuple; its node never changes
-(``extra_state`` is never mutated after construction) and neither does its
-key, so whichever thread reads it sees what was put in. Two threads may both
-build an entry the table lacks, and each then holds a node equal to the
-other's. What is derived from a wizard's faults and state, not from its
-nodes (the visible faults and the page key), is decided per render. Every
-prompt that shows a screenshot attaches the ``SimScreenshot`` that
-``render`` returned.
+hashes nothing (README "Determinism" gives the counts). A wizard keeps, per
+control id, the entry of its current node, which answers an unchanged slot
+without a table lookup and says where a node of its snapshot is drawn. An
+entry is a list whose last item, the mark, is the one part that changes:
+its key and node never do (``extra_state`` is never mutated after
+construction), nor what the node draws, so whichever thread reads them sees
+what was put in, and a mark lost to a race only changes which entry goes
+next. Two threads may both build an entry the table lacks, and each then
+holds a node equal to the other's. What is derived from a wizard's faults
+and state, not from its nodes (the visible faults and the page key), is
+decided per render. Every prompt that shows a screenshot attaches the
+``SimScreenshot`` that ``render`` returned.
 
 A wizard config is compiled into an immutable layout, the one owner of
 everything a config settles: the pages and modals; every slot with its control
@@ -110,12 +115,14 @@ _FAULT_TRUNCATE_AT = 40
 # The items of a disabled control's extra_state.
 _DISABLED = (("enabled", False),)
 
-# The most entries a layout's node table keeps; past it, the oldest goes.
+# The most entries a layout's node table keeps; to make room, the oldest
+# entry not handed out since it was last passed over goes (see _add).
 # The scripted traversals of the 32 default-fault subsets make 127 distinct
 # nodes, and this leaves room for a few more.
 _TABLE_SIZE = 160
 # Held to add an entry: of two threads that evict at once, one would find the
-# table changed under its iteration or the oldest key gone. Reading needs none.
+# table changed under its iteration or the oldest key gone. Reading and
+# marking an entry need none.
 _TABLE_LOCK = threading.Lock()
 
 
@@ -405,11 +412,15 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
             raise WizardConfigError(f"{where} has {key!r} ({value!r}), which kind {kind_name!r} "
                                     f"never reads; only {', '.join(map(repr, readers))} read it")
     validator = _config_value(obj, "validator", _TEXT_OR_NULL, where, None)
-    if validator is not None and validator not in VALIDATORS:
-        raise WizardConfigError(f"unknown validator {validator!r}")
-    if kind is WidgetKind.CONTAINER and validator not in (None, "at_least_one_item"):
-        raise WizardConfigError(f"{where} 'validator' of kind 'List' must be "
-                                f"'at_least_one_item', got {validator!r}")
+    if validator is not None:
+        if validator not in VALIDATORS:
+            raise WizardConfigError(f"unknown validator {validator!r}")
+        judged = _VALIDATED_KINDS.get(validator, _TEXT_KINDS)
+        if kind not in judged:
+            holders = [name for name, other in _KIND_NAMES.items() if other in judged]
+            raise WizardConfigError(f"{where} has 'validator' ({validator!r}), which judges a "
+                                    f"value kind {kind_name!r} never holds; only "
+                                    f"{', '.join(map(repr, holders))} hold it")
     items = _config_value(obj, "items", list, where, [])
     if not all(isinstance(item, str) for item in items):
         raise WizardConfigError(f"{where} 'items' must all be text: {items!r}")
@@ -423,6 +434,9 @@ def _parse_field(obj: object, where: str) -> FieldSpec:
     items_from = _config_value(obj, "items_from", _TEXT_OR_NULL, where, None)
     if items_from not in (None, "inputs"):
         raise WizardConfigError(f"{where} 'items_from' must be 'inputs', got {items_from!r}")
+    if items_from is not None and "items" in obj:
+        raise WizardConfigError(f"{where} has 'items' ({items!r}) and 'items_from' "
+                                f"({items_from!r}); kind {kind_name!r} lists one or the other")
     # A default is drawn, so it must be a value that the field can be set to.
     toggles = kind is WidgetKind.CHECK_BOX or kind is WidgetKind.RADIO_BUTTON
     default = obj.get("default", False if toggles else "")
@@ -525,6 +539,15 @@ VALIDATORS = {
     "require_checked": _v_require_checked,
     "at_least_one_item": _v_at_least_one_item,
 }
+# The field kinds that hold what a validator judges: a toggle's state, the
+# inputs a list shows, or for every other validator a text. On any other
+# kind a validator judges a value the field never holds, so it always fails
+# or never does.
+_TEXT_KINDS = frozenset({WidgetKind.EDIT, WidgetKind.COMBO_BOX})
+_VALIDATED_KINDS = {
+    "require_checked": frozenset({WidgetKind.CHECK_BOX, WidgetKind.RADIO_BUTTON}),
+    "at_least_one_item": frozenset({WidgetKind.CONTAINER}),
+}
 
 
 _NAV_ROLES = ("back", "next", "finish")
@@ -571,8 +594,8 @@ class _Layout:
     # Input list items take the ids after the last slot, in the order added.
     first_item_id: int
     # The node table (see the module docstring): the one mutable part, and
-    # every entry it hands out is immutable.
-    nodes: dict[tuple, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
+    # of every entry it hands out only the mark changes.
+    nodes: dict[tuple, list] = dc_field(default_factory=dict, repr=False, compare=False)
 
     def control_id_of(self, label: str, page: str | None = None,
                       modal: str | None = None, nav: str | None = None) -> int:
@@ -722,7 +745,7 @@ class SimWizard:
 
         # Per control id: the table entry of its current node (see _reuse).
         # Per (list slot id, position): where that input item is drawn.
-        self._nodes: dict[int, tuple] = {}
+        self._nodes: dict[int, list] = {}
         self._item_rects: dict[tuple[int, int], Rect] = {}
 
         for fault in self.faults:
@@ -981,31 +1004,44 @@ class SimWizard:
         """The node with these fields (WidgetNode's, ``extra`` the items of
         its extra_state), which becomes the current node of its control id:
         the current one again if its key is equal, else the table's entry of
-        the key, and a new node only if the table holds none. A key is the
-        fields with each child's ``id`` in place of the child. That names the
-        child: the entry that holds a key holds its node, and so the node's
-        children, so no other object can take their ids."""
+        the key, marked as used, and a new node only if the table holds none.
+        The mark is a plain store: it neither hashes the key again nor takes
+        the lock. A key is the fields with each child's ``id`` in place of
+        the child. That names the child: the entry that holds a key holds its
+        node, and so the node's children, so no other object can take their
+        ids."""
         key = (class_name, kind, control_id, rect, text, extra,
                children and tuple(map(id, children)))
         entry = self._nodes.get(control_id)
         if entry is None or entry[0] != key:
-            entry = self.layout.nodes.get(key) or self._add(key, WidgetNode(
-                class_name, kind, control_id, rect, text, dict(extra), children))
+            entry = self.layout.nodes.get(key)
+            if entry is None:
+                entry = self._add(key, WidgetNode(
+                    class_name, kind, control_id, rect, text, dict(extra), children))
+            else:
+                entry[-1] = True
             self._nodes[control_id] = entry
         return entry[1]
 
-    def _add(self, key: tuple, node: WidgetNode) -> tuple:
-        """Put a new node in the table, evicting the oldest entry past its
-        bound: ``(key, node, row, col, line)``, where and what the node
-        draws, or for the root ``(key, node, canvas text, canvas digest,
-        tree digest)``."""
-        entry = (key, node, *(self._screen(node) if node.control_id == 0 else (
-            *_cell(node.rectangle.left, node.rectangle.top), self._widget_line(node))))
+    def _add(self, key: tuple, node: WidgetNode) -> list:
+        """Put a new node in the table as an unmarked entry: ``[key, node,
+        row, col, line, mark]``, where and what the node draws, or for the
+        root ``[key, node, canvas text, canvas digest, tree digest, mark]``.
+        Past the bound, second chance makes room: the oldest entry goes if
+        unmarked, and otherwise loses its mark and moves to the newest end.
+        Each pass clears a mark, so one eviction ends within one lap of the
+        table (plus the marks other threads set meanwhile)."""
+        entry = [key, node, *(self._screen(node) if node.control_id == 0 else (
+            *_cell(node.rectangle.left, node.rectangle.top), self._widget_line(node))), False]
         table = self.layout.nodes
         with _TABLE_LOCK:
             table[key] = entry
-            if len(table) > _TABLE_SIZE:
-                del table[next(iter(table))]
+            while len(table) > _TABLE_SIZE:
+                oldest = next(iter(table))
+                kept = table.pop(oldest)
+                if kept[-1]:
+                    kept[-1] = False
+                    table[oldest] = kept
         return entry
 
     def snapshot(self) -> WidgetNode:
@@ -1073,7 +1109,7 @@ class SimWizard:
             self._draw(canvas, top, left + 2, f" {node.text} ")
         else:
             # Only the wizard's own snapshot is drawn, so ``node`` is the current one.
-            _, _, row, col, line = self._nodes[node.control_id]
+            _, _, row, col, line, _ = self._nodes[node.control_id]
             if line:
                 self._draw(canvas, row, col, line)
         for child in node.sub_elements:
@@ -1094,7 +1130,7 @@ class SimWizard:
     def render(self) -> SimScreenshot:
         """Deterministic text render of the current state; digest is stable."""
         tree = self.snapshot()
-        _, _, rendered, digest, tree_digest = self._nodes[0]
+        _, _, rendered, digest, tree_digest, _ = self._nodes[0]
         return SimScreenshot(page_key=self._page_key(), rendered=rendered,
                              digest=digest, tree=tree,
                              visible_faults=self._observable_fault_indices(),

@@ -193,6 +193,17 @@ UNUSABLE_FIELD_VALUES = [
     # A list's own value never changes: Next failed even with an input added.
     pytest.param(("pages", 1, "fields", 2, "validator"), "non_empty", "List",
                  id="list-validator"),
+    # A toggle holds no text, and an Edit is never checked: Next failed forever.
+    pytest.param(("pages", 4, "fields", 1, "validator"), "non_empty", "CheckBox",
+                 id="checkbox-text-validator"),
+    pytest.param(("pages", 0, "fields", 1, "validator"), "require_checked", "Edit",
+                 id="edit-require-checked"),
+    # Judged the wizard's inputs, not the Edit's text.
+    pytest.param(("pages", 0, "fields", 1, "validator"), "at_least_one_item", "Edit",
+                 id="edit-at-least-one-item"),
+    # A ComboBox that lists the inputs ignored its own items.
+    pytest.param(("pages", 3, "fields", 1, "items"), ["File"], "ComboBox",
+                 id="combo-items-and-items-from"),
     # Silently ignored.
     pytest.param(("pages", 0, "fields", 1, "text"), "Name", "Edit", id="edit-text"),
     pytest.param(("pages", 0, "fields", 1, "group"), "tool_type", "Edit", id="edit-group"),
@@ -218,6 +229,15 @@ def test_a_field_value_its_kind_cannot_use_is_a_construction_error_naming_it(pat
     message = str(info.value)
     for part in (f"wizard page {path[1]} field {path[3]} ", f"'{path[4]}'", f"kind '{kind}'"):
         assert part in message
+    if path[4] == "validator":
+        assert repr(value) in message
+
+
+def test_a_combo_box_with_items_and_items_from_is_a_construction_error_naming_both():
+    config = _config_with(("pages", 3, "fields", 1, "items"), [])
+    with pytest.raises(WizardConfigError, match=re.escape(
+            "wizard page 3 field 1 has 'items' ([]) and 'items_from' ('inputs')")):
+        new_wizard(config=config)
 
 
 def test_a_button_in_a_modal_may_open_a_modal():
@@ -1136,6 +1156,40 @@ def test_a_long_random_run_keeps_the_table_within_its_bound(cold_default_layout)
     assert len(cold_default_layout.nodes) == simulator._TABLE_SIZE
 
 
+def test_the_table_gives_a_handed_out_entry_a_second_chance(cold_default_layout):
+    """Past the bound, the oldest entry that was handed out from the table
+    moves to the newest end, unmarked, and the oldest unmarked one goes."""
+    sim = new_wizard()
+    table = cold_default_layout.nodes
+
+    def static(text: str) -> WidgetNode:  # on a control id no slot has
+        return sim._reuse("Static", WidgetKind.STATIC, 10**6, ROOT_RECT, text, ())
+
+    nodes = [static(f"entry {n}") for n in range(simulator._TABLE_SIZE)]
+    keys = list(table)
+    assert len(keys) == simulator._TABLE_SIZE
+    assert static("entry 0") is nodes[0]  # the wizard's current node differs: a hit
+    assert table[keys[0]][-1] is True
+    static("one past the bound")
+    new_key = list(table)[-2]
+    assert list(table) == [*keys[2:], new_key, keys[0]]
+    assert table[keys[0]][-1] is False
+    static("two past the bound")
+    assert list(table) == [*keys[3:], new_key, keys[0], list(table)[-1]]
+
+
+def test_random_runs_build_a_pinned_number_of_nodes(monkeypatch, cold_default_layout):
+    """Four 800-step random runs, one after another on one table, build 0.85
+    nodes per iteration; first in first out built 3713 (1.16)."""
+    built = []
+    init = WidgetNode.__post_init__
+    monkeypatch.setattr(WidgetNode, "__post_init__", lambda node: built.append(node) or init(node))
+    iterations = sum(len(run(RunConfig(controller="random", evaluator="oracle", seed=seed,
+                                       max_iterations=800, faults=default_fault_set())).iterations)
+                     for seed in range(4))
+    assert (len(built), iterations) == (2723, 3200)
+
+
 def test_threads_sharing_the_table_record_what_runs_alone_record(monkeypatch):
     """Four random runs with different fault subsets, each alone on a layout
     of its own, then at once on one shared layout, switching threads often:
@@ -1218,14 +1272,15 @@ def test_default_wizards_share_the_layout_but_not_the_state():
     assert _view(second) == _view(new_wizard(faults, default_wizard_config()))
     assert second.values != driven.values
     assert second.layout is driven.layout
-    # What is shared is immutable by type, but for the node table, which
-    # hands out immutable entries: a key, its node and what the node draws.
+    # What is shared is immutable by type, but for the node table, whose
+    # entries hold a key, its node, what the node draws, and last the mark,
+    # the one part of an entry that changes.
     layout = second.layout
     assert [field.name for field in dataclasses.fields(layout)
             if type(getattr(layout, field.name)) is dict] == ["nodes"]
     root = second.snapshot()
     entry = next(entry for entry in layout.nodes.values() if entry[1] is root)
-    assert type(entry) is tuple and type(entry[0]) is tuple
+    assert type(entry) is list and type(entry[0]) is tuple and type(entry[-1]) is bool
     with pytest.raises(dataclasses.FrozenInstanceError):
         root.text = "changed"
     with pytest.raises(dataclasses.FrozenInstanceError):
