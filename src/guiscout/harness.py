@@ -295,7 +295,10 @@ class RunWriter:
         if digest not in self._written:
             self._written.add(digest)
             data = text.encode("utf-8")
-            self._blobs.write(b"%s %d\n%s\n" % (digest.encode("ascii"), len(data), data))
+            # Head, bytes and newline one after another: no second copy of the bytes.
+            self._blobs.write(b"%s %d\n" % (digest.encode("ascii"), len(data)))
+            self._blobs.write(data)
+            self._blobs.write(b"\n")
 
     def append_iteration(self, record: IterationRecord) -> None:
         # The pack first: a complete line names only digests already on disk.
@@ -341,8 +344,9 @@ class RunSession:
         self.evaluator = _build_evaluator(config, self.sim)
         self.log = ActionLog()
         # Tree digest -> the resume point of the last controller prompt shown
-        # with that GUI. It is exact because the task, docs and budget are
-        # fixed here and the log only grows (see the prompts module).
+        # with that GUI, an offset into the log text. It is exact because the
+        # task, docs and budget are fixed here and the log only grows (see
+        # the prompts module).
         self._prompt_prefixes: dict[str, HashedPrefix] = {}
         self.writer: RunWriter | None = None
         echo = config.echo()

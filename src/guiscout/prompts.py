@@ -7,32 +7,38 @@ blank lines, and golden files in the test suite pin the bytes. A prompt
 attaches the ``SimScreenshot`` objects the wizard rendered, not copies.
 
 A prompt's digest is the sha256 of its UTF-8 text. SHA-256 is a streaming
-hash, so a prompt need not hash a prefix of its text whose state it is given
-(a ``HashedPrefix``): it copies that state and feeds only the rest. Every
-prompt starts from the state of its constant head (the controller's Role and
-task header; the evaluator's Role, Task, Output and action header). A
-controller prompt can also start from the state of an earlier one, cut just
-after that prompt's last log entry, and that is exact when the earlier
-prompt's text up to the cut is a prefix of the new text:
+hash, so the builders feed it the prompt's parts in order and never join
+the text for it. A run that stores no prompt and sends none to a model
+reads only digests, so a prompt joins its text and its section bodies only
+when they are read (``RunWriter.write_prompt``, ``RemoteAgent``, the tests).
 
-- Within one run the task, the documentation (a read-only mapping from
-  page key to page text) and the budget are fixed, so every character
-  before the log is a function of the widget tree: the page, and with it
-  the documentation, is in the tree. Two prompts with the same tree digest
-  agree up to the log.
-- The log only grows, by whole entries, and the cut comes before its closing
-  ``]`` (and the newline before it), so the later log text extends the cut.
-- A state counts the characters it covers, and the text is cut by
-  characters, never inside one, so a non-ASCII task works too. What is fed
-  after a cut, log fragments and the closing, is ASCII anyway, because
-  ``json.dumps`` escapes every other character.
+- The evaluator prompt goes on from the state of its constant head (Role,
+  Task, Output and the action header) and feeds the explanation and the
+  closing.
+- The controller prompt's head is everything before its log: Role, Task,
+  Documentation, GUI, Action and the log header. It is a function of the
+  task, the documentation page and the GUI text, so its state is hashed once
+  per process and kept in one cache of ``_HEAD_CACHE_SIZE`` entries, which
+  every run, replay and thread shares. The digest copies that state and
+  feeds the log text and the closing.
+- A controller prompt can instead go on from an earlier one's
+  ``resume_point``: the state of that prompt's text up to an offset into its
+  log text, just after the log's last entry (or the ``[`` of an empty log).
+  That is exact when the two prompts share the head and the earlier log
+  text up to the cut is a prefix of the new one. Within one run the task,
+  the documentation and the budget are fixed, and the page, and with it the
+  documentation, is in the tree, so two prompts with the same tree digest
+  share the head. The log only grows, by whole entries, and the cut comes
+  before its closing ``]`` (and the newline before it). The log text is
+  ASCII, because ``json.dumps`` escapes every other character, so an offset
+  into it counts characters and bytes alike.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Iterable, Mapping
-from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING
 
 from .actions import ActionLog, ActionLogEntry, format_log
@@ -46,55 +52,57 @@ class MissingAttachmentError(ValueError):
     """A screenshot required by the prompt is absent."""
 
 
-#: ``(state, length)``: the sha256 state of a text's first ``length``
-#: characters. The state is never updated; whoever goes on from it hashes a copy.
+#: ``(state, offset)``: the sha256 state of a controller prompt's text up to
+#: ``offset`` characters into its log text. The state is never updated;
+#: whoever goes on from it hashes a copy.
 HashedPrefix = tuple["hashlib._Hash", int]
 
 
-def _hashed_prefix(text: str) -> HashedPrefix:
-    return hashlib.sha256(text.encode("utf-8")), len(text)
-
-
-_EMPTY_PREFIX = _hashed_prefix("")
-
-
-@dataclass(frozen=True)
 class PromptDocument:
-    """An ordered list of named sections plus up to two attached screenshots.
+    """An ordered list of named sections plus up to two attached screenshots,
+    and ``digest``, the sha256 hex digest of the UTF-8 text.
 
-    ``hashed`` is the state of a prefix of the text, which the digest goes on
-    from; the caller vouches that the text starts with what it covers.
-    ``resume_point`` is the state of the whole text but its last ``tail``
-    characters, for a later prompt whose text extends that much of this one.
+    Built from ``sections``, a prompt hashes their joined text. The builders
+    below give the digest they fed from the parts instead, and each body as
+    the pieces it is made of; ``text()`` and ``sections`` join them when
+    read. A controller prompt's ``resume_point`` is the ``HashedPrefix`` for
+    a later prompt that goes on from it; any other prompt has none.
     """
 
-    sections: tuple[tuple[str, str], ...]
-    attachments: tuple[SimScreenshot, ...] = ()
-    hashed: InitVar[HashedPrefix] = _EMPTY_PREFIX
-    tail: InitVar[int] = 0
+    __slots__ = ("attachments", "digest", "resume_point", "_names", "_pieces", "_text")
 
-    def __post_init__(self, hashed: HashedPrefix, tail: int) -> None:
-        if len(self.attachments) > 2:
+    def __init__(self, sections: Iterable[tuple[str, str]],
+                 attachments: tuple[SimScreenshot, ...] = ()) -> None:
+        if len(attachments) > 2:
             raise ValueError("a prompt carries at most two attachments")
-        # Every prompt is written and hashed, so both are derived once, here:
-        # the section bodies joined by blank lines, and the sha256 hex digest
-        # of their UTF-8 bytes, fed from the end of ``hashed`` on.
-        text = "\n\n".join(body for _, body in self.sections)
-        prefix, start = hashed
-        cut = len(text) - tail
-        state = prefix.copy()
-        state.update(text[start:cut].encode("utf-8"))
-        # The tail goes to a copy, so that ``state`` stays at the cut. (The
-        # copy is also faster to feed: a state once fed 2 KiB or more at a
-        # time takes a lock on every later call.)
-        final = state.copy() if tail else state
-        final.update(text[cut:].encode("utf-8"))
-        object.__setattr__(self, "resume_point", (state, cut))
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "digest", final.hexdigest())
+        sections = tuple(sections)
+        self._names = tuple(name for name, _ in sections)
+        self._pieces = tuple((body,) for _, body in sections)
+        self._text = None
+        self.attachments = tuple(attachments)
+        self.resume_point: HashedPrefix | None = None
+        self.digest = hashlib.sha256(self.text().encode("utf-8")).hexdigest()
+
+    @classmethod
+    def _assembled(cls, names: tuple[str, ...], pieces: tuple[tuple[str, ...], ...],
+                   attachments: tuple[SimScreenshot, ...], digest: str,
+                   resume_point: HashedPrefix | None = None) -> PromptDocument:
+        """A prompt whose ``digest`` the caller fed from ``pieces``, in order,
+        with blank lines between the sections."""
+        prompt = cls.__new__(cls)
+        prompt._names, prompt._pieces, prompt._text = names, pieces, None
+        prompt.attachments, prompt.digest, prompt.resume_point = attachments, digest, resume_point
+        return prompt
+
+    @property
+    def sections(self) -> tuple[tuple[str, str], ...]:
+        """The ``(name, body)`` pairs, in order."""
+        return tuple(zip(self._names, map("".join, self._pieces)))
 
     def text(self) -> str:
-        """The section bodies joined by blank lines."""
+        """The section bodies joined by blank lines, joined when first read."""
+        if self._text is None:
+            self._text = "\n\n".join(map("".join, self._pieces))
         return self._text
 
 
@@ -185,12 +193,43 @@ EVALUATOR_ACTION_HEADER = "The action performed between the two images was was:"
 
 EVALUATOR_CLOSING = "Are there any problems with the GUI after the action was performed?"
 
-_CLOSING_LENGTH = len("\n\n" + CONTROLLER_CLOSING)
+DOC_HEADER = "Documentation:\n"
 
-# The constant head of each prompt's text, hashed once per process.
-_CONTROLLER_HEAD = _hashed_prefix(CONTROLLER_ROLE + "\n\n" + TASK_HEADER)
-_EVALUATOR_HEAD = _hashed_prefix("\n\n".join(
-    (EVALUATOR_ROLE, EVALUATOR_TASK, EVALUATOR_OUTPUT, EVALUATOR_ACTION_HEADER + "\n")))
+LOG_HEADER = "The previous actions:\n"
+
+_CONTROLLER_SECTIONS = ("Role", "Task", "Documentation", "GUI", "Action", "ActionLog", "Closing")
+
+_EVALUATOR_SECTIONS = ("Role", "Task", "Output", "Action", "Closing")
+
+# What each prompt feeds its hash around its variable parts: the state of
+# its constant head, then the text between two variable parts, as bytes.
+_CONTROLLER_HEAD = hashlib.sha256((CONTROLLER_ROLE + "\n\n" + TASK_HEADER).encode("utf-8"))
+_AFTER_TASK = ("\n\n" + DOC_HEADER).encode("utf-8")
+_AFTER_DOCUMENTATION = ("\n\n" + GUI_HEADER).encode("utf-8")
+_AFTER_GUI = ("\n\n" + CONTROLLER_ACTION + "\n\n" + LOG_HEADER).encode("utf-8")
+_AFTER_EMPTY_LOG = ("]\n\n" + CONTROLLER_CLOSING).encode("utf-8")
+_AFTER_LOG = ("\n]\n\n" + CONTROLLER_CLOSING).encode("utf-8")
+_EVALUATOR_HEAD = hashlib.sha256("\n\n".join(
+    (EVALUATOR_ROLE, EVALUATOR_TASK, EVALUATOR_OUTPUT, EVALUATOR_ACTION_HEADER + "\n")
+).encode("utf-8"))
+_AFTER_EXPLANATION = ("\n\n" + EVALUATOR_CLOSING).encode("utf-8")
+
+# The most controller-prompt heads the process keeps hashed; the least
+# recently used goes first. The scripted traversals of the 32 default-fault
+# subsets show 45 GUIs, and this leaves room for a few more. An entry keeps
+# its GUI text alive, a few KB, also after the node table drops the node.
+_HEAD_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_HEAD_CACHE_SIZE)
+def _controller_head(task: str, documentation: str, gui: str) -> hashlib._Hash:
+    """The sha256 state of a controller prompt's text up to its log. It is
+    never updated; whoever goes on from it hashes a copy."""
+    state = _CONTROLLER_HEAD.copy()
+    for part in (task.encode("utf-8"), _AFTER_TASK, documentation.encode("utf-8"),
+                 _AFTER_DOCUMENTATION, gui.encode("utf-8"), _AFTER_GUI):
+        state.update(part)
+    return state
 
 
 def select_documentation(
@@ -224,23 +263,27 @@ def build_controller_prompt(
     ``[`` of an empty log. ``resume`` is the ``resume_point`` of an earlier
     prompt with the same task, documentation, budget and tree, whose log this
     log extends; the digest then hashes only the entries appended since and
-    the closing. Without it, the digest goes on from the constant head.
+    the closing. Without it, the digest goes on from the process's hashed
+    head for this task, documentation and GUI.
     """
     log_text = format_log(log)
-    sections = (
-        ("Role", CONTROLLER_ROLE),
-        ("Task", TASK_HEADER + task),
-        ("Documentation", "Documentation:\n" + select_documentation(docs, tree, doc_budget)),
-        ("GUI", GUI_HEADER + serialize_tree(tree)),
-        ("Action", CONTROLLER_ACTION),
-        ("ActionLog", "The previous actions:\n" + log_text),
-        ("Closing", CONTROLLER_CLOSING),
-    )
-    attachments = (screenshot,) if screenshot is not None else ()
+    documentation = select_documentation(docs, tree, doc_budget)
+    gui = serialize_tree(tree)
+    state, start = resume or (_controller_head(task, documentation, gui), 0)
     # The log text ends in "[]" when empty and in "\n]" otherwise.
-    tail = (1 if log_text == "[]" else 2) + _CLOSING_LENGTH
-    return PromptDocument(sections=sections, attachments=attachments,
-                          hashed=resume or _CONTROLLER_HEAD, tail=tail)
+    empty = log_text == "[]"
+    cut = len(log_text) - (1 if empty else 2)
+    point = state.copy()
+    point.update(log_text[start:cut].encode("ascii"))
+    # The rest goes to a copy, so that ``point`` stays at the cut.
+    final = point.copy()
+    final.update(_AFTER_EMPTY_LOG if empty else _AFTER_LOG)
+    pieces = ((CONTROLLER_ROLE,), (TASK_HEADER, task), (DOC_HEADER, documentation),
+              (GUI_HEADER, gui), (CONTROLLER_ACTION,), (LOG_HEADER, log_text),
+              (CONTROLLER_CLOSING,))
+    attachments = (screenshot,) if screenshot is not None else ()
+    return PromptDocument._assembled(_CONTROLLER_SECTIONS, pieces, attachments,
+                                     final.hexdigest(), (point, cut))
 
 
 def build_evaluator_prompt(
@@ -251,11 +294,10 @@ def build_evaluator_prompt(
     """Assemble the evaluator prompt for one before/after screenshot pair."""
     if before is None or after is None:
         raise MissingAttachmentError("the evaluator prompt needs both a before and an after image")
-    sections = (
-        ("Role", EVALUATOR_ROLE),
-        ("Task", EVALUATOR_TASK),
-        ("Output", EVALUATOR_OUTPUT),
-        ("Action", EVALUATOR_ACTION_HEADER + "\n" + action_explanation),
-        ("Closing", EVALUATOR_CLOSING),
-    )
-    return PromptDocument(sections=sections, attachments=(before, after), hashed=_EVALUATOR_HEAD)
+    state = _EVALUATOR_HEAD.copy()
+    state.update(action_explanation.encode("utf-8"))
+    state.update(_AFTER_EXPLANATION)
+    pieces = ((EVALUATOR_ROLE,), (EVALUATOR_TASK,), (EVALUATOR_OUTPUT,),
+              (EVALUATOR_ACTION_HEADER, "\n", action_explanation), (EVALUATOR_CLOSING,))
+    return PromptDocument._assembled(_EVALUATOR_SECTIONS, pieces, (before, after),
+                                     state.hexdigest())

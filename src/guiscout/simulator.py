@@ -69,7 +69,7 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .actions import ActionCommand, format_action
 from .widgets import ActionVerb, ITEMS_SEPARATOR, KIND_VERBS, Rect, WidgetKind, WidgetNode, \
@@ -549,6 +549,9 @@ _VALIDATED_KINDS = {
     "at_least_one_item": frozenset({WidgetKind.CONTAINER}),
 }
 
+
+# What a validator reads of a wizard that has no inputs yet.
+_NO_INPUTS = SimpleNamespace(inputs=())
 
 _NAV_ROLES = ("back", "next", "finish")
 
@@ -1193,6 +1196,21 @@ def _compile(config: object) -> _Layout:
             if field.opens is not None and field.opens not in modals:
                 raise WizardConfigError(f"{where} field {row} 'opens' names no modal: "
                                         f"{field.opens!r}")
+    # A List, and a ComboBox that lists the inputs, hold only their default
+    # until an input exists, and only a modal adds one. If the validator of
+    # such a field fails on that default, its page can only be left once a
+    # Button on it or on a page before it has opened a modal.
+    for index, page in enumerate(pages):
+        if any(field.opens is not None for field in page.fields):
+            break
+        for row, field in enumerate(page.fields):
+            if (field.validator is not None
+                    and (field.kind is WidgetKind.CONTAINER or field.items_from is not None)
+                    and VALIDATORS[field.validator](_NO_INPUTS, field, field.default)):
+                raise WizardConfigError(
+                    f"wizard page {index} field {row} ({field.label!r}) has 'validator' "
+                    f"({field.validator!r}), which fails until an input exists, but no Button "
+                    f"on page {index} or before it opens a modal that adds one")
     return _lay_out(_config_value(config, "title", str, "wizard config", WIZARD_TITLE),
                     tuple(pages), modals)
 
@@ -1220,8 +1238,10 @@ def new_wizard(faults: list[FaultSpec] | None = None,
     on an Edit or a ComboBox, or on a ComboBox neither ``""`` nor one of its
     ``items``, two RadioButtons of one group that default to true, a
     ``computed`` other than ``"summary"``, an ``items_from`` other than
-    ``"inputs"``, an ``opens`` that names no modal, or a fault that targets
-    no field of the kind it changes, raises WizardConfigError.
+    ``"inputs"``, an ``opens`` that names no modal, a List or ``items_from``
+    ComboBox whose validator fails before any input exists on a page that
+    no Button up to it opens a modal from, or a fault that targets no field
+    of the kind it changes, raises WizardConfigError.
     """
     return SimWizard(_DEFAULT_LAYOUT if config is None else _compile(config), faults or [])
 

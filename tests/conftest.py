@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from guiscout import simulator
+from guiscout import prompts, simulator
 from guiscout.harness import IterationRecord, RunRecord, RunWriter
 from guiscout.triage import FALSE_POSITIVE, TRUE_POSITIVE, Label, LabelFile
 from guiscout.widgets import WidgetNode
@@ -43,6 +43,16 @@ def cold_default_layout(monkeypatch):
     layout = simulator._compile(simulator.default_wizard_config())
     monkeypatch.setattr(simulator, "_DEFAULT_LAYOUT", layout)
     return layout
+
+
+@pytest.fixture
+def cold_prompt_heads():
+    """The process's cache of hashed controller-prompt heads, emptied before
+    and after one test: what a test counts is then not what earlier tests
+    hashed, and what it hashed stays out of later tests."""
+    prompts._controller_head.cache_clear()
+    yield prompts._controller_head
+    prompts._controller_head.cache_clear()
 
 
 RUN_SIZES = [84] * 8 + [80]  # 752 total

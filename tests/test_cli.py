@@ -4,8 +4,10 @@ import shutil
 import pytest
 
 from guiscout.cli import main
+from guiscout.harness import load_record
 from conftest import write_funnel_dirs
-from test_simulator import UNUSABLE_FIELD_VALUES, _config_with
+from test_simulator import UNUSABLE_FIELD_VALUES, _config_with, _inputs_combo_on_the_first_page, \
+    _inputs_list_on_the_first_page
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -15,6 +17,19 @@ def test_run_smoke(tmp_path, capsys):
     assert code == 0
     assert (out / "run-000" / "header.json").is_file()
     assert "1 run(s)" in capsys.readouterr().out
+
+
+def test_a_two_run_scripted_campaign_records_the_traversal_twice(tmp_path):
+    """Both runs share the process's node table and prompt heads, and record
+    the same 31 iterations, ending on the Finish page."""
+    out = tmp_path / "runs"
+    assert main(["run", "--controller", "scripted", "--runs", "2", "--out", str(out)]) == 0
+    first, second = (load_record(out / run_id) for run_id in ("run-000", "run-001"))
+    for record in (first, second):
+        assert len(record.iterations) == 31, record.run_id
+        assert record.iterations[-1].page_key == "finish", record.run_id
+    assert ([it.fingerprint() for it in first.iterations]
+            == [it.fingerprint() for it in second.iterations])
 
 
 @pytest.mark.parametrize("flag, message", [("--runs", "--runs"), ("--jobs", "jobs")])
@@ -535,8 +550,13 @@ def _misspelt_opens_wizard() -> dict:
      "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
     {"wizard": _misspelt_opens_wizard(),
      "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
+    {"wizard": _inputs_list_on_the_first_page(),
+     "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
+    {"wizard": _inputs_combo_on_the_first_page("non_empty"),
+     "controller_script": ['{"action": "click(999)", "explanation": "probe"}']},
 ], ids=["malformed-wizard", "empty-wizard", "fault-naming-no-field",
-        "fault-changing-nothing-shown", "two-lists-on-a-page", "button-opening-no-modal"])
+        "fault-changing-nothing-shown", "two-lists-on-a-page", "button-opening-no-modal",
+        "inputs-list-before-its-button", "inputs-combo-before-its-button"])
 def test_run_malformed_wizard_config_exits_one(tmp_path, capsys, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")

@@ -26,7 +26,7 @@ from guiscout.harness import (
     run,
     run_many,
 )
-from guiscout.prompts import DEFAULT_DOC_BUDGET
+from guiscout.prompts import DEFAULT_DOC_BUDGET, PromptDocument
 from guiscout.simulator import FaultKind, FaultSpec, SimWizard, default_fault_set, \
     full_traversal_script, new_wizard
 from guiscout.widgets import ActionVerb
@@ -175,10 +175,11 @@ class _CountingSha256:
         return self.state.hexdigest()
 
 
-def test_a_long_random_run_hashes_at_most_half_its_controller_prompt_bytes(monkeypatch):
+def test_a_long_random_run_hashes_at_most_half_its_controller_prompt_bytes(monkeypatch,
+                                                                          cold_prompt_heads):
     fed, total = [0], [0]
-    head = prompts._CONTROLLER_HEAD
-    monkeypatch.setattr(prompts, "_CONTROLLER_HEAD", (_CountingSha256(head[0], fed), head[1]))
+    monkeypatch.setattr(prompts, "_CONTROLLER_HEAD",
+                        _CountingSha256(prompts._CONTROLLER_HEAD, fed))
     build = harness.build_controller_prompt
 
     def counted(*args, **kwargs):
@@ -193,6 +194,41 @@ def test_a_long_random_run_hashes_at_most_half_its_controller_prompt_bytes(monke
                            faults=default_fault_set()))
     assert len(record.iterations) == 800
     assert fed[0] <= total[0] / 2, (fed[0], total[0])
+
+
+def _subset_configs() -> list[RunConfig]:
+    """The scripted traversal over each of the 32 subsets of the default faults."""
+    return [RunConfig(controller="scripted", evaluator="oracle", run_id=f"subset-{mask:02d}",
+                      faults=[replace(fault, active=bool(mask >> bit & 1))
+                              for bit, fault in enumerate(default_fault_set())])
+            for mask in range(32)]
+
+
+def test_the_fault_subset_traversals_hash_each_gui_head_once(cold_prompt_heads):
+    """The 32 traversals show 45 GUIs. From an empty cache each one's head is
+    hashed once, at its first prompt. A run's first prompt for a GUI takes
+    the head from the cache, and its later ones go on from a resume point."""
+    records = [run(config) for config in _subset_configs()]
+    guis = {it.tree_digest for record in records for it in record.iterations}
+    firsts = sum(len({it.tree_digest for it in record.iterations}) for record in records)
+    builds = sum(len(record.iterations) for record in records)
+    info = cold_prompt_heads.cache_info()
+    assert (len(guis), firsts, builds) == (45, 816, 992)
+    assert (info.misses, info.hits) == (len(guis), firsts - len(guis))
+
+
+def test_only_a_persisted_run_joins_prompt_text(tmp_path, monkeypatch):
+    """An in-memory run reads only digests; a persisted one joins the text of
+    both prompts of every iteration, to store them."""
+    calls = []
+    text = PromptDocument.text
+    monkeypatch.setattr(PromptDocument, "text", lambda prompt: calls.append(prompt) or text(prompt))
+    config = RunConfig(controller="random", evaluator="oracle", seed=3, max_iterations=60,
+                       faults=default_fault_set())
+    assert len(run(config).iterations) == 60
+    assert calls == []
+    record = run(replace(config, out_dir=tmp_path))
+    assert len(calls) == 2 * len(record.iterations) == 120
 
 
 def test_evaluator_gets_only_the_current_explanation(tmp_path):

@@ -2,19 +2,23 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from guiscout.actions import ActionLog, ActionLogEntry
+from guiscout.actions import ARG_VERBS, ActionCommand, ActionLog, ActionLogEntry, format_action
 from guiscout.harness import DEFAULT_TASK
 from guiscout import prompts
 from guiscout.prompts import (
+    DEFAULT_DOC_BUDGET,
     MissingAttachmentError,
     PromptDocument,
     build_controller_prompt,
     build_evaluator_prompt,
     select_documentation,
 )
-from guiscout.simulator import CPACS_DOC, SimScreenshot, default_doc_corpus, new_wizard
-from guiscout.widgets import Rect, WidgetKind, WidgetNode
+from guiscout.simulator import CPACS_DOC, SimScreenshot, default_doc_corpus, default_fault_set, \
+    new_wizard
+from guiscout.widgets import ActionVerb, Rect, WidgetKind, WidgetNode, possible_actions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -161,36 +165,120 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("task", [DEFAULT_TASK, "Prüfe den Assistenten — Überblick ✓ 中文"])
+NON_ASCII_TASK = "Prüfe den Assistenten — Überblick ✓ 中文"
+
+
+@pytest.mark.parametrize("task", [DEFAULT_TASK, NON_ASCII_TASK])
 def test_a_prompt_resumed_from_an_earlier_one_has_the_digest_of_its_text(task):
     log = ActionLog()
     first = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log)
     point = first.resume_point
-    # Cut after the "[" of the empty log: the state covers the text up to it.
-    assert first.text()[:point[1]].endswith("The previous actions:\n[")
+    # Cut after the "[" of the empty log: an offset into the log text, whose
+    # state covers the prompt's text up to that "[".
+    head = first.text()[:len(first.text()) - len(log.text) - len("\n\n" + prompts.CONTROLLER_CLOSING)]
+    assert head.endswith("\n\nThe previous actions:\n")
+    assert log.text[:point[1]] == "["
+    assert point[0].hexdigest() == sha256_hex(head + "[")
     for step in range(3):
         log.append(ActionLogEntry(f"click({step})", f"step {step} → „next“", "executed"))
         resumed = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log, resume=point)
         fresh = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log)
         assert resumed.text() == fresh.text()
         assert resumed.digest == fresh.digest == sha256_hex(fresh.text())
-        assert resumed.text()[:resumed.resume_point[1]].endswith("\n  }")
         point = resumed.resume_point
+        assert point[1] == len(log.text) - 2 and log.text[:point[1]].endswith("\n  }")
+        assert point[0].hexdigest() == sha256_hex(head + log.text[:point[1]])
     # The same log again, as after a controller that gave no answer.
     again = build_controller_prompt(task, FIXTURE_CORPUS, FIXTURE_TREE, log, resume=point)
     assert again.digest == sha256_hex(again.text())
 
 
 @pytest.mark.parametrize("task, docs", [(DEFAULT_TASK, FIXTURE_CORPUS), ("", {})])
-def test_each_constant_head_state_is_the_state_of_its_prompts_first_characters(task, docs):
+def test_each_head_state_is_the_state_of_its_prompts_first_characters(task, docs,
+                                                                      cold_prompt_heads):
     controller = build_controller_prompt(task, docs, FIXTURE_TREE, [], doc_budget=0)
-    evaluator = build_evaluator_prompt("", shot(), shot())
-    for prompt, (state, length) in ((controller, prompts._CONTROLLER_HEAD),
-                                    (evaluator, prompts._EVALUATOR_HEAD)):
-        assert state.hexdigest() == sha256_hex(prompt.text()[:length])
+    evaluator = build_evaluator_prompt("ü", shot(), shot())
+    text = controller.text()
+    cut = len(text) - len("[]\n\n" + prompts.CONTROLLER_CLOSING)
+    head = cold_prompt_heads(task, "", prompts.serialize_tree(FIXTURE_TREE))
+    assert cold_prompt_heads.cache_info().hits == 1
+    assert head.hexdigest() == sha256_hex(text[:cut])
+    text = evaluator.text()
+    cut = len(text) - len("ü\n\n" + prompts.EVALUATOR_CLOSING)
+    assert prompts._EVALUATOR_HEAD.hexdigest() == sha256_hex(text[:cut])
+    for prompt in (controller, evaluator):
         assert prompt.digest == sha256_hex(prompt.text())
     hand_built = PromptDocument(sections=(("Role", "x"), ("Task", "ü")))
     assert hand_built.digest == sha256_hex("x\n\nü")
+    assert hand_built.sections == (("Role", "x"), ("Task", "ü"))
+
+
+def test_the_head_cache_keys_each_head_by_task_documentation_and_gui(cold_prompt_heads):
+    """Prompts that differ only in the task, the documentation or the GUI
+    each get a head of their own, built cold and again warm."""
+    sim = new_wizard()
+    other_tree = sim.snapshot()
+    cases = [(DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, DEFAULT_DOC_BUDGET),
+             (NON_ASCII_TASK, FIXTURE_CORPUS, FIXTURE_TREE, DEFAULT_DOC_BUDGET),
+             (DEFAULT_TASK, FIXTURE_CORPUS, FIXTURE_TREE, 10),
+             (DEFAULT_TASK, {}, FIXTURE_TREE, DEFAULT_DOC_BUDGET),
+             (DEFAULT_TASK, FIXTURE_CORPUS, other_tree, DEFAULT_DOC_BUDGET)]
+    for _ in range(2):
+        digests = {_joined_and_hashed(build_controller_prompt(task, docs, tree, FIXTURE_LOG,
+                                                              doc_budget=budget))
+                   for task, docs, tree, budget in cases}
+        assert len(digests) == len(cases)
+    assert cold_prompt_heads.cache_info()[:2] == (len(cases), len(cases))
+
+
+def _joined_and_hashed(prompt: PromptDocument) -> str:
+    text = prompt.text()
+    assert text == "\n\n".join(body for _, body in prompt.sections)
+    assert prompt.digest == sha256_hex(text)
+    return prompt.digest
+
+
+# Each example empties the cache itself; the fixture empties it after the last.
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(task=st.one_of(st.just(NON_ASCII_TASK), st.text(max_size=30)),
+       walk=st.lists(st.tuples(st.integers(0, 10**6), st.text(max_size=12),
+                               st.one_of(st.just("weiter → „Next“"), st.text(max_size=30))),
+                     max_size=25),
+       attach=st.booleans())
+def test_every_prompt_of_a_walk_has_the_digest_of_its_joined_sections(cold_prompt_heads, task,
+                                                                       walk, attach):
+    """Any command walk, built with and without a resume point, from a cold
+    head cache and again from a warm one (the second pass hashes no head)."""
+    docs = default_doc_corpus()
+    passes = []
+    cold_prompt_heads.cache_clear()
+    for _ in range(2):
+        misses = cold_prompt_heads.cache_info().misses
+        sim = new_wizard(default_fault_set())
+        log, points, digests = ActionLog(), {}, []
+        before = sim.render()
+        for pick, arg, explanation in walk:
+            attached = before if attach else None
+            resumed = build_controller_prompt(task, docs, before.tree, log, screenshot=attached,
+                                              resume=points.get(before.tree_digest))
+            points[before.tree_digest] = resumed.resume_point
+            fresh = build_controller_prompt(task, docs, before.tree, log, screenshot=attached)
+            assert _joined_and_hashed(resumed) == _joined_and_hashed(fresh)
+            assert resumed.attachments == fresh.attachments == ((before,) if attach else ())
+            action = possible_actions(before.tree)[pick % len(possible_actions(before.tree))]
+            if action.verb is ActionVerb.SELECT:
+                arg = action.choices[pick % len(action.choices)] if action.choices else arg
+            cmd = ActionCommand(action.verb, action.control_id,
+                                arg if action.verb in ARG_VERBS else None)
+            log.append(ActionLogEntry(format_action(cmd), explanation, sim.execute(cmd).status))
+            after = sim.render()
+            evaluator = build_evaluator_prompt(explanation, before, after)
+            digests += [resumed.digest, _joined_and_hashed(evaluator)]
+            before = after
+        passes.append(digests)
+    assert passes[0] == passes[1]
+    assert cold_prompt_heads.cache_info().misses == misses
 
 
 def test_prompt_document_caps_attachments():

@@ -240,6 +240,46 @@ def test_a_combo_box_with_items_and_items_from_is_a_construction_error_naming_bo
         new_wizard(config=config)
 
 
+def _inputs_list_on_the_first_page() -> dict:
+    config = default_wizard_config()
+    config["pages"][0]["fields"].append(config["pages"][1]["fields"].pop(2))
+    return config
+
+
+def _inputs_combo_on_the_first_page(validator: str) -> dict:
+    config = default_wizard_config()
+    config["pages"][0]["fields"].append({"label": "Endpoint", "kind": "ComboBox",
+                                         "items_from": "inputs", "validator": validator})
+    return config
+
+
+@pytest.mark.parametrize("config, label, validator", [
+    (_inputs_list_on_the_first_page(), "Inputs", "at_least_one_item"),
+    (_inputs_combo_on_the_first_page("non_empty"), "Endpoint", "non_empty"),
+    (_inputs_combo_on_the_first_page("absolute_path"), "Endpoint", "absolute_path"),
+], ids=["list", "combo-non-empty", "combo-absolute-path"])
+def test_a_page_waiting_for_an_input_that_no_page_up_to_it_can_add_is_a_construction_error(
+        config, label, validator):
+    """Only the modal that page 1's button opens adds an input, so Next on
+    page 0 would fail for good."""
+    with pytest.raises(WizardConfigError) as info:
+        new_wizard(config=config)
+    message = str(info.value)
+    for part in ("wizard page 0 field 6 ", repr(label), repr(validator), "page 0"):
+        assert part in message
+
+
+def test_a_page_waiting_for_an_input_compiles_once_a_page_up_to_it_opens_the_modal():
+    for config in (_inputs_list_on_the_first_page(),
+                   _inputs_combo_on_the_first_page("non_empty")):
+        config["pages"][0]["fields"].append(config["pages"][1]["fields"].pop(1))
+        sim = new_wizard(config=config)
+        click(sim, sim.layout.control_id_of("Add Input...", page="tool_description"))
+        assert sim.modal == "add_input"
+    # A validator that passes on the empty default needs no input.
+    new_wizard(config=_inputs_combo_on_the_first_page("optional_mapping_file"))
+
+
 def test_a_button_in_a_modal_may_open_a_modal():
     config = default_wizard_config()
     config["modals"]["add_input"]["fields"].append(
